@@ -27,7 +27,10 @@ class NoDocumentsError(InputError):
 
 
 class EmptyDocumentError(InputError):
-    """A document with whitespace-only text cannot be segmented."""
+    """A document with whitespace-only text cannot be segmented.
+
+    refine skips blank documents and raises this only when all are blank.
+    """
 
 
 class RemoteError(RagmendError):

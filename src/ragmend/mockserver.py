@@ -8,12 +8,16 @@ Routes:
 
 URLs in search.json may contain the literal "{base}", replaced with this
 server's own base URL so fixtures stay port-agnostic.
+
+The server speaks HTTP/1.1 with keep-alive: a client session sends all its
+requests over one connection, served by one thread.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -43,31 +47,53 @@ class _Fixtures:
         return json.loads(path.read_text("utf-8"))
 
 
+class _BodyError(ValueError):
+    """A request body that cannot be read to its declared end."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     # self.server carries .fixtures and .base_url, set by MockService.
+
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; without TCP_NODELAY, Nagle plus
+    # the client's delayed ACK can hold each keep-alive reply back ~40 ms.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):
         logger.debug("mockserver: " + format, *args)
 
-    def _send_json(self, payload: dict, status: int = 200):
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, body: bytes, content_type: str, status: int = 200):
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_html(self, body: bytes, status: int = 200):
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send_json(self, payload: dict, status: int = 200):
+        self._send(json.dumps(payload).encode("utf-8"), "application/json", status)
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        """Read exactly Content-Length bytes and parse them as a JSON object.
+
+        Raises _BodyError when the body's end is unknown or never arrives;
+        the connection must then close, or leftover bytes would be parsed as
+        the next request.
+        """
+        try:
+            length = int(self.headers["Content-Length"])
+        except (KeyError, TypeError, ValueError):
+            raise _BodyError("missing or invalid Content-Length") from None
+        if length < 0:
+            raise _BodyError("negative Content-Length")
         raw = self.rfile.read(length)
-        return json.loads(raw.decode("utf-8"))
+        if len(raw) != length:
+            raise _BodyError("body shorter than Content-Length")
+        payload = json.loads(raw.decode("utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("JSON body is not an object")
+        return payload
 
     def do_GET(self):
         parsed = urlparse(self.path)
@@ -91,7 +117,7 @@ class _Handler(BaseHTTPRequestHandler):
             if "/" in name or not page.is_file():
                 self._send_json({"error": "not found"}, status=404)
                 return
-            self._send_html(page.read_bytes())
+            self._send(page.read_bytes(), "text/html; charset=utf-8")
             return
         self._send_json({"error": "not found"}, status=404)
 
@@ -99,6 +125,10 @@ class _Handler(BaseHTTPRequestHandler):
         fixtures = self.server.fixtures
         try:
             body = self._read_json_body()
+        except _BodyError as exc:
+            self.close_connection = True
+            self._send_json({"error": str(exc)}, status=400)
+            return
         except ValueError:
             self._send_json({"error": "invalid JSON"}, status=400)
             return
@@ -134,11 +164,40 @@ class _Handler(BaseHTTPRequestHandler):
         return StubGenerator().generate(prompt)
 
 
+class _Server(ThreadingHTTPServer):
+    """Threaded server that can close the keep-alive connections it holds."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection; each handler thread then sees EOF and exits."""
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+
 class MockService:
     """Owns the threaded HTTP server and its lifecycle."""
 
     def __init__(self, fixtures_dir: Path, host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _Handler)
+        self._server = _Server((host, port), _Handler)
         self._server.fixtures = _Fixtures(fixtures_dir)
         self._server.base_url = ""
         host_out, port_out = self._server.server_address[:2]
@@ -155,17 +214,20 @@ class MockService:
         return self
 
     def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop serving and end the connections clients still hold open."""
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.server_close()
+        self._server.close_connections()
 
     def serve_forever(self):
         try:
             self._server.serve_forever()
         finally:
             self._server.server_close()
+            self._server.close_connections()
 
     def __enter__(self) -> "MockService":
         return self.start()

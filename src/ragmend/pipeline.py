@@ -24,6 +24,7 @@ from .errors import (
     NoDocumentsError,
     SearchUnavailableError,
 )
+from .http_session import EnvCachedSession
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -34,6 +35,7 @@ from .refinement import (
 from .scoring import Document, Query, Scorer, ScorerConfig, tokenize
 from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
+    HttpTransport,
     KeywordRewriter,
     SearchConfig,
     SearchQuery,
@@ -182,11 +184,18 @@ def external_knowledge(
         return empty, []
     urls = [r.url for r in results]
     pages = []
-    for result in results:
-        try:
-            pages.append(fetch_and_extract(result, cfg.search, transport=fetch_transport))
-        except FetchError as exc:
-            logger.warning("skipping unfetchable page: %s", exc)
+    # Without an injected transport, the question's fetch misses share one
+    # pooled session, closed when the fetches are done.
+    transport = fetch_transport if fetch_transport is not None else HttpTransport()
+    try:
+        for result in results:
+            try:
+                pages.append(fetch_and_extract(result, cfg.search, transport=transport))
+            except FetchError as exc:
+                logger.warning("skipping unfetchable page: %s", exc)
+    finally:
+        if transport is not fetch_transport:
+            transport.close()
     if cfg.ablations.no_selection:
         strips = [
             KnowledgeStrip(doc_id=page.url, index=idx, text=para)
@@ -259,7 +268,7 @@ class RemoteGenerator:
         self.timeout = timeout
         self.retries = retries
         self.max_tokens = max_tokens
-        self.session = session or requests.Session()
+        self.session = session or EnvCachedSession()
 
     def generate(self, prompt: str) -> str:
         payload = {"prompt": prompt, "max_tokens": self.max_tokens}

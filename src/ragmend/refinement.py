@@ -152,11 +152,18 @@ def refine(
     scorer: Scorer,
     config: RefineConfig,
 ) -> KnowledgeBundle:
-    """Segment all documents, filter the pooled strips, recompose a bundle."""
+    """Segment all documents, filter the pooled strips, recompose a bundle.
+
+    Blank documents are skipped; EmptyDocumentError is raised only when every
+    document is blank.
+    """
     if not docs:
         raise NoDocumentsError("no documents to refine")
     pool: list[KnowledgeStrip] = []
     for doc in docs:
-        pool.extend(segment(doc, config))
+        if doc.text.strip():
+            pool.extend(segment(doc, config))
+    if not pool:
+        raise EmptyDocumentError("every document to refine is blank")
     kept = filter_strips(pool, query, scorer, config)
     return KnowledgeBundle.from_strips(BundleKind.INTERNAL, kept)

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import requests
 
 from .errors import ConfigError, ScorerUnavailableError
+from .http_session import EnvCachedSession
 from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
 
 logger = logging.getLogger(__name__)
@@ -32,15 +33,21 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Query:
-    """A user question. Text is stripped and must be non-empty."""
+    """A user question on one line.
+
+    Text is stripped, and each newline with the whitespace around it becomes
+    one space, so the question stays on the prompt's one "Question:" line.
+    Other whitespace is kept. Text must be non-empty.
+    """
 
     text: str
 
     def __post_init__(self):
-        stripped = self.text.strip()
-        if not stripped:
+        lines = (line.strip() for line in self.text.split("\n"))
+        normalized = " ".join(line for line in lines if line)
+        if not normalized:
             raise ValueError("query text must be non-empty")
-        object.__setattr__(self, "text", stripped)
+        object.__setattr__(self, "text", normalized)
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ class RemoteScorer(Scorer):
         if config.kind != "remote":
             raise ConfigError("RemoteScorer requires a config with kind='remote'")
         self.config = config
-        self.session = session or requests.Session()
+        self.session = session or EnvCachedSession()
         self._gate = threading.BoundedSemaphore(config.max_in_flight)
 
     def score_text(self, query: str, document: str) -> float:

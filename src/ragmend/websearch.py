@@ -26,6 +26,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
+from .http_session import EnvCachedSession
 from .prompts import render_rewrite_prompt
 from .refinement import BundleKind, KnowledgeBundle, KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
@@ -194,7 +195,7 @@ class RemoteRewriter:
         self.endpoint = endpoint
         self.timeout = timeout
         self.max_tokens = max_tokens
-        self.session = session or requests.Session()
+        self.session = session or EnvCachedSession()
 
     def rewrite(self, question: str) -> list[str]:
         payload = {"prompt": render_rewrite_prompt(question), "max_tokens": self.max_tokens}
@@ -269,7 +270,7 @@ class HttpSearchClient:
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
-        self.session = session or requests.Session()
+        self.session = session or EnvCachedSession()
         self.headers = {}
         api_key = os.environ.get("RAGMEND_SEARCH_API_KEY")
         if api_key:
@@ -313,7 +314,11 @@ class HttpTransport:
     """Fetches a URL body as text. Swappable for counting doubles in tests."""
 
     def __init__(self, session: Optional[requests.Session] = None):
-        self.session = session or requests.Session()
+        self.session = session or EnvCachedSession()
+
+    def close(self) -> None:
+        """Close the session's pooled connections."""
+        self.session.close()
 
     def get(self, url: str, timeout: float) -> str:
         try:

@@ -1,12 +1,18 @@
 """Live HTTP tests against the bundled mock service."""
 
 import json
+import socket
+import threading
+import time
+from urllib.parse import urlparse
 
 import pytest
 import requests
 
+from ragmend import mockserver
+from ragmend.http_session import EnvCachedSession
 from ragmend.mockserver import MockService
-from ragmend.scoring import LexicalScorer
+from ragmend.scoring import LexicalScorer, RemoteScorer, ScorerConfig
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +93,11 @@ class TestScoreRoute:
         )
         assert resp.status_code == 400
 
+    @pytest.mark.parametrize("route", ["/score", "/generate"])
+    def test_non_object_body_400(self, service, route):
+        resp = requests.post(f"{service.base_url}{route}", json=["a"], timeout=5)
+        assert resp.status_code == 400
+
 
 class TestGenerateRoute:
     def test_fixture_reply_wins(self, service):
@@ -135,3 +146,100 @@ class TestFixtureFallbacks:
                 f"{svc.base_url}/generate", json={"prompt": "anything"}, timeout=5
             )
             assert resp.json() == {"text": "canned"}
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Client addresses of the connections the mock server accepts."""
+    seen = []
+    setup = mockserver._Handler.setup
+
+    def counting_setup(handler):
+        seen.append(handler.client_address)
+        setup(handler)
+
+    monkeypatch.setattr(mockserver._Handler, "setup", counting_setup)
+    return seen
+
+
+def _raw_exchange(base_url: str, data: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    url = urlparse(base_url)
+    chunks = []
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(data)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+SMUGGLED = b"GET /search?q=x HTTP/1.1\r\nHost: mock\r\n\r\n"
+
+
+class TestKeepAlive:
+    def test_scorer_posts_share_one_connection(self, service, accepted):
+        scorer = RemoteScorer(ScorerConfig(kind="remote", endpoint=f"{service.base_url}/score"))
+        try:
+            scores = [scorer.score_text("capital of France", f"France doc {i}") for i in range(20)]
+        finally:
+            scorer.session.close()
+        assert len(scores) == 20
+        assert len(accepted) == 1
+
+    @pytest.mark.parametrize(
+        "headers",
+        [b"", b"Content-Length: abc\r\n", b"Content-Length: -1\r\n"],
+        ids=["missing", "not-a-number", "negative"],
+    )
+    def test_unreadable_body_closes_connection(self, service, headers):
+        request = b"POST /score HTTP/1.1\r\nHost: mock\r\n" + headers + b"\r\n"
+        reply = _raw_exchange(service.base_url, request + SMUGGLED)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        # The bytes after the headers were never parsed as a second request.
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_short_body_closes_connection(self, service):
+        request = b"POST /score HTTP/1.1\r\nHost: mock\r\nContent-Length: 50\r\n\r\n{}"
+        url = urlparse(service.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+
+    def test_invalid_json_keeps_connection(self, service, accepted):
+        with EnvCachedSession() as session:
+            bad = session.post(f"{service.base_url}/score", data="{broken")
+            good = session.post(f"{service.base_url}/score", json={"query": "a", "document": "a"})
+        assert bad.status_code == 400
+        assert good.json() == {"score": 1.0}
+        assert len(accepted) == 1
+
+
+class TestStop:
+    def test_stop_ends_held_connections(self, tmp_path):
+        svc = MockService(tmp_path).start()
+        session = EnvCachedSession()
+        try:
+            session.post(f"{svc.base_url}/score", json={"query": "a", "document": "b"}, timeout=5)
+            t0 = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - t0 < 2.0
+            with pytest.raises(requests.ConnectionError):
+                session.post(
+                    f"{svc.base_url}/score", json={"query": "a", "document": "b"}, timeout=2
+                )
+        finally:
+            session.close()
+
+    def test_stop_without_start_returns(self, tmp_path):
+        svc = MockService(tmp_path)
+        stopper = threading.Thread(target=svc.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2.0)
+        assert not stopper.is_alive()

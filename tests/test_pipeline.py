@@ -5,7 +5,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
-from ragmend import pipeline
+from ragmend import mockserver, pipeline
 from ragmend.errors import (
     ConfigError,
     GenerationError,
@@ -13,6 +13,7 @@ from ragmend.errors import (
     NoDocumentsError,
     SearchUnavailableError,
 )
+from ragmend.mockserver import MockService
 from ragmend.pipeline import (
     AblationFlags,
     PipelineConfig,
@@ -20,6 +21,7 @@ from ragmend.pipeline import (
     StubGenerator,
     assemble_prompt,
     combine,
+    external_knowledge,
     generate,
     raw_internal_bundle,
     resolve_action,
@@ -367,6 +369,77 @@ class TestRunAblations:
         record = run(QUESTION, [DISTRACTOR], cfg, lexical)
         assert record.action is Action.CORRECT
         assert record.judgment.action is Action.INCORRECT
+
+
+class TestRunRobustness:
+    def test_blank_doc_next_to_relevant(self, tmp_path, lexical):
+        blank = Document(id="blank", text=" \n\t ")
+        record = run(QUESTION, [blank, RELEVANT], web_cfg(tmp_path), lexical)
+        assert record.action is Action.CORRECT
+        assert [s.doc_id for s in record.knowledge.strips] == ["rel"]
+        assert "Paris" in record.answer
+
+    def test_question_with_newline_answered(self, tmp_path, lexical):
+        question = "What is the capital\ncity of France?"
+        record = run(question, [RELEVANT], web_cfg(tmp_path), lexical)
+        assert record.question == QUESTION
+        assert "Paris" in record.answer
+
+    @given(
+        question=st.text(min_size=1, max_size=40).filter(str.strip),
+        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5).filter(
+            lambda texts: any(t.strip() for t in texts)
+        ),
+        only_action=st.sampled_from([None, *Action]),
+    )
+    def test_any_instance_with_a_nonblank_doc_gives_record(self, question, texts, only_action):
+        docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
+        cfg = PipelineConfig(ablations=AblationFlags(only_action=only_action))
+        record = run(question, docs, cfg, LexicalScorer())
+        assert record.error is None
+        assert record.action is (only_action or record.judgment.action)
+        assert record.answer
+
+    @given(st.text(min_size=1, max_size=40).filter(str.strip))
+    def test_prompt_round_trips_any_question(self, text):
+        query = Query(text)
+        match = pipeline._PROMPT_RE.match(assemble_prompt(query, None))
+        assert match is not None
+        assert match.group("question") == query.text
+
+
+class TestExternalKnowledgeSessions:
+    def test_fetch_misses_share_one_session(self, tmp_path, lexical, monkeypatch):
+        pages = tmp_path / "fixtures" / "pages"
+        pages.mkdir(parents=True)
+        for i in range(3):
+            (pages / f"p{i}.html").write_text(f"<p>The capital city of France {i}.</p>")
+        sessions, accepted = [], []
+        session_init = requests.Session.__init__
+        handler_setup = mockserver._Handler.setup
+
+        def counting_init(session, *args, **kwargs):
+            sessions.append(session)
+            session_init(session, *args, **kwargs)
+
+        def counting_setup(handler):
+            accepted.append(handler.client_address)
+            handler_setup(handler)
+
+        with MockService(tmp_path / "fixtures") as svc:
+            urls = [f"{svc.base_url}/page/p{i}.html" for i in range(3)]
+            client = ListSearchClient(
+                {"capital city France": [SearchResult(url=u, rank=1) for u in urls]}
+            )
+            monkeypatch.setattr(requests.Session, "__init__", counting_init)
+            monkeypatch.setattr(mockserver._Handler, "setup", counting_setup)
+            bundle, searched = external_knowledge(
+                Query(QUESTION), web_cfg(tmp_path), lexical, client
+            )
+        assert searched == urls
+        assert len(bundle.strips) == 3
+        assert len(sessions) == 1
+        assert len(accepted) == 1
 
 
 class TestHelpers:

@@ -229,6 +229,17 @@ class TestRefine:
         bundle = refine(query, docs, lexical, RefineConfig())
         assert "\n" in bundle.text
 
+    def test_skips_blank_docs(self, lexical):
+        query = Query("alpha beta")
+        docs = [Document(id="blank", text=" \n\t"), Document(id="d", text="alpha beta.")]
+        bundle = refine(query, docs, lexical, RefineConfig())
+        assert [s.doc_id for s in bundle.strips] == ["d"]
+
+    def test_all_blank_docs_rejected(self, lexical):
+        docs = [Document(id="a", text=" "), Document(id="b", text="\n")]
+        with pytest.raises(EmptyDocumentError):
+            refine(Query("alpha"), docs, lexical, RefineConfig())
+
 
 class TestTypes:
     def test_strip_rejects_blank_text(self):

@@ -40,6 +40,12 @@ class TestQuery:
     def test_strips_text(self):
         assert Query("  hi  ").text == "hi"
 
+    def test_newlines_become_one_space(self):
+        assert Query("capital of\n  France\r\n\n?").text == "capital of France ?"
+
+    def test_other_whitespace_kept(self):
+        assert Query("a  b\tc").text == "a  b\tc"
+
     def test_rejects_blank(self):
         with pytest.raises(ValueError):
             Query("   ")
