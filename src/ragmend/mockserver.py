@@ -193,6 +193,10 @@ class _Server(ThreadingHTTPServer):
                 pass
 
 
+# How often serve_forever checks for shutdown; stop() waits up to this long.
+_POLL_INTERVAL_S = 0.05
+
+
 class MockService:
     """Owns the threaded HTTP server and its lifecycle."""
 
@@ -209,7 +213,11 @@ class MockService:
         return self._server.base_url
 
     def start(self) -> "MockService":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": _POLL_INTERVAL_S},
+            daemon=True,
+        )
         self._thread.start()
         return self
 
@@ -224,7 +232,7 @@ class MockService:
 
     def serve_forever(self):
         try:
-            self._server.serve_forever()
+            self._server.serve_forever(poll_interval=_POLL_INTERVAL_S)
         finally:
             self._server.server_close()
             self._server.close_connections()

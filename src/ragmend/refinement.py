@@ -128,22 +128,17 @@ def filter_strips(
     """
     if not strips:
         raise ValueError("filter_strips requires at least one strip")
-    scored = [
-        dataclasses.replace(strip, score=scorer.score_text(query.text, strip.text))
-        for strip in strips
-    ]
-    passing = [
-        (pos, strip)
-        for pos, strip in enumerate(scored)
-        if strip.score > config.strip_threshold
-    ]
-    if not passing:
-        best = min(enumerate(scored), key=lambda item: (-item[1].score, item[0]))
-        return [best[1]]
-    passing.sort(key=lambda item: (-item[1].score, item[0]))
-    kept = passing[: config.top_k]
-    kept.sort(key=lambda item: item[0])
-    return [strip for _, strip in kept]
+    scores = [scorer.score_text(query.text, strip.text) for strip in strips]
+
+    def rank(pos: int) -> tuple[float, int]:
+        return -scores[pos], pos
+
+    passing = [pos for pos, score in enumerate(scores) if score > config.strip_threshold]
+    if passing:
+        kept = sorted(sorted(passing, key=rank)[: config.top_k])
+    else:
+        kept = [min(range(len(scores)), key=rank)]
+    return [dataclasses.replace(strips[pos], score=scores[pos]) for pos in kept]
 
 
 def refine(

@@ -8,7 +8,9 @@ overlap at all, 1 means every unique query token appears in the document.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import re
 import threading
 import time
@@ -23,12 +25,18 @@ from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
 
 logger = logging.getLogger(__name__)
 
-_TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
+_TOKEN = re.compile(r"[^\W_]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on runs of non-alphanumeric characters."""
-    return [tok for tok in _TOKEN_SPLIT.split(text.lower()) if tok]
+    return _TOKEN.findall(text.lower())
+
+
+@functools.lru_cache(maxsize=32)
+def _query_tokens(text: str) -> frozenset[str]:
+    """Unique tokens of a question, kept for the strips scored against it."""
+    return frozenset(tokenize(text))
 
 
 @dataclass(frozen=True)
@@ -108,11 +116,10 @@ class LexicalScorer(Scorer):
     """Token-overlap scorer: 2 * (matched unique query tokens / unique query tokens) - 1."""
 
     def score_text(self, query: str, document: str) -> float:
-        unique = set(tokenize(query))
+        unique = _query_tokens(query)
         if not unique:
             return -1.0
-        doc_tokens = set(tokenize(document))
-        hits = sum(1 for tok in unique if tok in doc_tokens)
+        hits = len(unique.intersection(tokenize(document)))
         return 2.0 * hits / len(unique) - 1.0
 
 
@@ -120,9 +127,10 @@ class RemoteScorer(Scorer):
     """Scorer backed by an HTTP endpoint.
 
     Posts {"query": ..., "document": ...} (plus "prompt" when configured) and
-    expects {"score": <number>}. Out-of-range replies are clamped; transport
-    failures and 5xx replies are retried with exponential backoff, then raise
-    ScorerUnavailableError.
+    expects {"score": <number>}. Out-of-range finite replies are clamped; NaN
+    and +/-Infinity (which JSON parsing accepts) have no place on the scale and
+    raise ScorerUnavailableError. Transport failures and 5xx replies are
+    retried with exponential backoff, then raise ScorerUnavailableError.
     """
 
     def __init__(self, config: ScorerConfig, session: Optional[requests.Session] = None):
@@ -170,7 +178,10 @@ class RemoteScorer(Scorer):
                 raise ScorerUnavailableError(
                     f"scorer reply score is not a number: {value!r}"
                 )
-            return max(-1.0, min(1.0, float(value)))
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScorerUnavailableError(f"malformed scorer reply: score {value!r}")
+            # Clamp before float(): an integer too large for a float still clamps.
+            return float(max(-1.0, min(1.0, value)))
         raise ScorerUnavailableError(
             f"scorer unreachable after {self.config.retries + 1} attempts: {last_error}"
         )

@@ -436,15 +436,22 @@ def fetch_and_extract(
     """Fetch one result through the disk cache and extract its paragraphs.
 
     A cache hit performs no network call; misses fetch, extract, and write the
-    cache atomically so concurrent writers cannot corrupt it.
+    cache atomically so concurrent writers cannot corrupt it. Without a
+    transport a miss builds its own HttpTransport and closes it after the
+    fetch; an injected transport is left open for its owner.
     """
     path = _cache_path(cfg, result.url)
     cached = _cache_read(path, result.url)
     if cached is not None:
         return cached
-    if transport is None:
+    owned = transport is None
+    if owned:
         transport = HttpTransport()
-    body = transport.get(result.url, cfg.fetch_timeout)
+    try:
+        body = transport.get(result.url, cfg.fetch_timeout)
+    finally:
+        if owned:
+            transport.close()
     paragraphs = extract_paragraphs(body)
     _cache_write(path, result.url, paragraphs)
     return PageContent(url=result.url, paragraphs=tuple(paragraphs))

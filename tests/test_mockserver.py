@@ -237,6 +237,12 @@ class TestStop:
         finally:
             session.close()
 
+    def test_idle_stop_is_quick(self, tmp_path):
+        svc = MockService(tmp_path).start()
+        t0 = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - t0 < 0.25
+
     def test_stop_without_start_returns(self, tmp_path):
         svc = MockService(tmp_path)
         stopper = threading.Thread(target=svc.stop, daemon=True)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from ragmend import scoring
 from ragmend.errors import ConfigError, EmptyDocumentError, NoDocumentsError
 from ragmend.refinement import (
     STRIP_SEPARATOR,
@@ -199,6 +200,43 @@ class TestFilterStrips:
             assert [s.index for s in kept] == expected
 
 
+class FixedScores(LexicalScorer):
+    """Answers each strip text from a table, so scores need not come from overlap."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def score_text(self, query, document):
+        return self.table[document]
+
+
+class TestFilterStripsKeepsStrips:
+    @given(
+        st.lists(st.sampled_from([-1.0, -0.75, -0.5, 0.0, 0.25, 1.0]), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from([-1.0, -0.5, 0.0, 0.5]),
+    )
+    def test_returns_input_strips_with_scorer_value(self, values, top_k, threshold):
+        strips = [
+            KnowledgeStrip(doc_id=f"d{pos % 3}", index=pos, text=f"strip {pos}", score=7.0)
+            for pos in range(len(values))
+        ]
+        scorer = FixedScores({s.text: v for s, v in zip(strips, values)})
+        cfg = RefineConfig(top_k=top_k, strip_threshold=threshold)
+        kept = filter_strips(strips, Query("q"), scorer, cfg)
+        positions = [s.index for s in kept]
+        assert positions == selection_oracle(values, threshold, top_k)
+        for strip in kept:
+            original = strips[strip.index]
+            assert strip == KnowledgeStrip(
+                doc_id=original.doc_id,
+                index=original.index,
+                text=original.text,
+                score=values[strip.index],
+            )
+        assert all(s.score == 7.0 for s in strips)
+
+
 class TestRefine:
     def test_empty_docs(self, lexical):
         with pytest.raises(NoDocumentsError):
@@ -234,6 +272,27 @@ class TestRefine:
         docs = [Document(id="blank", text=" \n\t"), Document(id="d", text="alpha beta.")]
         bundle = refine(query, docs, lexical, RefineConfig())
         assert [s.doc_id for s in bundle.strips] == ["d"]
+
+    def test_question_tokenized_once(self, lexical, monkeypatch):
+        calls = []
+        real = scoring.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(scoring, "tokenize", counting)
+        scoring._query_tokens.cache_clear()
+        question = "river stone calm"
+        docs = [
+            Document(id=f"d{i}", text=" ".join(random_sentences(random.Random(i), 9)))
+            for i in range(4)
+        ]
+        bundle = refine(Query(question), docs, lexical, RefineConfig())
+        strips = sum(len(segment(doc, RefineConfig())) for doc in docs)
+        assert strips == 12 and bundle.strips
+        assert calls.count(question) == 1
+        assert len(calls) == strips + 1
 
     def test_all_blank_docs_rejected(self, lexical):
         docs = [Document(id="a", text=" "), Document(id="b", text="\n")]

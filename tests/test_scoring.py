@@ -1,7 +1,9 @@
 """Scoring contract: lexical formula, batch equivalence, remote client."""
 
+import json
 import math
 import random
+import re
 
 import pytest
 import requests
@@ -34,6 +36,49 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("  ... ") == []
+
+
+def reference_tokenize(text):
+    """The original definition: split on runs of [\\W_] and drop empty pieces."""
+    return [tok for tok in re.split(r"[\W_]+", text.lower()) if tok]
+
+
+def reference_score(query, document):
+    unique = set(reference_tokenize(query))
+    if not unique:
+        return -1.0
+    hits = len(unique & set(reference_tokenize(document)))
+    return 2.0 * hits / len(unique) - 1.0
+
+
+class TestTokenizeMatchesReference:
+    @given(st.text())
+    def test_equals_split_and_filter(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_unicode_letters_and_digits(self):
+        text = "Ünïcode_straße 42x İstanbul ٣ 東京!"
+        assert tokenize(text) == reference_tokenize(text)
+
+
+class TestLexicalQueryMemo:
+    @given(
+        st.lists(st.text(max_size=30), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(min_value=0), st.text(max_size=80)), max_size=12),
+    )
+    def test_interleaved_queries_match_formula(self, queries, pairs):
+        scorer = LexicalScorer()
+        for pick, document in pairs:
+            query = queries[pick % len(queries)]
+            assert scorer.score_text(query, document) == reference_score(query, document)
+
+    def test_more_queries_than_memo_slots(self, lexical):
+        queries = [f"q{i} shared" for i in range(100)]
+        for _ in range(2):
+            for i, query in enumerate(queries):
+                assert lexical.score_text(query, f"q{i}") == 0.0
+                assert lexical.score_text(query, "shared") == 0.0
+                assert lexical.score_text(query, f"q{i} shared") == 1.0
 
 
 class TestQuery:
@@ -162,6 +207,24 @@ class TestRemoteScorer:
         scorer, _ = _remote([FakeResponse(payload={"score": "high"})])
         with pytest.raises(ScorerUnavailableError):
             scorer.score_text("q", "d")
+
+    def test_nan_score_rejected(self):
+        # json.loads('{"score": NaN}') gives float("nan"); clamping it would read as 1.0
+        scorer, _ = _remote([FakeResponse(payload=json.loads('{"score": NaN}'))])
+        with pytest.raises(ScorerUnavailableError, match="malformed scorer reply"):
+            scorer.score_text("q", "d")
+
+    @pytest.mark.parametrize("raw", ["Infinity", "-Infinity"])
+    def test_infinite_score_rejected(self, raw):
+        scorer, _ = _remote([FakeResponse(payload=json.loads('{"score": %s}' % raw))])
+        with pytest.raises(ScorerUnavailableError, match="malformed scorer reply"):
+            scorer.score_text("q", "d")
+
+    def test_huge_integer_score_clamps(self):
+        scorer, _ = _remote([FakeResponse(payload=json.loads('{"score": 1%s}' % ("0" * 400)))])
+        assert scorer.score_text("q", "d") == 1.0
+        scorer, _ = _remote([FakeResponse(payload={"score": 0})])
+        assert scorer.score_text("q", "d") == 0.0
 
     def test_bool_score_rejected(self):
         scorer, _ = _remote([FakeResponse(payload={"score": True})])

@@ -7,6 +7,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
+from ragmend import websearch
 from ragmend.errors import FetchError, RewriteError, SearchUnavailableError
 from ragmend.refinement import BundleKind, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
@@ -333,6 +334,56 @@ class TestFetchAndExtract:
         with pytest.raises(FetchError) as exc_info:
             fetch_and_extract(SearchResult(url="mock://web/missing", rank=1), cfg, transport=transport)
         assert exc_info.value.url == "mock://web/missing"
+
+
+class ClosableTransport(CountingTransport):
+    """A CountingTransport that records close() calls."""
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.closed = 0
+
+    def close(self):
+        self.closed += 1
+
+
+class TestFetchAndExtractTransportOwnership:
+    PAGES = {"mock://web/a": "<p>a</p>", "mock://web/b": "<p>b</p>"}
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Transports fetch_and_extract builds for itself, in build order."""
+        built = []
+
+        def build():
+            built.append(ClosableTransport(self.PAGES))
+            return built[-1]
+
+        monkeypatch.setattr(websearch, "HttpTransport", build)
+        return built
+
+    def test_own_transport_closed_per_miss(self, tmp_path, built):
+        cfg = SearchConfig(cache_dir=tmp_path / "cache")
+        for url in ["mock://web/a", "mock://web/b", "mock://web/a"]:
+            fetch_and_extract(SearchResult(url=url, rank=1), cfg)
+        assert [(t.calls, t.closed) for t in built] == [(1, 1), (1, 1)]
+
+    def test_own_transport_closed_on_fetch_error(self, tmp_path, built):
+        cfg = SearchConfig(cache_dir=tmp_path / "cache")
+        with pytest.raises(FetchError):
+            fetch_and_extract(SearchResult(url="mock://web/missing", rank=1), cfg)
+        assert [(t.calls, t.closed) for t in built] == [(1, 1)]
+
+    def test_injected_transport_left_open(self, tmp_path, built):
+        cfg = SearchConfig(cache_dir=tmp_path / "cache")
+        transport = ClosableTransport(self.PAGES)
+        fetch_and_extract(SearchResult(url="mock://web/a", rank=1), cfg, transport=transport)
+        with pytest.raises(FetchError):
+            fetch_and_extract(
+                SearchResult(url="mock://web/missing", rank=1), cfg, transport=transport
+            )
+        assert built == []
+        assert (transport.calls, transport.closed) == (2, 0)
 
 
 class TestSelectExternal:
