@@ -31,7 +31,7 @@ SCHEMA = {
         "timeout",
         "retries",
     },
-    "scorer": {"kind", "endpoint", "timeout", "retries", "max_in_flight", "prompt"},
+    "scorer": {"kind", "endpoint", "timeout", "retries", "prompt"},
     "generator": {"endpoint", "max_tokens", "timeout", "retries"},
     "rewriter": {"endpoint"},
     "ablations": {

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -21,12 +20,9 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from . import pipeline
-from .errors import DatasetError, GenerationError, InputError
+from .errors import DatasetError, InputError
 from .pipeline import PipelineConfig, RunRecord, StubGenerator
-from .refinement import BundleKind, KnowledgeBundle
 from .scoring import Document, Query, Scorer
-
-logger = logging.getLogger(__name__)
 
 MODES = ("crag", "plain_rag", "rag_web")
 
@@ -56,14 +52,27 @@ class DatasetInstance:
             raise ValueError(f"instance {self.id!r} has duplicate doc ids")
 
 
-def _parse_instance(payload: dict, line_no: int) -> DatasetInstance:
+def _parse_instance(payload, line_no: int) -> DatasetInstance:
+    def bad(message: str) -> DatasetError:
+        return DatasetError(f"line {line_no}: {message}")
+
+    if not isinstance(payload, dict):
+        raise bad("an instance must be a JSON object")
     for field_name in ("id", "question", "answers", "docs"):
         if field_name not in payload:
-            raise DatasetError(f"line {line_no}: missing field {field_name!r}")
+            raise bad(f"missing field {field_name!r}")
+    question = payload["question"]
+    if not isinstance(question, str) or not question.strip():
+        raise bad("'question' must be a non-blank string")
+    answers = payload["answers"]
+    if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+        raise bad("'answers' must be a list of strings")
+    if not isinstance(payload["docs"], list):
+        raise bad("'docs' must be a list")
     docs = []
     for i, raw in enumerate(payload["docs"]):
-        if not isinstance(raw, dict) or "text" not in raw:
-            raise DatasetError(f"line {line_no}: docs[{i}] needs a 'text' field")
+        if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
+            raise bad(f"docs[{i}] needs a string 'text' field")
         docs.append(
             Document(
                 id=str(raw.get("id", f"doc{i}")),
@@ -72,16 +81,18 @@ def _parse_instance(payload: dict, line_no: int) -> DatasetInstance:
             )
         )
     relevant = payload.get("relevant_doc_ids")
+    if relevant is not None and not isinstance(relevant, list):
+        raise bad("'relevant_doc_ids' must be a list")
     try:
         return DatasetInstance(
             id=str(payload["id"]),
-            question=payload["question"],
-            answers=tuple(str(a) for a in payload["answers"]),
+            question=question,
+            answers=tuple(answers),
             docs=tuple(docs),
             relevant_doc_ids=tuple(str(r) for r in relevant) if relevant is not None else None,
         )
     except ValueError as exc:
-        raise DatasetError(f"line {line_no}: {exc}") from exc
+        raise bad(str(exc)) from exc
 
 
 def load_dataset(path: Union[str, Path]) -> list[DatasetInstance]:
@@ -210,39 +221,6 @@ def config_snapshot(cfg: PipelineConfig) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(cfg), default=str))
 
 
-def _generate_record(
-    question: Query,
-    bundle: KnowledgeBundle,
-    doc_scores: tuple[float, ...],
-    generator,
-) -> RunRecord:
-    """Build a no-trigger RunRecord: assemble the prompt and generate."""
-    timings: dict = {}
-    t_total = time.perf_counter()
-    prompt = pipeline.assemble_prompt(question, bundle)
-    error = None
-    t0 = time.perf_counter()
-    try:
-        answer = pipeline.generate(prompt, generator)
-    except GenerationError as exc:
-        logger.warning("generation failed: %s", exc)
-        answer = ""
-        error = f"generation failed: {exc}"
-    timings["generate"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_total
-    return RunRecord(
-        question=question.text,
-        doc_scores=doc_scores,
-        judgment=None,
-        action=None,
-        knowledge=bundle,
-        searched_urls=(),
-        answer=answer,
-        timings=timings,
-        error=error,
-    )
-
-
 def run_experiment(
     instances: Sequence[DatasetInstance],
     cfg: PipelineConfig,
@@ -288,18 +266,19 @@ def run_experiment(
                 generator,
                 fetch_transport=fetch_transport,
             )
-        elif mode == "plain_rag":
-            bundle = pipeline.raw_internal_bundle(instance.docs)
-            record = _generate_record(question, bundle, (), generator)
         else:
-            internal = pipeline.raw_internal_bundle(instance.docs)
-            external, urls = pipeline.external_knowledge(
-                question, cfg, scorer, search_client, rewriter, fetch_transport
+            started = time.perf_counter()
+            knowledge = pipeline.raw_internal_bundle(instance.docs)
+            urls: list[str] = []
+            if mode == "rag_web":
+                external, urls = pipeline.external_knowledge(
+                    question, cfg, scorer, search_client, rewriter, fetch_transport
+                )
+                knowledge = pipeline.combine(knowledge, external)
+            timings = {"knowledge": time.perf_counter() - started}
+            record = pipeline.generate_record(
+                question, knowledge, generator, timings, started, searched_urls=urls
             )
-            record = _generate_record(
-                question, pipeline.combine(internal, external), (), generator
-            )
-            record.searched_urls = tuple(urls)
         correct = record.error is None and accuracy(record.answer, instance.answers)
         return InstanceRecord(
             instance_id=instance.id,

@@ -1,17 +1,64 @@
-"""The HTTP session every remote role uses by default.
+"""The HTTP session and the request policy every remote role uses.
 
 A `requests.Session` already pools keep-alive connections per host. What it
 does not keep is the environment: before every request it re-reads the proxy
 variables (`*_proxy`, `no_proxy`) and the CA-bundle variables
 (`REQUESTS_CA_BUNDLE`, `CURL_CA_BUNDLE`), a cost on the order of a loopback
 round trip. `EnvCachedSession` reads them once per host instead.
+
+`request_json` is the one retry-and-parse loop of the scorer, generator,
+search client and rewriter.
 """
 
 from __future__ import annotations
 
+import logging
+import time
+from typing import Callable
 from urllib.parse import urlsplit
 
 import requests
+
+logger = logging.getLogger(__name__)
+
+
+def request_json(
+    send: Callable[[], requests.Response],
+    key: str,
+    *,
+    what: str,
+    error: Callable[[str], Exception],
+    retries: int,
+):
+    """Send a request, retrying failures, and return `resp.json()[key]`.
+
+    `send` makes one attempt. A transport error or a 5xx reply is retried,
+    after a 0.1 * 2**k s sleep before retry k+1, with one warning logged per
+    failed attempt; after `retries + 1` failed attempts `error` is raised. Any
+    other non-200 reply, and a body that is not JSON or lacks `key`, raise
+    `error` at once. The caller checks the type of the returned value.
+    """
+    last_error: object = None
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(0.1 * 2 ** (attempt - 1))
+        try:
+            resp = send()
+        except requests.RequestException as exc:
+            last_error = exc
+            logger.warning("%s request failed (attempt %d): %s", what, attempt + 1, exc)
+            continue
+        if resp.status_code >= 500:
+            last_error = f"{what} returned {resp.status_code}"
+            logger.warning("%s (attempt %d)", last_error, attempt + 1)
+            continue
+        if resp.status_code != 200:
+            raise error(f"{what} returned {resp.status_code}: {resp.text[:200]}")
+        try:
+            return resp.json()[key]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error(f"malformed {what} reply: {exc}") from exc
+    raise error(f"{what} unreachable after {retries + 1} attempts: {last_error}")
 
 
 class EnvCachedSession(requests.Session):

@@ -24,7 +24,7 @@ from .errors import (
     NoDocumentsError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession
+from .http_session import EnvCachedSession, request_json
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -272,33 +272,58 @@ class RemoteGenerator:
 
     def generate(self, prompt: str) -> str:
         payload = {"prompt": prompt, "max_tokens": self.max_tokens}
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(0.1 * 2 ** (attempt - 1))
-            try:
-                resp = self.session.post(self.endpoint, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("generate request failed (attempt %d): %s", attempt + 1, exc)
-                continue
-            if resp.status_code >= 500:
-                last_error = GenerationError(f"generator returned {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise GenerationError(
-                    f"generator returned {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                text = resp.json()["text"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise GenerationError(f"malformed generator reply: {exc}") from exc
-            if not isinstance(text, str):
-                raise GenerationError(f"generator reply text is not a string: {text!r}")
-            return text
-        raise GenerationError(
-            f"generator unreachable after {self.retries + 1} attempts: {last_error}"
+        text = request_json(
+            lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
+            "text",
+            what="generator",
+            error=GenerationError,
+            retries=self.retries,
         )
+        if not isinstance(text, str):
+            raise GenerationError(f"generator reply text is not a string: {text!r}")
+        return text
+
+
+def generate_record(
+    question: Query,
+    knowledge: KnowledgeBundle,
+    generator,
+    timings: dict,
+    started: float,
+    *,
+    doc_scores: Sequence[float] = (),
+    judgment: Optional[ActionJudgment] = None,
+    action: Optional[Action] = None,
+    searched_urls: Sequence[str] = (),
+) -> RunRecord:
+    """Assemble the prompt, generate, and record the run.
+
+    A GenerationError is captured on the record with an empty answer, so
+    experiment denominators stay stable. timings gains "generate" and
+    "total", the latter measured from the perf_counter reading `started`.
+    """
+    prompt = assemble_prompt(question, knowledge)
+    t0 = time.perf_counter()
+    error = None
+    try:
+        answer = generate(prompt, generator)
+    except GenerationError as exc:
+        logger.warning("generation failed: %s", exc)
+        answer = ""
+        error = f"generation failed: {exc}"
+    timings["generate"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - started
+    return RunRecord(
+        question=question.text,
+        doc_scores=tuple(doc_scores),
+        judgment=judgment,
+        action=action,
+        knowledge=knowledge,
+        searched_urls=tuple(searched_urls),
+        answer=answer,
+        timings=timings,
+        error=error,
+    )
 
 
 def run(
@@ -354,26 +379,14 @@ def run(
         knowledge = combine(internal, external)
     timings["knowledge"] = time.perf_counter() - t0
 
-    prompt = assemble_prompt(question, knowledge)
-    t0 = time.perf_counter()
-    error = None
-    try:
-        answer = generate(prompt, generator)
-    except GenerationError as exc:
-        logger.warning("generation failed: %s", exc)
-        answer = ""
-        error = f"generation failed: {exc}"
-    timings["generate"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - t_total
-
-    return RunRecord(
-        question=question.text,
-        doc_scores=tuple(scores),
+    return generate_record(
+        question,
+        knowledge,
+        generator,
+        timings,
+        t_total,
+        doc_scores=scores,
         judgment=judgment,
         action=action,
-        knowledge=knowledge,
-        searched_urls=tuple(searched_urls),
-        answer=answer,
-        timings=timings,
-        error=error,
+        searched_urls=searched_urls,
     )

@@ -9,21 +9,16 @@ overlap at all, 1 means every unique query token appears in the document.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import re
-import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import requests
 
 from .errors import ConfigError, ScorerUnavailableError
-from .http_session import EnvCachedSession
+from .http_session import EnvCachedSession, request_json
 from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
-
-logger = logging.getLogger(__name__)
 
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -80,7 +75,6 @@ class ScorerConfig:
     endpoint: Optional[str] = None
     timeout: float = 10.0
     retries: int = 2
-    max_in_flight: int = 8
     prompt: Optional[str] = None
 
     def __post_init__(self):
@@ -90,8 +84,6 @@ class ScorerConfig:
             raise ConfigError("remote scorer requires an endpoint")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
         if self.prompt is not None and self.prompt not in RELEVANCE_PROMPTS:
             raise ConfigError(
                 f"unknown relevance prompt {self.prompt!r}; "
@@ -129,8 +121,8 @@ class RemoteScorer(Scorer):
     Posts {"query": ..., "document": ...} (plus "prompt" when configured) and
     expects {"score": <number>}. Out-of-range finite replies are clamped; NaN
     and +/-Infinity (which JSON parsing accepts) have no place on the scale and
-    raise ScorerUnavailableError. Transport failures and 5xx replies are
-    retried with exponential backoff, then raise ScorerUnavailableError.
+    raise ScorerUnavailableError. Failures follow `request_json`'s policy
+    with `config.retries` retries and raise ScorerUnavailableError.
     """
 
     def __init__(self, config: ScorerConfig, session: Optional[requests.Session] = None):
@@ -138,53 +130,26 @@ class RemoteScorer(Scorer):
             raise ConfigError("RemoteScorer requires a config with kind='remote'")
         self.config = config
         self.session = session or EnvCachedSession()
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
 
     def score_text(self, query: str, document: str) -> float:
         payload = {"query": query, "document": document}
         if self.config.prompt is not None:
             payload["prompt"] = render_relevance_prompt(self.config.prompt, query, document)
-        last_error: Exception | None = None
-        for attempt in range(self.config.retries + 1):
-            if attempt:
-                time.sleep(0.1 * 2 ** (attempt - 1))
-            try:
-                with self._gate:
-                    resp = self.session.post(
-                        self.config.endpoint, json=payload, timeout=self.config.timeout
-                    )
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("scorer request failed (attempt %d): %s", attempt + 1, exc)
-                continue
-            if resp.status_code >= 500:
-                last_error = ScorerUnavailableError(
-                    f"scorer returned {resp.status_code}"
-                )
-                logger.warning(
-                    "scorer returned %d (attempt %d)", resp.status_code, attempt + 1
-                )
-                continue
-            if resp.status_code != 200:
-                raise ScorerUnavailableError(
-                    f"scorer returned {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                body = resp.json()
-                value = body["score"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ScorerUnavailableError(f"malformed scorer reply: {exc}") from exc
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScorerUnavailableError(
-                    f"scorer reply score is not a number: {value!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ScorerUnavailableError(f"malformed scorer reply: score {value!r}")
-            # Clamp before float(): an integer too large for a float still clamps.
-            return float(max(-1.0, min(1.0, value)))
-        raise ScorerUnavailableError(
-            f"scorer unreachable after {self.config.retries + 1} attempts: {last_error}"
+        value = request_json(
+            lambda: self.session.post(
+                self.config.endpoint, json=payload, timeout=self.config.timeout
+            ),
+            "score",
+            what="scorer",
+            error=ScorerUnavailableError,
+            retries=self.config.retries,
         )
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScorerUnavailableError(f"scorer reply score is not a number: {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScorerUnavailableError(f"malformed scorer reply: score {value!r}")
+        # Clamp before float(): an integer too large for a float still clamps.
+        return float(max(-1.0, min(1.0, value)))
 
 
 def build_scorer(config: ScorerConfig, session: Optional[requests.Session] = None) -> Scorer:

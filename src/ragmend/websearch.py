@@ -26,7 +26,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession
+from .http_session import EnvCachedSession, request_json
 from .prompts import render_rewrite_prompt
 from .refinement import BundleKind, KnowledgeBundle, KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
@@ -90,6 +90,8 @@ class SearchResult:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if not isinstance(self.url, str):
+            raise ValueError(f"url must be a string, got {self.url!r}")
         parsed = urlparse(self.url)
         if not parsed.scheme or not parsed.netloc:
             raise ValueError(f"url must be absolute, got {self.url!r}")
@@ -199,16 +201,14 @@ class RemoteRewriter:
 
     def rewrite(self, question: str) -> list[str]:
         payload = {"prompt": render_rewrite_prompt(question), "max_tokens": self.max_tokens}
-        try:
-            resp = self.session.post(self.endpoint, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise RewriteError(f"rewriter request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise RewriteError(f"rewriter returned {resp.status_code}")
-        try:
-            text = resp.json()["text"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise RewriteError(f"malformed rewriter reply: {exc}") from exc
+        # One attempt: on any failure `rewrite` falls back to KeywordRewriter.
+        text = request_json(
+            lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
+            "text",
+            what="rewriter",
+            error=RewriteError,
+            retries=0,
+        )
         if not isinstance(text, str):
             raise RewriteError(f"rewriter reply text is not a string: {text!r}")
         return self._parse_reply(text)
@@ -277,37 +277,22 @@ class HttpSearchClient:
             self.headers["X-API-Key"] = api_key
 
     def search(self, query: str) -> list[SearchResult]:
-        last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                resp = self.session.get(
-                    self.endpoint,
-                    params={"q": query},
-                    headers=self.headers,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                logger.warning("search request failed (attempt %d): %s", attempt + 1, exc)
-                continue
-            if resp.status_code >= 500:
-                last_error = SearchUnavailableError(f"search returned {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise SearchUnavailableError(
-                    f"search returned {resp.status_code}: {resp.text[:200]}"
-                )
-            try:
-                items = resp.json()["results"]
-                return [
-                    SearchResult(url=item["url"], title=item.get("title"), rank=i + 1)
-                    for i, item in enumerate(items)
-                ]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
-        raise SearchUnavailableError(
-            f"search unreachable after {self.retries + 1} attempts: {last_error}"
+        items = request_json(
+            lambda: self.session.get(
+                self.endpoint, params={"q": query}, headers=self.headers, timeout=self.timeout
+            ),
+            "results",
+            what="search",
+            error=SearchUnavailableError,
+            retries=self.retries,
         )
+        try:
+            return [
+                SearchResult(url=item["url"], title=item.get("title"), rank=i + 1)
+                for i, item in enumerate(items)
+            ]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
 
 class HttpTransport:

@@ -130,6 +130,13 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             load_config(overrides=[pair])
 
+    def test_max_in_flight_is_unknown(self, tmp_path):
+        with pytest.raises(ConfigError, match="scorer.max_in_flight"):
+            load_config(overrides=["scorer.max_in_flight=4"])
+        path = write_config(tmp_path, {"scorer": {"max_in_flight": 4}})
+        with pytest.raises(ConfigError, match="scorer.max_in_flight"):
+            load_config(path)
+
     def test_null_clears_endpoint(self, tmp_path):
         path = write_config(tmp_path, {"generator": {"endpoint": "http://localhost:1/g"}})
         cfg = load_config(path, ["generator.endpoint=null"])

@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import CountingTransport, ListSearchClient
 from ragmend.errors import DatasetError, InputError, ScorerUnavailableError
@@ -24,6 +27,23 @@ from ragmend.refinement import BundleKind
 from ragmend.scoring import Document
 from ragmend.trigger import Action
 from ragmend.websearch import SearchConfig, SearchResult
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": JSON_VALUES,
+        "text": st.text(max_size=12) | JSON_VALUES,
+        "title": JSON_VALUES,
+    },
+)
 
 
 def write_jsonl(tmp_path, lines):
@@ -100,6 +120,57 @@ class TestLoadDataset:
         path = write_jsonl(tmp_path, [valid_line(docs=docs)])
         with pytest.raises(DatasetError, match="line 1"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("question", 5),
+            ("question", None),
+            ("question", " \n "),
+            ("answers", "xyz"),
+            ("answers", ["Paris", 5]),
+            ("docs", 5),
+            ("docs", [{"id": "d1", "text": 5}]),
+            ("relevant_doc_ids", "d1"),
+            ("relevant_doc_ids", 5),
+        ],
+    )
+    def test_bad_field_type_rejected(self, tmp_path, name, value):
+        path = write_jsonl(tmp_path, [valid_line("q1"), valid_line("q2", **{name: value})])
+        with pytest.raises(DatasetError, match=f"line 2.*{name}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("line", ["5", '"id question answers docs"'])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        with pytest.raises(DatasetError, match="line 1"):
+            load_dataset(write_jsonl(tmp_path, [line]))
+
+    @given(
+        st.one_of(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "id": JSON_VALUES,
+                    "question": st.text(max_size=12) | JSON_VALUES,
+                    "answers": st.lists(st.text(max_size=6), max_size=3) | JSON_VALUES,
+                    "docs": st.lists(DOCS | JSON_VALUES, max_size=3) | JSON_VALUES,
+                    "relevant_doc_ids": st.lists(JSON_VALUES, max_size=3) | JSON_VALUES,
+                },
+            ),
+            st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+        )
+    )
+    def test_any_object_line_loads_or_raises_dataset_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+            try:
+                (instance,) = load_dataset(path)
+            except DatasetError:
+                return
+        assert isinstance(instance.question, str) and instance.question.strip()
+        assert all(isinstance(answer, str) for answer in instance.answers)
+        assert all(isinstance(doc.text, str) for doc in instance.docs)
 
 
 class TestRemovalDraw:
@@ -359,6 +430,25 @@ class TestRunExperiment:
         assert record.searched_urls == (PAGE_URL,)
         assert client.calls == 1
         assert report.records[0].correct
+
+    def test_baseline_timings_cover_knowledge(self, tmp_path, lexical):
+        client = ListSearchClient(
+            {"capital city France": [SearchResult(url=PAGE_URL, rank=1)]}
+        )
+        transport = CountingTransport({PAGE_URL: PAGE_HTML})
+        cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
+        for mode in ("plain_rag", "rag_web"):
+            report = run_experiment(
+                INSTANCES[:1],
+                cfg,
+                mode,
+                scorer=lexical,
+                search_client=client,
+                fetch_transport=transport,
+            )
+            timings = report.records[0].run.timings
+            assert set(timings) == {"knowledge", "generate", "total"}
+            assert timings["total"] >= timings["knowledge"]
 
     def test_workers_match_serial(self, lexical):
         def project(report):

@@ -1,10 +1,18 @@
-"""EnvCachedSession: environment resolved once per host, same settings as requests."""
+"""EnvCachedSession: environment resolved once per host, same settings as requests.
+
+request_json: one retry-and-parse policy for every remote role.
+"""
+
+import time
+from unittest import mock
 
 import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from ragmend.http_session import EnvCachedSession
+from conftest import FakeResponse, FakeSession
+from ragmend.errors import RemoteError, RewriteError
+from ragmend.http_session import EnvCachedSession, request_json
 from ragmend.pipeline import RemoteGenerator
 from ragmend.scoring import RemoteScorer, ScorerConfig
 from ragmend.websearch import HttpSearchClient, HttpTransport, RemoteRewriter
@@ -139,3 +147,101 @@ class TestRoleDefaults:
     )
     def test_default_session_caches_environment(self, build):
         assert isinstance(build().session, EnvCachedSession)
+
+
+class Refused(Exception):
+    pass
+
+
+def _reply(outcome):
+    return {
+        "raise": requests.ConnectionError("down"),
+        "ok": FakeResponse(payload={"value": 7}),
+        "4xx": FakeResponse(status_code=404, text="gone"),
+        "5xx": FakeResponse(status_code=503),
+        "malformed": FakeResponse(payload={"other": 7}),
+    }[outcome]
+
+
+def _reference(outcomes, retries):
+    """(attempts, sleeps, failed attempts, result) under the documented policy."""
+    sleeps = []
+    for attempt in range(retries + 1):
+        if attempt:
+            sleeps.append(0.1 * 2 ** (attempt - 1))
+        outcome = outcomes[attempt]
+        if outcome in ("raise", "5xx"):
+            continue
+        result = {"ok": 7, "4xx": "thing returned 404: gone", "malformed": "malformed thing reply"}
+        return attempt + 1, sleeps, attempt, result[outcome]
+    return retries + 1, sleeps, retries + 1, f"thing unreachable after {retries + 1} attempts"
+
+
+class TestRequestJson:
+    @given(
+        outcomes=st.lists(
+            st.sampled_from(["raise", "ok", "4xx", "5xx", "malformed"]), min_size=4, max_size=4
+        ),
+        retries=st.integers(0, 3),
+    )
+    def test_matches_reference_model(self, outcomes, retries):
+        session = FakeSession([_reply(o) for o in outcomes])
+        with mock.patch("ragmend.http_session.time.sleep") as sleep, mock.patch(
+            "ragmend.http_session.logger.warning"
+        ) as warning:
+            try:
+                result = request_json(
+                    lambda: session.get("http://localhost:9/x"),
+                    "value",
+                    what="thing",
+                    error=Refused,
+                    retries=retries,
+                )
+            except Refused as exc:
+                result = str(exc)
+        attempts, sleeps, failed, expected = _reference(outcomes, retries)
+        assert len(session.calls) == attempts
+        assert [c.args[0] for c in sleep.call_args_list] == sleeps
+        assert warning.call_count == failed
+        if isinstance(expected, str):
+            assert result.startswith(expected)
+        else:
+            assert result == expected
+
+
+def _scorer(session):
+    config = ScorerConfig(kind="remote", endpoint="http://localhost:9/score", retries=2)
+    return RemoteScorer(config, session=session).score_text("q", "d")
+
+
+def _generator(session):
+    return RemoteGenerator("http://localhost:9/g", retries=2, session=session).generate("p")
+
+
+def _search(session):
+    return HttpSearchClient("http://localhost:9/search", retries=2, session=session).search("q")
+
+
+class TestRetryPolicyPerRole:
+    @pytest.mark.parametrize("call", [_scorer, _generator, _search])
+    def test_backoff_between_three_attempts(self, call, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = FakeSession([FakeResponse(status_code=500)] * 3)
+        with pytest.raises(RemoteError, match="unreachable after 3 attempts"):
+            call(session)
+        assert len(session.calls) == 3
+        assert sleeps == [0.1, 0.2]
+
+    @pytest.mark.parametrize(
+        "failure", [FakeResponse(status_code=503), requests.ConnectionError("down")]
+    )
+    def test_rewriter_makes_one_attempt(self, failure, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = FakeSession([failure, FakeResponse(payload={"text": "query: x"})])
+        rewriter = RemoteRewriter("http://localhost:9/generate", session=session)
+        with pytest.raises(RewriteError):
+            rewriter.rewrite("q")
+        assert len(session.calls) == 1
+        assert sleeps == []

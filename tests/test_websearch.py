@@ -252,6 +252,14 @@ class TestHttpSearchClient:
         with pytest.raises(SearchUnavailableError):
             client.search("q")
 
+    def test_non_string_url_is_malformed(self):
+        client = HttpSearchClient(
+            "http://localhost:9/search",
+            session=FakeSession([FakeResponse(payload={"results": [{"url": 5}]})]),
+        )
+        with pytest.raises(SearchUnavailableError, match="malformed search reply"):
+            client.search("q")
+
     def test_api_key_header_from_env(self, monkeypatch):
         monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", "sekrit")
         session = FakeSession([FakeResponse(payload={"results": []})])
