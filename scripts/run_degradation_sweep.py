@@ -18,11 +18,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ragmend.cli import default_fixtures_dir
+from ragmend.config import build_roles, load_config
 from ragmend.harness import csv_row, load_dataset, run_experiment
 from ragmend.mockserver import MockService
-from ragmend.pipeline import PipelineConfig, StubGenerator
-from ragmend.scoring import LexicalScorer
-from ragmend.websearch import HttpSearchClient, KeywordRewriter, SearchConfig
 
 
 def main() -> int:
@@ -41,21 +39,15 @@ def main() -> int:
     rows = []
     with MockService(default_fixtures_dir()) as svc:
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = PipelineConfig(
-                search=SearchConfig(
-                    cache_dir=Path(tmp) / "cache", endpoint=f"{svc.base_url}/search"
-                )
+            cfg = load_config(
+                None,
+                [f"search.endpoint={svc.base_url}/search", f"search.cache_dir={tmp}/cache"],
             )
-            common = dict(
-                scorer=LexicalScorer(),
-                search_client=HttpSearchClient(cfg.search.endpoint),
-                rewriter=KeywordRewriter(),
-                generator=StubGenerator(),
-            )
+            roles = build_roles(cfg)
             for p in args.levels:
                 for mode in ("crag", "plain_rag"):
                     report = run_experiment(
-                        instances, cfg, mode, (p, args.seed), **common
+                        instances, cfg, mode, (p, args.seed), **roles
                     )
                     rows.append(csv_row(report))
                     print(

@@ -20,10 +20,10 @@ from . import config as config_mod
 from . import harness
 from .errors import ConfigError, InputError, OfflineViolationError, RemoteError
 from .mockserver import MockService
-from .pipeline import PipelineConfig, RemoteGenerator, StubGenerator
+from .pipeline import PipelineConfig
 from .scoring import Document, Query, build_scorer
 from .trigger import Action, judge
-from .websearch import HttpSearchClient, HttpTransport, KeywordRewriter, RemoteRewriter
+from .websearch import HttpTransport
 
 logger = logging.getLogger(__name__)
 
@@ -130,26 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_docs_jsonl(path: Path) -> list[Document]:
-    if not path.exists():
-        raise InputError(f"docs file not found: {path}")
-    docs = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                raise InputError(f"line {line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(payload, dict) or "text" not in payload:
-                raise InputError(f"line {line_no}: document needs a 'text' field")
-            docs.append(
-                Document(
-                    id=str(payload.get("id", f"doc{line_no}")),
-                    text=payload["text"],
-                    title=payload.get("title"),
-                )
-            )
+    docs = [
+        harness.parse_document(raw, f"doc{line_no}", f"line {line_no}: document", InputError)
+        for line_no, raw in harness.read_jsonl(path, InputError, "docs file")
+    ]
     if not docs:
         raise InputError(f"no documents in {path}")
     return docs
@@ -194,27 +178,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         _check_offline(cfg)
 
     instances = harness.load_dataset(args.dataset)
-    scorer = build_scorer(cfg.scorer)
-    search_client = None
-    if cfg.search.endpoint:
-        search_client = HttpSearchClient(
-            cfg.search.endpoint, timeout=cfg.search.timeout, retries=cfg.search.retries
-        )
-    rewriter = (
-        RemoteRewriter(cfg.rewriter_endpoint, timeout=cfg.generator_timeout)
-        if cfg.rewriter_endpoint
-        else KeywordRewriter()
-    )
-    generator = (
-        RemoteGenerator(
-            cfg.generator_endpoint,
-            timeout=cfg.generator_timeout,
-            retries=cfg.generator_retries,
-            max_tokens=cfg.generator_max_tokens,
-        )
-        if cfg.generator_endpoint
-        else StubGenerator()
-    )
     fetch_transport = OfflineGuardTransport() if args.offline else None
     degradation = None if args.degrade_p is None else (args.degrade_p, args.seed)
 
@@ -223,10 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg,
         args.mode,
         degradation,
-        scorer=scorer,
-        search_client=search_client,
-        rewriter=rewriter,
-        generator=generator,
+        **config_mod.build_roles(cfg),
         fetch_transport=fetch_transport,
         workers=args.workers,
     )

@@ -3,47 +3,42 @@
 A run's settings come from preset defaults, overlaid by an optional JSON
 config file, overlaid by dotted key=value overrides from the command line.
 Unknown sections or keys are rejected so typos fail loudly.
+
+The keys come from `PipelineConfig`: each nested dataclass field is a section
+of its fields, and each flat field `<section>_<key>` is key `<key>` of
+`<section>`. `thresholds.preset` names a preset; explicit bounds win over it.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .pipeline import AblationFlags, PipelineConfig
-from .refinement import RefineConfig
-from .scoring import ScorerConfig
+from .pipeline import PipelineConfig, RemoteGenerator, StubGenerator
+from .scoring import build_scorer
 from .trigger import Thresholds
-from .websearch import SearchConfig
+from .websearch import HttpSearchClient, KeywordRewriter, RemoteRewriter
 
-SCHEMA = {
-    "thresholds": {"preset", "upper", "lower"},
-    "refine": {"strip_sentences", "top_k", "strip_threshold"},
-    "search": {
-        "top_k_urls",
-        "prefer_wikipedia",
-        "fetch_timeout",
-        "cache_dir",
-        "endpoint",
-        "timeout",
-        "retries",
-    },
-    "scorer": {"kind", "endpoint", "timeout", "retries", "prompt"},
-    "generator": {"endpoint", "max_tokens", "timeout", "retries"},
-    "rewriter": {"endpoint"},
-    "ablations": {
-        "disable_action",
-        "only_action",
-        "no_refinement",
-        "no_rewriting",
-        "no_selection",
-    },
-}
+_DEFAULTS = PipelineConfig()
 
-DEFAULT_THRESHOLD_PRESET = "popqa"
+
+def _schema() -> dict[str, set[str]]:
+    schema: dict[str, set[str]] = {}
+    for f in dataclasses.fields(PipelineConfig):
+        if dataclasses.is_dataclass(f.default):
+            schema[f.name] = {g.name for g in dataclasses.fields(f.default)}
+        else:
+            section, _, key = f.name.partition("_")
+            schema.setdefault(section, set()).add(key)
+    schema["thresholds"].add("preset")
+    return schema
+
+
+SCHEMA = _schema()
 
 
 def _validate_tree(data: dict, origin: str) -> None:
@@ -111,31 +106,21 @@ def merge(base: dict, extra: dict) -> dict:
     return merged
 
 
-def _build_thresholds(section: dict) -> Thresholds:
-    preset = Thresholds.preset(section.get("preset", DEFAULT_THRESHOLD_PRESET))
-    return Thresholds(
-        upper=section.get("upper", preset.upper),
-        lower=section.get("lower", preset.lower),
-    )
-
-
 def build_pipeline_config(data: dict) -> PipelineConfig:
     """Construct a validated PipelineConfig from a merged config tree."""
     _validate_tree(data, "config")
-    generator = data.get("generator", {})
+    kwargs = {}
     try:
-        return PipelineConfig(
-            thresholds=_build_thresholds(data.get("thresholds", {})),
-            refine=RefineConfig(**data.get("refine", {})),
-            search=SearchConfig(**data.get("search", {})),
-            scorer=ScorerConfig(**data.get("scorer", {})),
-            generator_endpoint=generator.get("endpoint"),
-            generator_max_tokens=generator.get("max_tokens", 256),
-            generator_timeout=generator.get("timeout", 30.0),
-            generator_retries=generator.get("retries", 2),
-            rewriter_endpoint=data.get("rewriter", {}).get("endpoint"),
-            ablations=AblationFlags(**data.get("ablations", {})),
-        )
+        for section, values in data.items():
+            default = getattr(_DEFAULTS, section, None)
+            if not dataclasses.is_dataclass(default):
+                kwargs.update({f"{section}_{key}": value for key, value in values.items()})
+                continue
+            values = dict(values)
+            if "preset" in values:
+                default = Thresholds.preset(values.pop("preset"))
+            kwargs[section] = dataclasses.replace(default, **values)
+        return PipelineConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
@@ -150,3 +135,38 @@ def load_config(
     if overrides:
         data = merge(data, parse_overrides(overrides))
     return build_pipeline_config(data)
+
+
+def build_roles(cfg: PipelineConfig) -> dict:
+    """The scorer, search client, rewriter and generator a config names.
+
+    The keys are `run_experiment`'s keyword names. A role whose endpoint is
+    unset is the local one (no search client at all); the rewriter shares
+    the generator's timeout.
+    """
+    search_client = None
+    if cfg.search.endpoint:
+        search_client = HttpSearchClient(
+            cfg.search.endpoint, timeout=cfg.search.timeout, retries=cfg.search.retries
+        )
+    rewriter = (
+        RemoteRewriter(cfg.rewriter_endpoint, timeout=cfg.generator_timeout)
+        if cfg.rewriter_endpoint
+        else KeywordRewriter()
+    )
+    generator = (
+        RemoteGenerator(
+            cfg.generator_endpoint,
+            timeout=cfg.generator_timeout,
+            retries=cfg.generator_retries,
+            max_tokens=cfg.generator_max_tokens,
+        )
+        if cfg.generator_endpoint
+        else StubGenerator()
+    )
+    return {
+        "scorer": build_scorer(cfg.scorer),
+        "search_client": search_client,
+        "rewriter": rewriter,
+        "generator": generator,
+    }

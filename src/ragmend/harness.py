@@ -17,7 +17,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import pipeline
 from .errors import DatasetError, InputError
@@ -52,6 +52,41 @@ class DatasetInstance:
             raise ValueError(f"instance {self.id!r} has duplicate doc ids")
 
 
+def read_jsonl(
+    path: Union[str, Path], error: Callable[[str], Exception], what: str
+) -> Iterator[tuple[int, object]]:
+    """Yield (line number, value) for each non-blank line of a JSONL file.
+
+    A missing file or a line that is not JSON raises `error`; the message
+    names the file as `what`, or the line number.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    with path.open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+            except ValueError as exc:
+                raise error(f"line {line_no}: invalid JSON: {exc}") from exc
+            yield line_no, payload
+
+
+def parse_document(
+    raw, default_id: str, where: str, bad: Callable[[str], Exception]
+) -> Document:
+    """A Document from one JSON value, which must be an object with a string 'text'.
+
+    `where` starts the error message and `bad` builds the error raised.
+    """
+    text = raw.get("text") if isinstance(raw, dict) else None
+    if not isinstance(text, str):
+        raise bad(f"{where} needs a string 'text' field")
+    return Document(str(raw.get("id", default_id)), text, raw.get("title"))
+
+
 def _parse_instance(payload, line_no: int) -> DatasetInstance:
     def bad(message: str) -> DatasetError:
         return DatasetError(f"line {line_no}: {message}")
@@ -69,17 +104,9 @@ def _parse_instance(payload, line_no: int) -> DatasetInstance:
         raise bad("'answers' must be a list of strings")
     if not isinstance(payload["docs"], list):
         raise bad("'docs' must be a list")
-    docs = []
-    for i, raw in enumerate(payload["docs"]):
-        if not isinstance(raw, dict) or not isinstance(raw.get("text"), str):
-            raise bad(f"docs[{i}] needs a string 'text' field")
-        docs.append(
-            Document(
-                id=str(raw.get("id", f"doc{i}")),
-                text=raw["text"],
-                title=raw.get("title"),
-            )
-        )
+    docs = [
+        parse_document(raw, f"doc{i}", f"docs[{i}]", bad) for i, raw in enumerate(payload["docs"])
+    ]
     relevant = payload.get("relevant_doc_ids")
     if relevant is not None and not isinstance(relevant, list):
         raise bad("'relevant_doc_ids' must be a list")
@@ -97,24 +124,14 @@ def _parse_instance(payload, line_no: int) -> DatasetInstance:
 
 def load_dataset(path: Union[str, Path]) -> list[DatasetInstance]:
     """Read a JSONL dataset, attaching line numbers to every error."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset not found: {path}")
     instances = []
     seen_ids = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as exc:
-                raise DatasetError(f"line {line_no}: invalid JSON: {exc}") from exc
-            instance = _parse_instance(payload, line_no)
-            if instance.id in seen_ids:
-                raise DatasetError(f"line {line_no}: duplicate instance id {instance.id!r}")
-            seen_ids.add(instance.id)
-            instances.append(instance)
+    for line_no, payload in read_jsonl(path, DatasetError, "dataset"):
+        instance = _parse_instance(payload, line_no)
+        if instance.id in seen_ids:
+            raise DatasetError(f"line {line_no}: duplicate instance id {instance.id!r}")
+        seen_ids.add(instance.id)
+        instances.append(instance)
     return instances
 
 

@@ -1,0 +1,61 @@
+"""The names the benchmark reaches into still exist.
+
+`benchmarks/measure.py` builds the roles from the flat `generator_*` and
+`rewriter_endpoint` config fields, and `benchmarks/tracing.py` wraps the
+three scorer methods and patches stage functions by module-level name. A
+rename in the program would only fail the benchmark run; this fails here.
+No request is sent.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import measure  # noqa: E402
+import tracing  # noqa: E402
+
+from ragmend import build_roles, pipeline  # noqa: E402
+from ragmend.config import load_config  # noqa: E402
+
+BASE = "http://127.0.0.1:9"
+
+
+def remote_config():
+    return load_config(
+        None,
+        [
+            f"search.endpoint={BASE}/search",
+            "scorer.kind=remote",
+            f"scorer.endpoint={BASE}/score",
+            f"generator.endpoint={BASE}/generate",
+            f"rewriter.endpoint={BASE}/generate",
+        ],
+    )
+
+
+def test_measure_builds_the_roles_ragmend_builds():
+    cfg = remote_config()
+    ours = build_roles(cfg)
+    theirs = measure.build_roles(cfg)
+    assert set(theirs) == set(ours)
+    for name, role in theirs.items():
+        assert type(role) is type(ours[name])
+        assert {k: v for k, v in vars(role).items() if k != "session"} == {
+            k: v for k, v in vars(ours[name]).items() if k != "session"
+        }
+
+
+def test_tracer_proxies_every_role_and_patches_every_stage():
+    roles = measure.build_roles(remote_config())
+    tracer = tracing.Tracer()
+    for name, role in roles.items():
+        assert role is not None
+        tracer.proxy(name, role)
+    original = pipeline.refine
+    tracer.install()
+    try:
+        assert pipeline.refine is not original
+    finally:
+        tracer.uninstall()
+    assert pipeline.refine is original

@@ -3,8 +3,11 @@
 import csv
 import json
 import socket
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ragmend.cli import (
     OfflineGuardTransport,
@@ -15,6 +18,13 @@ from ragmend.cli import (
 )
 from ragmend.errors import InputError, OfflineViolationError
 from ragmend.mockserver import MockService
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def write_lines(path, lines):
@@ -187,6 +197,35 @@ class TestLoadDocsJsonl:
         path = write_lines(tmp_path / "docs.jsonl", [json.dumps({"id": "x"})])
         with pytest.raises(InputError, match="text"):
             _load_docs_jsonl(path)
+
+    def test_judge_rejects_non_string_text(self, tmp_path, capsys):
+        path = write_lines(tmp_path / "docs.jsonl", [json.dumps({"id": "a", "text": 5})])
+        assert main(["judge", "what is it", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "text" in err
+
+    @given(
+        st.one_of(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "id": JSON_VALUES,
+                    "text": st.text(max_size=12) | JSON_VALUES,
+                    "title": JSON_VALUES,
+                },
+            ),
+            st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4),
+        )
+    )
+    def test_any_object_line_loads_or_raises_input_error(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "docs.jsonl"
+            path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+            try:
+                (doc,) = _load_docs_jsonl(path)
+            except InputError:
+                return
+        assert isinstance(doc.id, str) and isinstance(doc.text, str)
 
 
 class TestRunCommand:

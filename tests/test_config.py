@@ -1,11 +1,30 @@
 """Config resolution: defaults, file layer, command-line overrides."""
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from ragmend.config import load_config, merge, parse_overrides
+from ragmend import (
+    AblationFlags,
+    HttpSearchClient,
+    KeywordRewriter,
+    LexicalScorer,
+    PipelineConfig,
+    RefineConfig,
+    RemoteGenerator,
+    RemoteRewriter,
+    RemoteScorer,
+    ScorerConfig,
+    SearchConfig,
+    StubGenerator,
+    Thresholds,
+    build_roles,
+    run_experiment,
+)
+from ragmend.config import SCHEMA, load_config, merge, parse_overrides
 from ragmend.errors import ConfigError
 from ragmend.trigger import Action
 
@@ -153,3 +172,123 @@ class TestMergeHelpers:
     def test_parse_overrides_tree(self):
         tree = parse_overrides(["thresholds.upper=0.8", "thresholds.lower=-0.5"])
         assert tree == {"thresholds": {"upper": 0.8, "lower": -0.5}}
+
+
+# One valid --set value per SCHEMA key: (raw override value, value the field then holds).
+SET_VALUES = {
+    "thresholds.preset": ("pubhealth", Thresholds.preset("pubhealth")),
+    "thresholds.upper": ("0.8", 0.8),
+    "thresholds.lower": ("-0.5", -0.5),
+    "refine.strip_sentences": ("2", 2),
+    "refine.top_k": ("2", 2),
+    "refine.strip_threshold": ("0.1", 0.1),
+    "search.top_k_urls": ("3", 3),
+    "search.prefer_wikipedia": ("false", False),
+    "search.fetch_timeout": ("2.5", 2.5),
+    "search.cache_dir": ("elsewhere", Path("elsewhere")),
+    "search.endpoint": ("http://localhost:1/search", "http://localhost:1/search"),
+    "search.timeout": ("1.5", 1.5),
+    "search.retries": ("0", 0),
+    "scorer.kind": ("remote", "remote"),
+    "scorer.endpoint": ("http://localhost:1/s", "http://localhost:1/s"),
+    "scorer.timeout": ("1.5", 1.5),
+    "scorer.retries": ("0", 0),
+    "scorer.prompt": ("cot", "cot"),
+    "generator.endpoint": ("http://localhost:1/g", "http://localhost:1/g"),
+    "generator.max_tokens": ("32", 32),
+    "generator.timeout": ("1.5", 1.5),
+    "generator.retries": ("0", 0),
+    "rewriter.endpoint": ("http://localhost:1/r", "http://localhost:1/r"),
+    "ablations.disable_action": ("Ambiguous", Action.AMBIGUOUS),
+    "ablations.only_action": ("Incorrect", Action.INCORRECT),
+    "ablations.no_refinement": ("true", True),
+    "ablations.no_rewriting": ("true", True),
+    "ablations.no_selection": ("true", True),
+}
+# A key that is only valid together with another one.
+COMPANIONS = {"scorer.kind": ["scorer.endpoint=http://localhost:1/s"]}
+
+
+def field_value(cfg, section, key):
+    if section == "thresholds" and key == "preset":
+        return cfg.thresholds
+    nested = getattr(cfg, section, None)
+    if dataclasses.is_dataclass(nested):
+        return getattr(nested, key)
+    return getattr(cfg, f"{section}_{key}")
+
+
+class TestDerivedSchema:
+    def test_no_config_is_the_dataclass_default(self):
+        assert load_config() == PipelineConfig()
+
+    def test_sections_are_the_dataclass_fields(self):
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        assert SCHEMA == {
+            "thresholds": names(Thresholds) | {"preset"},
+            "refine": names(RefineConfig),
+            "search": names(SearchConfig),
+            "scorer": names(ScorerConfig),
+            "generator": {"endpoint", "max_tokens", "timeout", "retries"},
+            "rewriter": {"endpoint"},
+            "ablations": names(AblationFlags),
+        }
+
+    def test_every_key_has_a_set_value(self):
+        assert set(SET_VALUES) == {f"{s}.{k}" for s, keys in SCHEMA.items() for k in keys}
+
+    @pytest.mark.parametrize("dotted", sorted(SET_VALUES))
+    def test_set_reaches_its_field(self, dotted):
+        raw, expected = SET_VALUES[dotted]
+        section, key = dotted.split(".")
+        assert field_value(PipelineConfig(), section, key) != expected
+        cfg = load_config(overrides=[f"{dotted}={raw}"] + COMPANIONS.get(dotted, []))
+        assert field_value(cfg, section, key) == expected
+
+
+class TestBuildRoles:
+    def test_local_roles_without_endpoints(self):
+        roles = build_roles(load_config())
+        assert set(roles) == {"scorer", "search_client", "rewriter", "generator"}
+        assert isinstance(roles["scorer"], LexicalScorer)
+        assert roles["search_client"] is None
+        assert isinstance(roles["rewriter"], KeywordRewriter)
+        assert isinstance(roles["generator"], StubGenerator)
+
+    def test_keys_are_run_experiment_keywords(self):
+        keywords = inspect.signature(run_experiment).parameters
+        for name in build_roles(load_config()):
+            assert keywords[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_remote_roles_take_their_settings(self):
+        cfg = load_config(
+            overrides=[
+                "scorer.kind=remote",
+                "scorer.endpoint=http://localhost:1/s",
+                "scorer.timeout=1.5",
+                "search.endpoint=http://localhost:1/search",
+                "search.timeout=2.5",
+                "search.retries=0",
+                "generator.endpoint=http://localhost:1/g",
+                "generator.timeout=3.5",
+                "generator.retries=1",
+                "generator.max_tokens=32",
+                "rewriter.endpoint=http://localhost:1/r",
+            ]
+        )
+        roles = build_roles(cfg)
+        assert isinstance(roles["scorer"], RemoteScorer)
+        assert roles["scorer"].config is cfg.scorer
+        search_client = roles["search_client"]
+        assert isinstance(search_client, HttpSearchClient)
+        assert search_client.endpoint == "http://localhost:1/search"
+        assert (search_client.timeout, search_client.retries) == (2.5, 0)
+        generator = roles["generator"]
+        assert isinstance(generator, RemoteGenerator)
+        assert generator.endpoint == "http://localhost:1/g"
+        assert (generator.timeout, generator.retries, generator.max_tokens) == (3.5, 1, 32)
+        rewriter = roles["rewriter"]
+        assert isinstance(rewriter, RemoteRewriter)
+        assert (rewriter.endpoint, rewriter.timeout) == ("http://localhost:1/r", 3.5)
