@@ -77,14 +77,17 @@ def read_jsonl(
 def parse_document(
     raw, default_id: str, where: str, bad: Callable[[str], Exception]
 ) -> Document:
-    """A Document from one JSON value, which must be an object with a string 'text'.
+    """A Document from a JSON object with a string 'text' and a string or null 'title'.
 
     `where` starts the error message and `bad` builds the error raised.
     """
     text = raw.get("text") if isinstance(raw, dict) else None
     if not isinstance(text, str):
         raise bad(f"{where} needs a string 'text' field")
-    return Document(str(raw.get("id", default_id)), text, raw.get("title"))
+    title = raw.get("title")
+    if title is not None and not isinstance(title, str):
+        raise bad(f"{where} has a 'title' that is neither a string nor null")
+    return Document(str(raw.get("id", default_id)), text, title)
 
 
 def _parse_instance(payload, line_no: int) -> DatasetInstance:

@@ -3,7 +3,8 @@
 Routes:
   GET  /search?q=...   -> {"results": [{"url", "title"}, ...]} from search.json
   POST /score          -> {"score": ...} from score.json or the lexical formula
-  POST /generate       -> {"text": ...} from generate.json or the stub generator
+  POST /generate       -> {"text": ...} from generate.json or the stub generator;
+                          "query: " and KeywordRewriter's keywords for a rewrite prompt
   GET  /page/<name>    -> HTML file from the pages/ directory
 
 URLs in search.json may contain the literal "{base}", replaced with this
@@ -25,9 +26,13 @@ from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
 from .pipeline import StubGenerator
+from .prompts import REWRITE_PROMPT
 from .scoring import LexicalScorer
+from .websearch import KeywordRewriter
 
 logger = logging.getLogger(__name__)
+
+_REWRITE_HEAD, _REWRITE_TAIL = REWRITE_PROMPT.split("[question]")
 
 
 class _Fixtures:
@@ -155,6 +160,9 @@ class _Handler(BaseHTTPRequestHandler):
     @staticmethod
     def _generate(body: dict, fixtures: _Fixtures) -> str:
         prompt = str(body.get("prompt", ""))
+        if prompt.startswith(_REWRITE_HEAD) and prompt.endswith(_REWRITE_TAIL):
+            question = prompt[len(_REWRITE_HEAD) : len(prompt) - len(_REWRITE_TAIL)]
+            return "query: " + ", ".join(KeywordRewriter().rewrite(question))
         if fixtures.generate:
             for reply in fixtures.generate.get("replies", []):
                 if reply.get("contains", "") in prompt:

@@ -35,7 +35,6 @@ from .refinement import (
 from .scoring import Document, Query, Scorer, ScorerConfig, tokenize
 from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
-    HttpTransport,
     KeywordRewriter,
     SearchConfig,
     SearchQuery,
@@ -167,7 +166,8 @@ def external_knowledge(
 
     Returns the bundle plus the URLs that were searched. A missing or failing
     search client yields an empty bundle with a logged warning; individual
-    fetch failures skip that URL and continue.
+    fetch failures skip that URL and continue. Without a `fetch_transport`,
+    page misses share the process-wide session of `fetch_and_extract`.
     """
     empty = KnowledgeBundle.from_strips(BundleKind.EXTERNAL, [])
     if search_client is None:
@@ -184,18 +184,11 @@ def external_knowledge(
         return empty, []
     urls = [r.url for r in results]
     pages = []
-    # Without an injected transport, the question's fetch misses share one
-    # pooled session, closed when the fetches are done.
-    transport = fetch_transport if fetch_transport is not None else HttpTransport()
-    try:
-        for result in results:
-            try:
-                pages.append(fetch_and_extract(result, cfg.search, transport=transport))
-            except FetchError as exc:
-                logger.warning("skipping unfetchable page: %s", exc)
-    finally:
-        if transport is not fetch_transport:
-            transport.close()
+    for result in results:
+        try:
+            pages.append(fetch_and_extract(result, cfg.search, transport=fetch_transport))
+        except FetchError as exc:
+            logger.warning("skipping unfetchable page: %s", exc)
     if cfg.ablations.no_selection:
         strips = [
             KnowledgeStrip(doc_id=page.url, index=idx, text=para)

@@ -301,10 +301,6 @@ class HttpTransport:
     def __init__(self, session: Optional[requests.Session] = None):
         self.session = session or EnvCachedSession()
 
-    def close(self) -> None:
-        """Close the session's pooled connections."""
-        self.session.close()
-
     def get(self, url: str, timeout: float) -> str:
         try:
             resp = self.session.get(url, timeout=timeout)
@@ -313,6 +309,10 @@ class HttpTransport:
         if resp.status_code != 200:
             raise FetchError(url, f"status {resp.status_code}")
         return resp.text
+
+
+# Fetches that inject no transport share this one: its pool outlives each question.
+_DEFAULT_TRANSPORT = HttpTransport()
 
 
 _TAG_RE = re.compile(r"<(?:!DOCTYPE|/?[a-zA-Z][a-zA-Z0-9:-]*)(?:\s[^>]*)?/?>", re.IGNORECASE)
@@ -422,21 +422,16 @@ def fetch_and_extract(
 
     A cache hit performs no network call; misses fetch, extract, and write the
     cache atomically so concurrent writers cannot corrupt it. Without a
-    transport a miss builds its own HttpTransport and closes it after the
-    fetch; an injected transport is left open for its owner.
+    transport a miss goes through the process-wide `_DEFAULT_TRANSPORT`,
+    whose pooled connections are reused by later fetches and never closed.
     """
     path = _cache_path(cfg, result.url)
     cached = _cache_read(path, result.url)
     if cached is not None:
         return cached
-    owned = transport is None
-    if owned:
-        transport = HttpTransport()
-    try:
-        body = transport.get(result.url, cfg.fetch_timeout)
-    finally:
-        if owned:
-            transport.close()
+    if transport is None:
+        transport = _DEFAULT_TRANSPORT
+    body = transport.get(result.url, cfg.fetch_timeout)
     paragraphs = extract_paragraphs(body)
     _cache_write(path, result.url, paragraphs)
     return PageContent(url=result.url, paragraphs=tuple(paragraphs))

@@ -4,7 +4,9 @@ import json
 from pathlib import Path
 
 import pytest
+import requests
 
+from ragmend import mockserver
 from ragmend.cli import default_fixtures_dir
 from ragmend.errors import FetchError
 from ragmend.harness import load_dataset
@@ -121,6 +123,34 @@ def fixture_web(fixtures_dir) -> FixtureWeb:
 @pytest.fixture
 def lexical() -> LexicalScorer:
     return LexicalScorer()
+
+
+class WireCounts:
+    """`requests.Session` objects built and mock-server connections accepted."""
+
+    def __init__(self):
+        self.sessions = []
+        self.connections = []
+
+
+@pytest.fixture
+def wire_counts(monkeypatch) -> WireCounts:
+    """Count through the hooks the benchmark trace uses, from now on."""
+    counts = WireCounts()
+    session_init = requests.Session.__init__
+    handler_setup = mockserver._Handler.setup
+
+    def counting_init(session, *args, **kwargs):
+        counts.sessions.append(session)
+        session_init(session, *args, **kwargs)
+
+    def counting_setup(handler):
+        counts.connections.append(handler.client_address)
+        handler_setup(handler)
+
+    monkeypatch.setattr(requests.Session, "__init__", counting_init)
+    monkeypatch.setattr(mockserver._Handler, "setup", counting_setup)
+    return counts
 
 
 def pytest_runtest_logreport(report):

@@ -204,6 +204,13 @@ class TestLoadDocsJsonl:
         err = capsys.readouterr().err
         assert "line 1" in err and "text" in err
 
+    def test_judge_rejects_non_string_title(self, tmp_path, capsys):
+        line = json.dumps({"id": "a", "text": "x", "title": 5})
+        path = write_lines(tmp_path / "docs.jsonl", [line])
+        assert main(["judge", "what is it", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "title" in err
+
     @given(
         st.one_of(
             st.fixed_dictionaries(
@@ -226,6 +233,7 @@ class TestLoadDocsJsonl:
             except InputError:
                 return
         assert isinstance(doc.id, str) and isinstance(doc.text, str)
+        assert doc.title is None or isinstance(doc.title, str)
 
 
 class TestRunCommand:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,11 +23,12 @@ from ragmend.harness import (
     removal_draw,
     run_experiment,
 )
+from ragmend.mockserver import MockService
 from ragmend.pipeline import PipelineConfig
 from ragmend.refinement import BundleKind
-from ragmend.scoring import Document
+from ragmend.scoring import Document, LexicalScorer
 from ragmend.trigger import Action
-from ragmend.websearch import SearchConfig, SearchResult
+from ragmend.websearch import HttpSearchClient, SearchConfig, SearchResult
 
 
 JSON_VALUES = st.recursive(
@@ -131,6 +133,7 @@ class TestLoadDataset:
             ("answers", ["Paris", 5]),
             ("docs", 5),
             ("docs", [{"id": "d1", "text": 5}]),
+            ("docs", [{"id": "d1", "text": "x", "title": 5}]),
             ("relevant_doc_ids", "d1"),
             ("relevant_doc_ids", 5),
         ],
@@ -171,6 +174,7 @@ class TestLoadDataset:
         assert isinstance(instance.question, str) and instance.question.strip()
         assert all(isinstance(answer, str) for answer in instance.answers)
         assert all(isinstance(doc.text, str) for doc in instance.docs)
+        assert all(doc.title is None or isinstance(doc.title, str) for doc in instance.docs)
 
 
 class TestRemovalDraw:
@@ -463,6 +467,37 @@ class TestRunExperiment:
             INSTANCES, PipelineConfig(), "crag", scorer=lexical, workers=4
         )
         assert project(serial) == project(threaded)
+
+    def test_workers_match_serial_with_web_fetches(self, fixtures_dir, fixture_dataset, tmp_path):
+        def project(report):
+            return (
+                report.accuracy,
+                [(r.instance_id, r.run.answer, r.run.searched_urls) for r in report.records],
+            )
+
+        # More workers than cores, switching threads often, on the shared fetch session.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MockService(fixtures_dir) as svc:
+                client = HttpSearchClient(f"{svc.base_url}/search")
+                reports = [
+                    run_experiment(
+                        fixture_dataset,
+                        PipelineConfig(search=SearchConfig(cache_dir=tmp_path / f"cache{workers}")),
+                        "rag_web",
+                        scorer=LexicalScorer(),
+                        search_client=client,
+                        workers=workers,
+                    )
+                    for workers in (1, 4)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        serial, threaded = map(project, reports)
+        assert serial == threaded
+        assert serial[0] == 1.0
+        assert all(urls for _, _, urls in serial[1])
 
     def test_generation_failure_counts_incorrect(self, lexical):
         from ragmend.errors import GenerationError

@@ -1,6 +1,7 @@
 """Live HTTP tests against the bundled mock service."""
 
 import json
+import logging
 import socket
 import threading
 import time
@@ -8,11 +9,14 @@ from urllib.parse import urlparse
 
 import pytest
 import requests
+from hypothesis import assume, given, strategies as st
 
 from ragmend import mockserver
 from ragmend.http_session import EnvCachedSession
 from ragmend.mockserver import MockService
-from ragmend.scoring import LexicalScorer, RemoteScorer, ScorerConfig
+from ragmend.prompts import render_rewrite_prompt
+from ragmend.scoring import LexicalScorer, Query, RemoteScorer, ScorerConfig
+from ragmend.websearch import KeywordRewriter, RemoteRewriter, rewrite
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +120,57 @@ class TestGenerateRoute:
             timeout=5,
         )
         assert resp.json() == {"text": "Paris is the capital."}
+
+
+@pytest.fixture(scope="module")
+def remote_rewriter(service):
+    return RemoteRewriter(f"{service.base_url}/generate", timeout=5)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+WORDS = ["What", "is", "the", "of", "Magic", "Flute", "city,", "Paris?", "zzz-fixture-probe"]
+QUESTIONS = st.text(max_size=30) | st.lists(
+    st.sampled_from(WORDS) | st.text(max_size=6), max_size=6
+).map(" ".join)
+
+
+class TestRewritePrompt:
+    def test_rewrite_prompt_gets_query_line(self, service):
+        resp = requests.post(
+            f"{service.base_url}/generate",
+            json={"prompt": render_rewrite_prompt("What is Henry Feilden's occupation?")},
+            timeout=5,
+        )
+        assert resp.json() == {"text": "query: Henry Feilden, occupation"}
+
+    @given(QUESTIONS)
+    def test_remote_rewriter_matches_keyword_rewriter(self, remote_rewriter, question):
+        try:
+            query = Query(question)
+        except ValueError:
+            assume(False)
+        expected = KeywordRewriter().rewrite(query.text)
+        assume(all(k and "," not in k and len(k.splitlines()) == 1 for k in expected))
+        warnings = _Warnings()
+        logger = logging.getLogger("ragmend")
+        level = logger.level
+        logger.setLevel(logging.WARNING)
+        logger.addHandler(warnings)
+        try:
+            assert remote_rewriter.rewrite(query.text) == expected
+            assert rewrite(query, remote_rewriter) == rewrite(query, KeywordRewriter())
+        finally:
+            logger.removeHandler(warnings)
+            logger.setLevel(level)
+        assert warnings.records == []
 
 
 class TestUnknownRoutes:

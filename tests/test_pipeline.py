@@ -5,7 +5,7 @@ import requests
 from hypothesis import given, strategies as st
 
 from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
-from ragmend import mockserver, pipeline
+from ragmend import pipeline
 from ragmend.errors import (
     ConfigError,
     GenerationError,
@@ -409,37 +409,23 @@ class TestRunRobustness:
 
 
 class TestExternalKnowledgeSessions:
-    def test_fetch_misses_share_one_session(self, tmp_path, lexical, monkeypatch):
+    def test_fetch_misses_reuse_one_process_session(self, tmp_path, lexical, wire_counts):
         pages = tmp_path / "fixtures" / "pages"
         pages.mkdir(parents=True)
-        for i in range(3):
+        for i in range(6):
             (pages / f"p{i}.html").write_text(f"<p>The capital city of France {i}.</p>")
-        sessions, accepted = [], []
-        session_init = requests.Session.__init__
-        handler_setup = mockserver._Handler.setup
-
-        def counting_init(session, *args, **kwargs):
-            sessions.append(session)
-            session_init(session, *args, **kwargs)
-
-        def counting_setup(handler):
-            accepted.append(handler.client_address)
-            handler_setup(handler)
-
+        cfg = web_cfg(tmp_path)
         with MockService(tmp_path / "fixtures") as svc:
-            urls = [f"{svc.base_url}/page/p{i}.html" for i in range(3)]
-            client = ListSearchClient(
-                {"capital city France": [SearchResult(url=u, rank=1) for u in urls]}
-            )
-            monkeypatch.setattr(requests.Session, "__init__", counting_init)
-            monkeypatch.setattr(mockserver._Handler, "setup", counting_setup)
-            bundle, searched = external_knowledge(
-                Query(QUESTION), web_cfg(tmp_path), lexical, client
-            )
-        assert searched == urls
-        assert len(bundle.strips) == 3
-        assert len(sessions) == 1
-        assert len(accepted) == 1
+            for batch in (range(3), range(3, 6)):
+                urls = [f"{svc.base_url}/page/p{i}.html" for i in batch]
+                client = ListSearchClient(
+                    {"capital city France": [SearchResult(url=u, rank=1) for u in urls]}
+                )
+                bundle, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
+                assert searched == urls
+                assert len(bundle.strips) == 3
+        assert wire_counts.sessions == []
+        assert len(wire_counts.connections) == 1
 
 
 class TestHelpers:

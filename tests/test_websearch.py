@@ -1,6 +1,7 @@
 """Web search path: rewriting, search ordering, fetching, extraction, selection."""
 
 import json
+import time
 
 import pytest
 import requests
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
 from ragmend import websearch
 from ragmend.errors import FetchError, RewriteError, SearchUnavailableError
+from ragmend.mockserver import MockService
 from ragmend.refinement import BundleKind, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
@@ -370,18 +372,6 @@ class TestFetchAndExtractTransportOwnership:
         monkeypatch.setattr(websearch, "HttpTransport", build)
         return built
 
-    def test_own_transport_closed_per_miss(self, tmp_path, built):
-        cfg = SearchConfig(cache_dir=tmp_path / "cache")
-        for url in ["mock://web/a", "mock://web/b", "mock://web/a"]:
-            fetch_and_extract(SearchResult(url=url, rank=1), cfg)
-        assert [(t.calls, t.closed) for t in built] == [(1, 1), (1, 1)]
-
-    def test_own_transport_closed_on_fetch_error(self, tmp_path, built):
-        cfg = SearchConfig(cache_dir=tmp_path / "cache")
-        with pytest.raises(FetchError):
-            fetch_and_extract(SearchResult(url="mock://web/missing", rank=1), cfg)
-        assert [(t.calls, t.closed) for t in built] == [(1, 1)]
-
     def test_injected_transport_left_open(self, tmp_path, built):
         cfg = SearchConfig(cache_dir=tmp_path / "cache")
         transport = ClosableTransport(self.PAGES)
@@ -392,6 +382,25 @@ class TestFetchAndExtractTransportOwnership:
             )
         assert built == []
         assert (transport.calls, transport.closed) == (2, 0)
+
+
+class TestDefaultTransport:
+    def test_fetch_reconnects_after_server_drops_connection(self, tmp_path, wire_counts):
+        pages = tmp_path / "fixtures" / "pages"
+        pages.mkdir(parents=True)
+        for name in ("a", "b"):
+            (pages / f"{name}.html").write_text(f"<p>page {name}</p>")
+        cfg = SearchConfig(cache_dir=tmp_path / "cache")
+        with MockService(tmp_path / "fixtures") as svc:
+            first = fetch_and_extract(SearchResult(url=f"{svc.base_url}/page/a.html"), cfg)
+            svc._server.close_connections()
+            deadline = time.monotonic() + 5
+            while svc._server._open and time.monotonic() < deadline:
+                time.sleep(0.01)
+            second = fetch_and_extract(SearchResult(url=f"{svc.base_url}/page/b.html"), cfg)
+        assert (first.paragraphs, second.paragraphs) == (("page a",), ("page b",))
+        assert wire_counts.sessions == []
+        assert len(wire_counts.connections) == 2
 
 
 class TestSelectExternal:
