@@ -2,9 +2,9 @@
 
 Datasets arrive as JSONL with precomputed retrieval. The degradation
 simulator removes ground-truth-relevant documents with a seeded per-document
-draw so different probability levels nest exactly. Experiments run the full
-pipeline (crag), a no-trigger baseline (plain_rag), or the baseline plus web
-knowledge on every query (rag_web), and emit a JSON-serializable report.
+draw so different probability levels nest exactly. Experiments pass every
+instance to `pipeline.run` in one of its `MODES` (crag, plain_rag, rag_web)
+and emit a JSON-serializable report.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,10 +20,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import pipeline
 from .errors import DatasetError, InputError
-from .pipeline import PipelineConfig, RunRecord, StubGenerator
-from .scoring import Document, Query, Scorer
-
-MODES = ("crag", "plain_rag", "rag_web")
+from .pipeline import MODES, PipelineConfig, RunRecord
+from .scoring import Document, Scorer
 
 PLACEHOLDER_DOC_ID = "placeholder"
 PLACEHOLDER_TEXT = "no information available"
@@ -264,8 +261,6 @@ def run_experiment(
         raise InputError(f"unknown mode {mode!r}; choose from {MODES}")
     if workers < 1:
         raise InputError("workers must be >= 1")
-    if generator is None:
-        generator = StubGenerator()
 
     level = 0.0
     if degradation is not None:
@@ -274,31 +269,17 @@ def run_experiment(
         level = p
 
     def run_one(instance: DatasetInstance) -> InstanceRecord:
-        question = Query(instance.question)
-        if mode == "crag":
-            record = pipeline.run(
-                question,
-                instance.docs,
-                cfg,
-                scorer,
-                search_client,
-                rewriter,
-                generator,
-                fetch_transport=fetch_transport,
-            )
-        else:
-            started = time.perf_counter()
-            knowledge = pipeline.raw_internal_bundle(instance.docs)
-            urls: list[str] = []
-            if mode == "rag_web":
-                external, urls = pipeline.external_knowledge(
-                    question, cfg, scorer, search_client, rewriter, fetch_transport
-                )
-                knowledge = pipeline.combine(knowledge, external)
-            timings = {"knowledge": time.perf_counter() - started}
-            record = pipeline.generate_record(
-                question, knowledge, generator, timings, started, searched_urls=urls
-            )
+        record = pipeline.run(
+            instance.question,
+            instance.docs,
+            cfg,
+            scorer,
+            search_client,
+            rewriter,
+            generator,
+            mode=mode,
+            fetch_transport=fetch_transport,
+        )
         correct = record.error is None and accuracy(record.answer, instance.answers)
         return InstanceRecord(
             instance_id=instance.id,

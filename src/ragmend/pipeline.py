@@ -1,9 +1,9 @@
 """End-to-end pipeline: score, judge, branch, assemble knowledge, generate.
 
-A Correct judgment refines the retrieved documents into internal knowledge,
-an Incorrect judgment replaces them with web-search knowledge, and an
-Ambiguous judgment combines both, internal first. Ablation flags remap the
-branching for experiments.
+In `crag` mode a Correct judgment refines the documents, Incorrect replaces
+them with web-search knowledge, and Ambiguous combines both, internal first;
+ablation flags remap the branching. The baselines neither score nor judge:
+`plain_rag` uses the raw documents and `rag_web` adds web-search knowledge.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .websearch import (
 )
 
 logger = logging.getLogger(__name__)
+
+MODES = ("crag", "plain_rag", "rag_web")
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,6 @@ def assemble_prompt(question: Query, knowledge: Optional[KnowledgeBundle]) -> st
     return f"Question: {question.text}\nAnswer:"
 
 
-def generate(prompt: str, generator) -> str:
-    """Run the generator on an assembled prompt."""
-    if not prompt:
-        raise ValueError("prompt must be non-empty")
-    return generator.generate(prompt)
-
-
 _PROMPT_RE = re.compile(
     r"(?s)\A(?:(?P<knowledge>.*)\n\n)?Question: (?P<question>[^\n]*)\nAnswer:\Z"
 )
@@ -277,48 +272,6 @@ class RemoteGenerator:
         return text
 
 
-def generate_record(
-    question: Query,
-    knowledge: KnowledgeBundle,
-    generator,
-    timings: dict,
-    started: float,
-    *,
-    doc_scores: Sequence[float] = (),
-    judgment: Optional[ActionJudgment] = None,
-    action: Optional[Action] = None,
-    searched_urls: Sequence[str] = (),
-) -> RunRecord:
-    """Assemble the prompt, generate, and record the run.
-
-    A GenerationError is captured on the record with an empty answer, so
-    experiment denominators stay stable. timings gains "generate" and
-    "total", the latter measured from the perf_counter reading `started`.
-    """
-    prompt = assemble_prompt(question, knowledge)
-    t0 = time.perf_counter()
-    error = None
-    try:
-        answer = generate(prompt, generator)
-    except GenerationError as exc:
-        logger.warning("generation failed: %s", exc)
-        answer = ""
-        error = f"generation failed: {exc}"
-    timings["generate"] = time.perf_counter() - t0
-    timings["total"] = time.perf_counter() - started
-    return RunRecord(
-        question=question.text,
-        doc_scores=tuple(doc_scores),
-        judgment=judgment,
-        action=action,
-        knowledge=knowledge,
-        searched_urls=tuple(searched_urls),
-        answer=answer,
-        timings=timings,
-        error=error,
-    )
-
-
 def run(
     question: Union[Query, str],
     docs: Sequence[Document],
@@ -328,37 +281,47 @@ def run(
     rewriter=None,
     generator=None,
     *,
+    mode: str = "crag",
     fetch_transport=None,
 ) -> RunRecord:
-    """Run the full pipeline for one question over its retrieved documents.
+    """Answer one question over its retrieved documents in one of `MODES`.
 
+    Only `crag` scores and judges the documents, and it needs at least one.
     Scorer failures propagate (no silent default scores). Generation failures
     are captured on the record with an empty answer so experiment denominators
-    stay stable.
+    stay stable. timings holds "knowledge", "generate" and "total", and
+    `crag` adds "score".
     """
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}; choose from {MODES}")
     if isinstance(question, str):
         question = Query(question)
-    if not docs:
+    if mode == "crag" and not docs:
         raise NoDocumentsError("no documents provided")
     ids = [doc.id for doc in docs]
     if len(set(ids)) != len(ids):
         raise InputError(f"duplicate document ids in {ids}")
-    if generator is None:
-        generator = StubGenerator()
 
     timings: dict = {}
     t_total = time.perf_counter()
-
-    t0 = time.perf_counter()
-    scores = scorer.score_batch(question, docs)
-    timings["score"] = time.perf_counter() - t0
-
-    judgment = judge(scores, cfg.thresholds)
-    action = resolve_action(judgment, cfg.thresholds, cfg.ablations)
+    scores: Sequence[float] = ()
+    judgment = action = None
+    if mode == "crag":
+        scores = scorer.score_batch(question, docs)
+        timings["score"] = time.perf_counter() - t_total
+        judgment = judge(scores, cfg.thresholds)
+        action = resolve_action(judgment, cfg.thresholds, cfg.ablations)
 
     t0 = time.perf_counter()
     searched_urls: list[str] = []
-    if action is Action.CORRECT:
+    if action is None:
+        knowledge = raw_internal_bundle(docs)
+        if mode == "rag_web":
+            external, searched_urls = external_knowledge(
+                question, cfg, scorer, search_client, rewriter, fetch_transport
+            )
+            knowledge = combine(knowledge, external)
+    elif action is Action.CORRECT:
         knowledge = internal_knowledge(question, docs, scores, cfg, scorer)
     elif action is Action.INCORRECT:
         knowledge, searched_urls = external_knowledge(
@@ -372,14 +335,25 @@ def run(
         knowledge = combine(internal, external)
     timings["knowledge"] = time.perf_counter() - t0
 
-    return generate_record(
-        question,
-        knowledge,
-        generator,
-        timings,
-        t_total,
-        doc_scores=scores,
+    prompt = assemble_prompt(question, knowledge)
+    t0 = time.perf_counter()
+    error = None
+    try:
+        answer = (generator or StubGenerator()).generate(prompt)
+    except GenerationError as exc:
+        logger.warning("generation failed: %s", exc)
+        answer = ""
+        error = f"generation failed: {exc}"
+    timings["generate"] = time.perf_counter() - t0
+    timings["total"] = time.perf_counter() - t_total
+    return RunRecord(
+        question=question.text,
+        doc_scores=tuple(scores),
         judgment=judgment,
         action=action,
-        searched_urls=searched_urls,
+        knowledge=knowledge,
+        searched_urls=tuple(searched_urls),
+        answer=answer,
+        timings=timings,
+        error=error,
     )

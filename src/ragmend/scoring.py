@@ -38,15 +38,15 @@ def _query_tokens(text: str) -> frozenset[str]:
 class Query:
     """A user question on one line.
 
-    Text is stripped, and each newline with the whitespace around it becomes
-    one space, so the question stays on the prompt's one "Question:" line.
-    Other whitespace is kept. Text must be non-empty.
+    Text is stripped, and each line break (as `str.splitlines` splits) with the
+    whitespace around it becomes one space, so the question stays on the
+    prompt's one "Question:" line. Other whitespace is kept. Text must be non-empty.
     """
 
     text: str
 
     def __post_init__(self):
-        lines = (line.strip() for line in self.text.split("\n"))
+        lines = (line.strip() for line in self.text.splitlines())
         normalized = " ".join(line for line in lines if line)
         if not normalized:
             raise ValueError("query text must be non-empty")

@@ -17,7 +17,6 @@ import re
 import string
 import tempfile
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Optional, Sequence
@@ -375,6 +374,10 @@ def extract_paragraphs(body: str) -> list[str]:
     return [p for p in (_collapse_ws(b) for b in blocks) if p]
 
 
+# Stored in each page-cache file; another value is a miss. Bump on changes to extract_paragraphs.
+EXTRACTOR_VERSION = 1
+
+
 def _cache_path(cfg: SearchConfig, url: str) -> Path:
     return cfg.cache_dir / hashlib.sha256(url.encode("utf-8")).hexdigest()
 
@@ -385,6 +388,8 @@ def _cache_read(path: Path, url: str) -> Optional[PageContent]:
     except (OSError, ValueError):
         return None
     if not isinstance(payload, dict) or payload.get("url") != url:
+        return None
+    if payload.get("extractor") != EXTRACTOR_VERSION:
         return None
     paragraphs = payload.get("paragraphs")
     if not isinstance(paragraphs, list) or not all(isinstance(p, str) for p in paragraphs):
@@ -398,7 +403,7 @@ def _cache_read(path: Path, url: str) -> Optional[PageContent]:
 def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
     payload = {
         "url": url,
-        "fetched_at": datetime.now(timezone.utc).isoformat(),
+        "extractor": EXTRACTOR_VERSION,
         "paragraphs": list(paragraphs),
     }
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -2,11 +2,13 @@
 
 `benchmarks/measure.py` builds the roles from the flat `generator_*` and
 `rewriter_endpoint` config fields, and `benchmarks/tracing.py` wraps the
-three scorer methods and patches stage functions by module-level name. A
-rename in the program would only fail the benchmark run; this fails here.
-No request is sent.
+three scorer methods and patches stage functions by module-level name.
+`measure.py` calls `pipeline.run` with seven positional arguments. A rename
+or a signature change in the program would only fail the benchmark run;
+this fails here. No request is sent.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -59,3 +61,22 @@ def test_tracer_proxies_every_role_and_patches_every_stage():
     finally:
         tracer.uninstall()
     assert pipeline.refine is original
+
+
+def test_run_takes_the_benchmark_positional_call():
+    params = inspect.signature(pipeline.run).parameters
+    positional = [
+        name
+        for name, p in params.items()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    assert positional == [
+        "question",
+        "docs",
+        "cfg",
+        "scorer",
+        "search_client",
+        "rewriter",
+        "generator",
+    ]
+    assert params["mode"].default == "crag"

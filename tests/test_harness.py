@@ -454,6 +454,37 @@ class TestRunExperiment:
             assert set(timings) == {"knowledge", "generate", "total"}
             assert timings["total"] >= timings["knowledge"]
 
+    @given(
+        instances=st.lists(
+            st.builds(
+                DatasetInstance,
+                id=st.text(max_size=4),
+                question=st.text(min_size=1, max_size=30).filter(str.strip),
+                answers=st.lists(
+                    st.text(min_size=1, max_size=8).filter(str.strip), min_size=1, max_size=2
+                ),
+                docs=st.lists(st.text(max_size=40), max_size=4).map(
+                    lambda texts: [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+                ),
+            ),
+            max_size=4,
+            unique_by=lambda instance: instance.id,
+        ),
+        mode=st.sampled_from(["plain_rag", "rag_web"]),
+    )
+    def test_baselines_give_one_record_per_instance(self, instances, mode):
+        client = ListSearchClient()
+        scorer = BoomScorer() if mode == "plain_rag" else LexicalScorer()
+        report = run_experiment(
+            instances, PipelineConfig(), mode, scorer=scorer, search_client=client
+        )
+        assert [r.instance_id for r in report.records] == [i.id for i in instances]
+        assert client.calls == (len(instances) if mode == "rag_web" else 0)
+        for record in report.records:
+            assert record.run.action is None and record.run.judgment is None
+            assert record.run.doc_scores == ()
+            assert set(record.run.timings) == {"knowledge", "generate", "total"}
+
     def test_workers_match_serial(self, lexical):
         def project(report):
             return (

@@ -158,7 +158,7 @@ class TestRewritePrompt:
         except ValueError:
             assume(False)
         expected = KeywordRewriter().rewrite(query.text)
-        assume(all(k and "," not in k and len(k.splitlines()) == 1 for k in expected))
+        assume(all(k and "," not in k for k in expected))
         warnings = _Warnings()
         logger = logging.getLogger("ragmend")
         level = logger.level

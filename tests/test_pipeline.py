@@ -22,7 +22,6 @@ from ragmend.pipeline import (
     assemble_prompt,
     combine,
     external_knowledge,
-    generate,
     raw_internal_bundle,
     resolve_action,
     run,
@@ -117,7 +116,7 @@ class TestAssemblePrompt:
         prompt = assemble_prompt(Query(question), bundle)
         match = pipeline._PROMPT_RE.match(prompt)
         assert match is not None
-        assert match.group("question") == question
+        assert match.group("question") == Query(question).text
         assert (match.group("knowledge") or "") == (knowledge if bundle else "")
 
 
@@ -162,10 +161,6 @@ class TestRemoteGenerator:
         gen = RemoteGenerator("http://localhost:9/g", session=session)
         with pytest.raises(GenerationError):
             gen.generate("p")
-
-    def test_generate_requires_prompt(self):
-        with pytest.raises(ValueError):
-            generate("", StubGenerator())
 
 
 RELEVANT = Document(id="rel", text="The capital city of France is Paris.")
@@ -260,6 +255,15 @@ class TestRunBranches:
     def test_empty_docs_rejected(self, tmp_path, lexical):
         with pytest.raises(NoDocumentsError):
             run(QUESTION, [], web_cfg(tmp_path), lexical)
+
+    def test_unknown_mode_rejected(self, tmp_path, lexical):
+        with pytest.raises(InputError, match="bogus"):
+            run(QUESTION, [RELEVANT], web_cfg(tmp_path), lexical, mode="bogus")
+
+    def test_baseline_needs_no_documents(self, tmp_path):
+        record = run(QUESTION, [], web_cfg(tmp_path), None, mode="plain_rag")
+        assert record.knowledge.strips == ()
+        assert record.answer == "UNKNOWN"
 
     def test_duplicate_doc_ids_rejected(self, tmp_path, lexical):
         docs = [Document(id="d", text="a."), Document(id="d", text="b.")]

@@ -88,6 +88,12 @@ class TestQuery:
     def test_newlines_become_one_space(self):
         assert Query("capital of\n  France\r\n\n?").text == "capital of France ?"
 
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+    )
+    def test_every_line_break_becomes_one_space(self, brk):
+        assert Query(f" what {brk}\t is  it {brk}").text == "what is  it"
+
     def test_other_whitespace_kept(self):
         assert Query("a  b\tc").text == "a  b\tc"
 

@@ -14,6 +14,7 @@ from ragmend.mockserver import MockService
 from ragmend.refinement import BundleKind, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
+    EXTRACTOR_VERSION,
     HttpSearchClient,
     KeywordRewriter,
     PageContent,
@@ -323,9 +324,27 @@ class TestFetchAndExtract:
         cache_file = cfg.cache_dir / expected_name
         assert cache_file.is_file()
         payload = json.loads(cache_file.read_text("utf-8"))
-        assert payload["url"] == "mock://web/p"
-        assert payload["paragraphs"] == ["body"]
-        assert "fetched_at" in payload
+        assert payload == {
+            "url": "mock://web/p",
+            "extractor": EXTRACTOR_VERSION,
+            "paragraphs": ["body"],
+        }
+
+    @pytest.mark.parametrize("version", [None, EXTRACTOR_VERSION - 1, str(EXTRACTOR_VERSION)])
+    def test_cache_from_other_extractor_refetched(self, tmp_path, version):
+        cfg = self._cfg(tmp_path)
+        transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
+        result = SearchResult(url="mock://web/p", rank=1)
+        fetch_and_extract(result, cfg, transport=transport)
+        cache_file = next(cfg.cache_dir.iterdir())
+        stale = {"url": "mock://web/p", "paragraphs": ["stale"]}
+        if version is not None:
+            stale["extractor"] = version
+        cache_file.write_text(json.dumps(stale), "utf-8")
+        page = fetch_and_extract(result, cfg, transport=transport)
+        assert page.paragraphs == ("fresh",)
+        assert transport.calls == 2
+        assert json.loads(cache_file.read_text("utf-8"))["extractor"] == EXTRACTOR_VERSION
 
     def test_corrupt_cache_refetched(self, tmp_path):
         cfg = self._cfg(tmp_path)
