@@ -2,7 +2,9 @@
 
 A run's settings come from preset defaults, overlaid by an optional JSON
 config file, overlaid by dotted key=value overrides from the command line.
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly, and so is a
+value that does not have its field's type (an int is a valid float, a bool
+is only a bool).
 
 The keys come from `PipelineConfig`: each nested dataclass field is a section
 of its fields, and each flat field `<section>_<key>` is key `<key>` of
@@ -14,31 +16,54 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
 from .pipeline import PipelineConfig, RemoteGenerator, StubGenerator
 from .scoring import build_scorer
-from .trigger import Thresholds
+from .trigger import Action, Thresholds
 from .websearch import HttpSearchClient, KeywordRewriter, RemoteRewriter
 
 _DEFAULTS = PipelineConfig()
 
 
-def _schema() -> dict[str, set[str]]:
-    schema: dict[str, set[str]] = {}
+def _field_types() -> dict[str, dict[str, object]]:
+    """Each section's keys, with the annotation of the field each one sets."""
+    types: dict[str, dict[str, object]] = {}
+    hints = typing.get_type_hints(PipelineConfig)
     for f in dataclasses.fields(PipelineConfig):
         if dataclasses.is_dataclass(f.default):
-            schema[f.name] = {g.name for g in dataclasses.fields(f.default)}
+            nested = typing.get_type_hints(type(f.default))
+            types[f.name] = {g.name: nested[g.name] for g in dataclasses.fields(f.default)}
         else:
             section, _, key = f.name.partition("_")
-            schema.setdefault(section, set()).add(key)
-    schema["thresholds"].add("preset")
-    return schema
+            types.setdefault(section, {})[key] = hints[f.name]
+    types["thresholds"]["preset"] = str
+    return types
 
 
-SCHEMA = _schema()
+_FIELD_TYPES = _field_types()
+SCHEMA = {section: set(keys) for section, keys in _FIELD_TYPES.items()}
+
+# What a parsed JSON value may be for a field of this annotation; an enum takes its value.
+_ACCEPTED = {float: (int, float), Path: (str, Path), Action: str}
+
+
+def _options(hint) -> tuple:
+    return typing.get_args(hint) if typing.get_origin(hint) is Union else (hint,)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether `value` may set a field annotated `hint`; only a bool field takes a bool."""
+    if isinstance(value, bool):
+        return bool in _options(hint)
+    return any(isinstance(value, _ACCEPTED.get(o, o)) for o in _options(hint))
+
+
+def _type_name(hint) -> str:
+    return " or ".join("null" if o is type(None) else o.__name__ for o in _options(hint))
 
 
 def _validate_tree(data: dict, origin: str) -> None:
@@ -52,11 +77,16 @@ def _validate_tree(data: dict, origin: str) -> None:
             )
         if not isinstance(values, dict):
             raise ConfigError(f"{origin}: section {section!r} must be an object")
-        for key in values:
+        for key, value in values.items():
             if key not in SCHEMA[section]:
                 raise ConfigError(
                     f"{origin}: unknown key {section}.{key}; "
                     f"choose from {sorted(SCHEMA[section])}"
+                )
+            hint = _FIELD_TYPES[section][key]
+            if not _has_type(value, hint):
+                raise ConfigError(
+                    f"{origin}: {section}.{key} must be {_type_name(hint)}, got {value!r}"
                 )
 
 

@@ -99,6 +99,8 @@ class PipelineConfig:
             raise ConfigError("generator_max_tokens must be >= 1")
         if self.generator_retries < 0:
             raise ConfigError("generator_retries must be >= 0")
+        if not self.generator_timeout > 0:
+            raise ConfigError("generator_timeout must be > 0")
 
 
 @dataclass
@@ -185,20 +187,15 @@ def external_knowledge(
         logger.warning("search unavailable, external knowledge is empty: %s", exc)
         return empty, []
     urls = [r.url for r in results]
-    pages = []
+    strips: list[KnowledgeStrip] = []
     for result in results:
         try:
-            pages.append(fetch_and_extract(result, cfg.search, transport=fetch_transport))
+            strips.extend(fetch_and_extract(result, cfg.search, transport=fetch_transport))
         except FetchError as exc:
             logger.warning("skipping unfetchable page: %s", exc)
     if cfg.ablations.no_selection:
-        strips = [
-            KnowledgeStrip(doc_id=page.url, index=idx, text=para)
-            for page in pages
-            for idx, para in enumerate(page.paragraphs)
-        ]
         return KnowledgeBundle.from_strips(BundleKind.EXTERNAL, strips), urls
-    return select_external(question, pages, scorer, cfg.refine), urls
+    return select_external(question, strips, scorer, cfg.refine), urls
 
 
 def combine(internal: KnowledgeBundle, external: KnowledgeBundle) -> KnowledgeBundle:

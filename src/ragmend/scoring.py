@@ -84,6 +84,8 @@ class ScorerConfig:
             raise ConfigError("remote scorer requires an endpoint")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
+        if not self.timeout > 0:
+            raise ConfigError("timeout must be > 0")
         if self.prompt is not None and self.prompt not in RELEVANCE_PROMPTS:
             raise ConfigError(
                 f"unknown relevance prompt {self.prompt!r}; "

@@ -97,19 +97,6 @@ class SearchResult:
 
 
 @dataclass(frozen=True)
-class PageContent:
-    """Extracted, tag-free paragraphs of one page."""
-
-    url: str
-    paragraphs: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "paragraphs", tuple(self.paragraphs))
-        if any(not p.strip() for p in self.paragraphs):
-            raise ValueError("paragraphs must be non-empty")
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Search and fetch settings.
 
@@ -130,6 +117,9 @@ class SearchConfig:
             raise ConfigError("top_k_urls must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
+        for name in ("timeout", "fetch_timeout"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
 
@@ -382,7 +372,12 @@ def _cache_path(cfg: SearchConfig, url: str) -> Path:
     return cfg.cache_dir / hashlib.sha256(url.encode("utf-8")).hexdigest()
 
 
-def _cache_read(path: Path, url: str) -> Optional[PageContent]:
+def _page_strips(url: str, paragraphs: Sequence[str]) -> list[KnowledgeStrip]:
+    """The URL is each strip's `doc_id`, the paragraph's position its `index`."""
+    return [KnowledgeStrip(doc_id=url, index=i, text=para) for i, para in enumerate(paragraphs)]
+
+
+def _cache_read(path: Path, url: str) -> Optional[list[KnowledgeStrip]]:
     try:
         payload = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError):
@@ -395,7 +390,7 @@ def _cache_read(path: Path, url: str) -> Optional[PageContent]:
     if not isinstance(paragraphs, list) or not all(isinstance(p, str) for p in paragraphs):
         return None
     try:
-        return PageContent(url=url, paragraphs=tuple(paragraphs))
+        return _page_strips(url, paragraphs)
     except ValueError:
         return None
 
@@ -422,13 +417,14 @@ def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
 
 def fetch_and_extract(
     result: SearchResult, cfg: SearchConfig, transport=None
-) -> PageContent:
-    """Fetch one result through the disk cache and extract its paragraphs.
+) -> list[KnowledgeStrip]:
+    """Fetch one result through the disk cache as one unscored strip per paragraph.
 
     A cache hit performs no network call; misses fetch, extract, and write the
-    cache atomically so concurrent writers cannot corrupt it. Without a
-    transport a miss goes through the process-wide `_DEFAULT_TRANSPORT`,
-    whose pooled connections are reused by later fetches and never closed.
+    cache atomically so concurrent writers cannot corrupt it, or warn and stay
+    uncached if it cannot be written. Without a transport a miss goes through
+    the process-wide `_DEFAULT_TRANSPORT`, whose pooled connections are reused
+    by later fetches and never closed.
     """
     path = _cache_path(cfg, result.url)
     cached = _cache_read(path, result.url)
@@ -438,27 +434,23 @@ def fetch_and_extract(
         transport = _DEFAULT_TRANSPORT
     body = transport.get(result.url, cfg.fetch_timeout)
     paragraphs = extract_paragraphs(body)
-    _cache_write(path, result.url, paragraphs)
-    return PageContent(url=result.url, paragraphs=tuple(paragraphs))
+    try:
+        _cache_write(path, result.url, paragraphs)
+    except OSError as exc:
+        logger.warning("page cache not written, %s stays uncached: %s", result.url, exc)
+    return _page_strips(result.url, paragraphs)
 
 
 def select_external(
     question: Query,
-    pages: Sequence[PageContent],
+    strips: Sequence[KnowledgeStrip],
     scorer: Scorer,
     cfg: RefineConfig,
 ) -> KnowledgeBundle:
-    """Filter page paragraphs into an external knowledge bundle.
+    """Filter pooled page strips into an external knowledge bundle.
 
-    Paragraphs are already strip-sized, so they go straight to filtering,
-    pooled in (page order, paragraph order).
+    Paragraphs are already strip-sized, so they go straight to filtering in
+    the order given; no strips give an empty bundle.
     """
-    strips = [
-        KnowledgeStrip(doc_id=page.url, index=para_idx, text=para)
-        for page in pages
-        for para_idx, para in enumerate(page.paragraphs)
-    ]
-    if not strips:
-        return KnowledgeBundle.from_strips(BundleKind.EXTERNAL, [])
-    kept = filter_strips(strips, question, scorer, cfg)
+    kept = filter_strips(strips, question, scorer, cfg) if strips else []
     return KnowledgeBundle.from_strips(BundleKind.EXTERNAL, kept)

@@ -321,7 +321,7 @@ def test_criterion_8_fetch_cache_deduplicates(tmp_path):
     second = fetch_and_extract(result, config, transport=transport)
     assert transport.calls == 1
     assert first == second
-    assert first.paragraphs == ("alpha", "beta")
+    assert [strip.text for strip in first] == ["alpha", "beta"]
 
 
 def test_criterion_9_threshold_presets_and_precedence(tmp_path):

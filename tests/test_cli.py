@@ -2,13 +2,19 @@
 
 import csv
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
+import ragmend
 from ragmend.cli import (
     OfflineGuardTransport,
     _is_local_url,
@@ -329,6 +335,18 @@ class TestRunCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "pair", ["refine.top_k=2.5", "ablations.no_refinement=no", "scorer.timeout=0"]
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, pair):
+        dataset = mini_dataset(tmp_path)
+        code = main(
+            ["run", str(dataset), "--set", pair, "--report", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert pair.split("=")[0].split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_workers(self, tmp_path, capsys):
         dataset = mini_dataset(tmp_path)
         code = main(
@@ -422,6 +440,32 @@ class TestMockServeCommand:
             blocker.close()
         assert code == 3
         assert "cannot bind" in capsys.readouterr().err
+
+    def test_serves_until_interrupted(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ragmend.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ragmend.cli", "mock-serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            base_url = proc.stdout.readline().strip()
+            session = requests.Session()
+            session.trust_env = False
+            with session:
+                status = session.get(f"{base_url}/search", params={"q": "x"}, timeout=5).status_code
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=2)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert status == 200
+        assert code == 0
 
     def test_default_fixtures_bundled(self):
         assert (default_fixtures_dir() / "dataset_20.jsonl").is_file()

@@ -3,9 +3,11 @@
 import dataclasses
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ragmend import (
     AblationFlags,
@@ -24,7 +26,7 @@ from ragmend import (
     build_roles,
     run_experiment,
 )
-from ragmend.config import SCHEMA, load_config, merge, parse_overrides
+from ragmend.config import SCHEMA, build_pipeline_config, load_config, merge, parse_overrides
 from ragmend.errors import ConfigError
 from ragmend.trigger import Action
 
@@ -246,6 +248,90 @@ class TestDerivedSchema:
         assert field_value(PipelineConfig(), section, key) != expected
         cfg = load_config(overrides=[f"{dotted}={raw}"] + COMPANIONS.get(dotted, []))
         assert field_value(cfg, section, key) == expected
+
+
+def has_declared_type(dotted, value):
+    """Whether a loaded field has the type of its SET_VALUES example.
+
+    None is allowed where the default is None, an int counts as a float, and
+    bools and ints do not mix.
+    """
+    section, key = dotted.split(".")
+    if value is None:
+        return field_value(PipelineConfig(), section, key) is None
+    expected = SET_VALUES[dotted][1]
+    if type(expected) is float:
+        return type(value) in (int, float)
+    return type(value) is type(expected)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "refine.top_k=2.5",
+            "search.top_k_urls=1.5",
+            "ablations.no_refinement=no",
+            "ablations.no_selection=1",
+            "search.retries=true",
+            "scorer.timeout=true",
+            "scorer.kind=1",
+            "search.cache_dir=5",
+            "generator.endpoint=5",
+            "ablations.only_action=5",
+            "thresholds.preset=null",
+        ],
+    )
+    def test_wrong_type_names_its_key(self, pair):
+        with pytest.raises(ConfigError, match=re.escape(pair.split("=")[0])):
+            load_config(overrides=[pair])
+
+    def test_wrong_type_in_file(self, tmp_path):
+        path = write_config(tmp_path, {"refine": {"top_k": 2.0}})
+        with pytest.raises(ConfigError, match=r"refine\.top_k must be int"):
+            load_config(path)
+
+    def test_int_is_a_float(self):
+        cfg = load_config(overrides=["scorer.timeout=3", "thresholds.upper=1"])
+        assert (cfg.scorer.timeout, cfg.thresholds.upper) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "scorer.timeout=0",
+            "scorer.timeout=-1",
+            "scorer.timeout=NaN",
+            "search.timeout=0",
+            "search.fetch_timeout=-0.5",
+            "generator.timeout=0",
+        ],
+    )
+    def test_timeout_must_be_positive(self, pair):
+        with pytest.raises(ConfigError, match="timeout must be > 0"):
+            load_config(overrides=[pair])
+
+    @given(
+        dotted=st.sampled_from(sorted(SET_VALUES)),
+        text=st.one_of(JSON_SCALARS.map(json.dumps), st.text()),
+    )
+    def test_any_value_loads_typed_or_raises_config_error(self, dotted, text):
+        try:
+            cfg = load_config(None, [f"{dotted}={text}"])
+        except ConfigError:
+            return
+        assert has_declared_type(dotted, field_value(cfg, *dotted.split(".")))
+
+
+class TestReadme:
+    def test_config_block_is_the_schema_and_the_defaults(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        assert {name: set(keys) for name, keys in block.items()} == SCHEMA
+        assert build_pipeline_config(block) == PipelineConfig()
 
 
 class TestBuildRoles:

@@ -320,6 +320,24 @@ class TestRunDegradedPaths:
         assert "Paris" in record.answer
         assert record.searched_urls == ("mock://web/missing", good)
 
+    def test_unwritable_cache_keeps_fetched_page(self, tmp_path, lexical):
+        (tmp_path / "file").write_text("not a directory", "utf-8")
+        cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "file" / "cache"))
+        client, transport = web_doubles()
+        record = run(
+            QUESTION,
+            [],
+            cfg,
+            lexical,
+            client,
+            None,
+            StubGenerator(),
+            mode="rag_web",
+            fetch_transport=transport,
+        )
+        assert record.knowledge.text == "The capital city of France is Paris."
+        assert "Paris" in record.answer
+
     def test_generation_error_recorded(self, tmp_path, lexical):
         class Exploding:
             def generate(self, prompt):

@@ -11,13 +11,12 @@ from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchCli
 from ragmend import websearch
 from ragmend.errors import FetchError, RewriteError, SearchUnavailableError
 from ragmend.mockserver import MockService
-from ragmend.refinement import BundleKind, RefineConfig
+from ragmend.refinement import BundleKind, KnowledgeStrip, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
     EXTRACTOR_VERSION,
     HttpSearchClient,
     KeywordRewriter,
-    PageContent,
     RemoteRewriter,
     SearchConfig,
     SearchQuery,
@@ -29,6 +28,10 @@ from ragmend.websearch import (
     search,
     select_external,
 )
+
+
+def _page(url, *paragraphs):
+    return [KnowledgeStrip(doc_id=url, index=i, text=p) for i, p in enumerate(paragraphs)]
 
 
 class TestKeywordRewriter:
@@ -311,7 +314,7 @@ class TestFetchAndExtract:
         result = SearchResult(url="mock://web/p", rank=1)
         first = fetch_and_extract(result, cfg, transport=transport)
         second = fetch_and_extract(result, cfg, transport=transport)
-        assert first == second == PageContent(url="mock://web/p", paragraphs=("hello there",))
+        assert first == second == _page("mock://web/p", "hello there")
         assert transport.calls == 1
 
     def test_cache_file_shape(self, tmp_path):
@@ -342,7 +345,7 @@ class TestFetchAndExtract:
             stale["extractor"] = version
         cache_file.write_text(json.dumps(stale), "utf-8")
         page = fetch_and_extract(result, cfg, transport=transport)
-        assert page.paragraphs == ("fresh",)
+        assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
         assert json.loads(cache_file.read_text("utf-8"))["extractor"] == EXTRACTOR_VERSION
 
@@ -354,8 +357,21 @@ class TestFetchAndExtract:
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text("{broken", "utf-8")
         page = fetch_and_extract(result, cfg, transport=transport)
-        assert page.paragraphs == ("fresh",)
+        assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
+
+    def test_unwritable_cache_dir_fetches_every_time(self, tmp_path, caplog):
+        (tmp_path / "file").write_text("not a directory", "utf-8")
+        cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
+        transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
+        result = SearchResult(url="mock://web/p", rank=1)
+        with caplog.at_level("WARNING"):
+            first = fetch_and_extract(result, cfg, transport=transport)
+            second = fetch_and_extract(result, cfg, transport=transport)
+        assert first == second == _page("mock://web/p", "hello there")
+        assert transport.calls == 2
+        warnings = [r for r in caplog.records if "page cache not written" in r.getMessage()]
+        assert len(warnings) == 2
 
     def test_fetch_error_carries_url(self, tmp_path):
         cfg = self._cfg(tmp_path)
@@ -417,7 +433,7 @@ class TestDefaultTransport:
             while svc._server._open and time.monotonic() < deadline:
                 time.sleep(0.01)
             second = fetch_and_extract(SearchResult(url=f"{svc.base_url}/page/b.html"), cfg)
-        assert (first.paragraphs, second.paragraphs) == (("page a",), ("page b",))
+        assert [s.text for s in first + second] == ["page a", "page b"]
         assert wire_counts.sessions == []
         assert len(wire_counts.connections) == 2
 
@@ -426,8 +442,8 @@ class TestSelectExternal:
     CFG = RefineConfig()
 
     def test_full_overlap_paragraph_selected(self, lexical):
-        pages = [PageContent(url="u", paragraphs=("alpha beta both here", "nothing else"))]
-        bundle = select_external(Query("alpha beta"), pages, lexical, self.CFG)
+        strips = _page("u", "alpha beta both here", "nothing else")
+        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
         assert bundle.kind is BundleKind.EXTERNAL
         assert bundle.text == "alpha beta both here"
 
@@ -437,19 +453,15 @@ class TestSelectExternal:
         assert bundle.kind is BundleKind.EXTERNAL
 
     def test_many_paragraphs_capped_and_ordered(self, lexical):
-        paragraphs = tuple(f"alpha beta item {i}" for i in range(12))
-        pages = [PageContent(url="u", paragraphs=paragraphs)]
-        bundle = select_external(Query("alpha beta"), pages, lexical, self.CFG)
+        strips = _page("u", *(f"alpha beta item {i}" for i in range(12)))
+        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
         assert len(bundle.strips) == 5
         positions = [s.index for s in bundle.strips]
         assert positions == sorted(positions)
 
     def test_page_order_preserved(self, lexical):
-        pages = [
-            PageContent(url="u1", paragraphs=("alpha beta first",)),
-            PageContent(url="u2", paragraphs=("alpha beta second",)),
-        ]
-        bundle = select_external(Query("alpha beta"), pages, lexical, self.CFG)
+        strips = _page("u1", "alpha beta first") + _page("u2", "alpha beta second")
+        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
         assert [s.doc_id for s in bundle.strips] == ["u1", "u2"]
 
 
