@@ -19,7 +19,19 @@ from urllib.parse import urlsplit
 
 import requests
 
+from .errors import ConfigError
+
 logger = logging.getLogger(__name__)
+
+# The largest timeout, in seconds, a config may set: one day. A much larger one
+# (from ~9.2e9 s, or Infinity) overflows `socket.settimeout` on the first request.
+MAX_TIMEOUT_S = 86400.0
+
+
+def check_timeout(key: str, value: float) -> None:
+    """Raise ConfigError naming `key` unless 0 < value <= MAX_TIMEOUT_S (NaN fails)."""
+    if not 0 < value <= MAX_TIMEOUT_S:
+        raise ConfigError(f"{key} must be > 0 and at most {MAX_TIMEOUT_S:g} s, got {value!r}")
 
 
 def request_json(

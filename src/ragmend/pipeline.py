@@ -24,7 +24,7 @@ from .errors import (
     NoDocumentsError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession, request_json
+from .http_session import EnvCachedSession, check_timeout, request_json
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -72,11 +72,14 @@ class AblationFlags:
                 try:
                     object.__setattr__(self, name, Action(value))
                 except ValueError:
+                    choices = [a.value for a in Action]
                     raise ConfigError(
-                        f"{name} must be one of {[a.value for a in Action]}, got {value!r}"
+                        f"ablations.{name} must be one of {choices}, got {value!r}"
                     ) from None
         if self.disable_action is not None and self.only_action is not None:
-            raise ConfigError("disable_action and only_action are mutually exclusive")
+            raise ConfigError(
+                "ablations.disable_action and ablations.only_action are mutually exclusive"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,11 +99,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.generator_max_tokens < 1:
-            raise ConfigError("generator_max_tokens must be >= 1")
+            raise ConfigError("generator.max_tokens must be >= 1")
         if self.generator_retries < 0:
-            raise ConfigError("generator_retries must be >= 0")
-        if not self.generator_timeout > 0:
-            raise ConfigError("generator_timeout must be > 0")
+            raise ConfigError("generator.retries must be >= 0")
+        check_timeout("generator.timeout", self.generator_timeout)
 
 
 @dataclass

@@ -56,11 +56,11 @@ class RefineConfig:
 
     def __post_init__(self):
         if self.strip_sentences < 1:
-            raise ConfigError("strip_sentences must be >= 1")
+            raise ConfigError("refine.strip_sentences must be >= 1")
         if self.top_k < 1:
-            raise ConfigError("top_k must be >= 1")
+            raise ConfigError("refine.top_k must be >= 1")
         if not (-1.0 <= self.strip_threshold <= 1.0):
-            raise ConfigError("strip_threshold must be in [-1, 1]")
+            raise ConfigError("refine.strip_threshold must be in [-1, 1]")
 
 
 @dataclass(frozen=True)

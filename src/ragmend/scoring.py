@@ -11,13 +11,14 @@ from __future__ import annotations
 import functools
 import math
 import re
+import string
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import requests
 
 from .errors import ConfigError, ScorerUnavailableError
-from .http_session import EnvCachedSession, request_json
+from .http_session import EnvCachedSession, check_timeout, request_json
 from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
 
 _TOKEN = re.compile(r"[^\W_]+")
@@ -28,10 +29,17 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+# After `lower()`, the `[^\W_]` characters of ASCII text are exactly a-z and 0-9:
+# this table keeps those bytes and turns every other byte into a space.
+_WORD_BYTES = (string.ascii_lowercase + string.digits).encode("ascii")
+_ASCII_WORD_BYTES = bytes(c if c in _WORD_BYTES else 0x20 for c in range(256))
+
+
 @functools.lru_cache(maxsize=32)
-def _query_tokens(text: str) -> frozenset[str]:
-    """Unique tokens of a question, kept for the strips scored against it."""
-    return frozenset(tokenize(text))
+def _query_tokens(text: str) -> tuple[frozenset[str], frozenset[bytes]]:
+    """A question's unique tokens, and its ASCII ones as bytes, kept for the texts it scores."""
+    unique = frozenset(tokenize(text))
+    return unique, frozenset(t.encode("ascii") for t in unique if t.isascii())
 
 
 @dataclass(frozen=True)
@@ -79,17 +87,15 @@ class ScorerConfig:
 
     def __post_init__(self):
         if self.kind not in ("lexical", "remote"):
-            raise ConfigError(f"unknown scorer kind {self.kind!r}")
+            raise ConfigError(f"scorer.kind must be 'lexical' or 'remote', got {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:
-            raise ConfigError("remote scorer requires an endpoint")
+            raise ConfigError("scorer.endpoint must be set for a remote scorer")
         if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if not self.timeout > 0:
-            raise ConfigError("timeout must be > 0")
+            raise ConfigError("scorer.retries must be >= 0")
+        check_timeout("scorer.timeout", self.timeout)
         if self.prompt is not None and self.prompt not in RELEVANCE_PROMPTS:
             raise ConfigError(
-                f"unknown relevance prompt {self.prompt!r}; "
-                f"choose from {sorted(RELEVANCE_PROMPTS)}"
+                f"scorer.prompt must be one of {sorted(RELEVANCE_PROMPTS)}, got {self.prompt!r}"
             )
 
 
@@ -110,10 +116,16 @@ class LexicalScorer(Scorer):
     """Token-overlap scorer: 2 * (matched unique query tokens / unique query tokens) - 1."""
 
     def score_text(self, query: str, document: str) -> float:
-        unique = _query_tokens(query)
+        unique, ascii_unique = _query_tokens(query)
         if not unique:
             return -1.0
-        hits = len(unique.intersection(tokenize(document)))
+        lowered = document.lower()
+        if lowered.isascii():
+            # A non-ASCII question token cannot occur in ASCII text.
+            words = lowered.encode("ascii").translate(_ASCII_WORD_BYTES).split()
+            hits = len(ascii_unique.intersection(words))
+        else:
+            hits = len(unique.intersection(_TOKEN.findall(lowered)))
         return 2.0 * hits / len(unique) - 1.0
 
 

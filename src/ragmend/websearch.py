@@ -25,7 +25,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession, request_json
+from .http_session import EnvCachedSession, check_timeout, request_json
 from .prompts import render_rewrite_prompt
 from .refinement import BundleKind, KnowledgeBundle, KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
@@ -114,12 +114,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.top_k_urls < 1:
-            raise ConfigError("top_k_urls must be >= 1")
+            raise ConfigError("search.top_k_urls must be >= 1")
         if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        for name in ("timeout", "fetch_timeout"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
+            raise ConfigError("search.retries must be >= 0")
+        check_timeout("search.timeout", self.timeout)
+        check_timeout("search.fetch_timeout", self.fetch_timeout)
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
 

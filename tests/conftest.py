@@ -1,6 +1,7 @@
 """Shared fixtures and test doubles."""
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,14 @@ def fixture_web(fixtures_dir) -> FixtureWeb:
 @pytest.fixture
 def lexical() -> LexicalScorer:
     return LexicalScorer()
+
+
+@pytest.fixture
+def closed_port() -> int:
+    """A loopback port that was just free, so a connection to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class WireCounts:

@@ -27,7 +27,8 @@ from ragmend import (
     run_experiment,
 )
 from ragmend.config import SCHEMA, build_pipeline_config, load_config, merge, parse_overrides
-from ragmend.errors import ConfigError
+from ragmend.errors import ConfigError, ScorerUnavailableError
+from ragmend.http_session import MAX_TIMEOUT_S
 from ragmend.trigger import Action
 
 
@@ -312,6 +313,67 @@ class TestValueTypes:
     def test_timeout_must_be_positive(self, pair):
         with pytest.raises(ConfigError, match="timeout must be > 0"):
             load_config(overrides=[pair])
+
+    TIMEOUT_KEYS = [
+        "scorer.timeout",
+        "search.timeout",
+        "search.fetch_timeout",
+        "generator.timeout",
+    ]
+
+    @pytest.mark.parametrize("key", TIMEOUT_KEYS)
+    @pytest.mark.parametrize("value", ["86400.5", "1e10", "Infinity"])
+    def test_timeout_above_bound_rejected(self, key, value):
+        # socket.settimeout overflows from ~9.2e9 s; the bound stops that at load.
+        message = rf"^{re.escape(key)} must be > 0 and at most 86400 s"
+        with pytest.raises(ConfigError, match=message):
+            load_config(overrides=[f"{key}={value}"])
+
+    @pytest.mark.parametrize("key", TIMEOUT_KEYS)
+    def test_timeout_at_bound_loads(self, key):
+        cfg = load_config(overrides=[f"{key}=86400"])
+        assert field_value(cfg, *key.split(".")) == MAX_TIMEOUT_S == 86400
+
+    def test_timeout_at_bound_reaches_the_socket(self, closed_port):
+        cfg = load_config(
+            overrides=[
+                "scorer.kind=remote",
+                f"scorer.endpoint=http://127.0.0.1:{closed_port}/score",
+                "scorer.retries=0",
+                f"scorer.timeout={MAX_TIMEOUT_S}",
+            ]
+        )
+        with pytest.raises(ScorerUnavailableError):
+            build_roles(cfg)["scorer"].score_text("q", "d")
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "scorer.timeout=0",
+            "search.timeout=0",
+            "search.fetch_timeout=0",
+            "generator.timeout=0",
+            "scorer.retries=-1",
+            "search.retries=-1",
+            "generator.retries=-1",
+            "search.top_k_urls=0",
+            "generator.max_tokens=0",
+            "refine.strip_sentences=0",
+            "refine.top_k=0",
+            "refine.strip_threshold=2",
+            "ablations.only_action=Maybe",
+            "scorer.kind=oracle",
+            "scorer.prompt=terse",
+        ],
+    )
+    def test_bad_value_names_its_key(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be"):
+            load_config(overrides=[pair])
+
+    def test_remote_scorer_without_endpoint_names_it(self):
+        with pytest.raises(ConfigError, match=r"^scorer\.endpoint must be set"):
+            load_config(overrides=["scorer.kind=remote"])
 
     @given(
         dotted=st.sampled_from(sorted(SET_VALUES)),

@@ -167,6 +167,36 @@ class TestLexicalScorer:
         assert scorer.score_batch(query, docs) == [scorer.score(query, d) for d in docs]
 
 
+# Every ASCII character (digits, "_", punctuation, control characters), plus the
+# one character whose lower() is ASCII although it is not: KELVIN SIGN.
+_ASCII_AFTER_LOWER = st.characters(max_codepoint=0x7F) | st.just("\u212a")
+
+
+class TestAsciiPath:
+    """Texts whose lower() is ASCII are scored on bytes; the score must not change."""
+
+    @given(
+        st.text(_ASCII_AFTER_LOWER | st.sampled_from("éß東٣İ"), max_size=40),
+        st.text(_ASCII_AFTER_LOWER, max_size=200),
+    )
+    def test_equals_reference(self, query, document):
+        assert document.lower().isascii()
+        assert LexicalScorer().score_text(query, document) == reference_score(query, document)
+
+    @pytest.mark.parametrize(
+        "query, document, score",
+        [
+            ("kelvin scale", "\u212aELVIN units", 0.0),
+            ("snake_case v2", "SNAKE-case\tv2\x00!", 1.0),
+            ("café au lait", "cafe AU lait", 1.0 / 3.0),
+            ("x_y", "x\x7fy_", 1.0),
+        ],
+    )
+    def test_examples(self, lexical, query, document, score):
+        assert math.isclose(lexical.score_text(query, document), score)
+        assert lexical.score_text(query, document) == reference_score(query, document)
+
+
 class TestScorerConfig:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ConfigError):

@@ -16,6 +16,7 @@ from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
     EXTRACTOR_VERSION,
     HttpSearchClient,
+    HttpTransport,
     KeywordRewriter,
     RemoteRewriter,
     SearchConfig,
@@ -360,6 +361,27 @@ class TestFetchAndExtract:
         assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
 
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            {"url": "mock://web/other", "paragraphs": ["stale"]},
+            {"url": "mock://web/p", "paragraphs": "stale"},
+            {"url": "mock://web/p", "paragraphs": ["stale", " "]},
+        ],
+        ids=["other-url", "non-list-paragraphs", "blank-paragraph"],
+    )
+    def test_bad_cache_file_refetched(self, tmp_path, stale):
+        cfg = self._cfg(tmp_path)
+        transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
+        result = SearchResult(url="mock://web/p", rank=1)
+        fetch_and_extract(result, cfg, transport=transport)
+        cache_file = next(cfg.cache_dir.iterdir())
+        cache_file.write_text(json.dumps({**stale, "extractor": EXTRACTOR_VERSION}), "utf-8")
+        page = fetch_and_extract(result, cfg, transport=transport)
+        assert page == _page("mock://web/p", "fresh")
+        assert transport.calls == 2
+        assert json.loads(cache_file.read_text("utf-8"))["paragraphs"] == ["fresh"]
+
     def test_unwritable_cache_dir_fetches_every_time(self, tmp_path, caplog):
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
@@ -379,6 +401,27 @@ class TestFetchAndExtract:
         with pytest.raises(FetchError) as exc_info:
             fetch_and_extract(SearchResult(url="mock://web/missing", rank=1), cfg, transport=transport)
         assert exc_info.value.url == "mock://web/missing"
+
+
+class TestHttpTransport:
+    def test_page_body(self, fixtures_dir):
+        with MockService(fixtures_dir) as svc, requests.Session() as session:
+            body = HttpTransport(session).get(f"{svc.base_url}/page/q01.html", timeout=5)
+        assert "Paris" in body
+
+    def test_missing_page_is_fetch_error_with_status(self, fixtures_dir):
+        with MockService(fixtures_dir) as svc, requests.Session() as session:
+            url = f"{svc.base_url}/page/no-such-page.html"
+            with pytest.raises(FetchError, match="status 404") as exc_info:
+                HttpTransport(session).get(url, timeout=5)
+        assert exc_info.value.url == url
+
+    def test_closed_port_is_fetch_error(self, closed_port):
+        url = f"http://127.0.0.1:{closed_port}/page/q01.html"
+        with requests.Session() as session:
+            with pytest.raises(FetchError) as exc_info:
+                HttpTransport(session).get(url, timeout=5)
+        assert exc_info.value.url == url
 
 
 class ClosableTransport(CountingTransport):
