@@ -140,19 +140,16 @@ def build_pipeline_config(data: dict) -> PipelineConfig:
     """Construct a validated PipelineConfig from a merged config tree."""
     _validate_tree(data, "config")
     kwargs = {}
-    try:
-        for section, values in data.items():
-            default = getattr(_DEFAULTS, section, None)
-            if not dataclasses.is_dataclass(default):
-                kwargs.update({f"{section}_{key}": value for key, value in values.items()})
-                continue
-            values = dict(values)
-            if "preset" in values:
-                default = Thresholds.preset(values.pop("preset"))
-            kwargs[section] = dataclasses.replace(default, **values)
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    for section, values in data.items():
+        default = getattr(_DEFAULTS, section, None)
+        if not dataclasses.is_dataclass(default):
+            kwargs.update({f"{section}_{key}": value for key, value in values.items()})
+            continue
+        values = dict(values)
+        if "preset" in values:
+            default = Thresholds.preset(values.pop("preset"))
+        kwargs[section] = dataclasses.replace(default, **values)
+    return PipelineConfig(**kwargs)
 
 
 def load_config(

@@ -92,10 +92,6 @@ class EnvCachedSession(requests.Session):
         super().__init__()
         self._env_settings: dict = {}
 
-    def __setstate__(self, state):
-        super().__setstate__(state)
-        self._env_settings = {}
-
     def merge_environment_settings(self, url, proxies, stream, verify, cert):
         if proxies or not self.trust_env:
             return super().merge_environment_settings(url, proxies, stream, verify, cert)
@@ -111,10 +107,7 @@ class EnvCachedSession(requests.Session):
             self.cert,
             tuple(self.proxies.items()),
         )
-        try:
-            settings = self._env_settings.get(key)
-        except TypeError:  # an unhashable verify or cert
-            return super().merge_environment_settings(url, proxies, stream, verify, cert)
+        settings = self._env_settings.get(key)
         if settings is None:
             settings = super().merge_environment_settings(url, {}, stream, verify, cert)
             if len(self._env_settings) >= self.MAX_CACHED_HOSTS:

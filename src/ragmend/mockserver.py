@@ -221,11 +221,7 @@ class MockService:
         return self._server.base_url
 
     def start(self) -> "MockService":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            kwargs={"poll_interval": _POLL_INTERVAL_S},
-            daemon=True,
-        )
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 

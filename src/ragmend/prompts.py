@@ -5,8 +5,6 @@ Templates use the literal placeholders ``[question]`` and ``[document]``;
 ``ScorerConfig.prompt`` ("direct", "cot", or "few_shot").
 """
 
-from .errors import ConfigError
-
 REWRITE_PROMPT = """\
 Extract at most three keywords separated by comma from the following dialogues and questions as queries for the web search, including topic background within dialogues and main intent within questions.
 
@@ -73,10 +71,4 @@ def render_rewrite_prompt(question: str) -> str:
 
 def render_relevance_prompt(name: str, question: str, document: str) -> str:
     """Fill one of the named relevance templates with a question-document pair."""
-    try:
-        template = RELEVANCE_PROMPTS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown relevance prompt {name!r}; choose from {sorted(RELEVANCE_PROMPTS)}"
-        ) from None
-    return template.replace("[question]", question).replace("[document]", document)
+    return RELEVANCE_PROMPTS[name].replace("[question]", question).replace("[document]", document)

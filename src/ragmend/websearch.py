@@ -8,7 +8,7 @@ and filtered with the relevance scorer into an external knowledge bundle.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import hashlib
 import json
 import logging
@@ -80,15 +80,11 @@ class SearchQuery:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """A ranked URL from the search endpoint."""
+    """A URL from the search endpoint."""
 
     url: str
-    title: Optional[str] = None
-    rank: int = 1
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
         if not isinstance(self.url, str):
             raise ValueError(f"url must be a string, got {self.url!r}")
         parsed = urlparse(self.url)
@@ -237,12 +233,14 @@ def search(q: SearchQuery, client, cfg: SearchConfig) -> list[SearchResult]:
     results = list(client.search(q.as_string()))
     if cfg.prefer_wikipedia:
         results.sort(key=lambda r: 0 if _is_wikipedia(r.url) else 1)
-    results = results[: cfg.top_k_urls]
-    return [dataclasses.replace(r, rank=i + 1) for i, r in enumerate(results)]
+    return results[: cfg.top_k_urls]
 
 
 class HttpSearchClient:
-    """Search endpoint client: GET ?q=... returning {"results": [{url, title}]}.
+    """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]}.
+
+    A result's "title" is accepted and ignored; a "url" that is not an
+    absolute URL string fails the reply with SearchUnavailableError.
 
     If RAGMEND_SEARCH_API_KEY is set in the environment it is sent as an
     X-API-Key header, which real search backends can require.
@@ -275,10 +273,7 @@ class HttpSearchClient:
             retries=self.retries,
         )
         try:
-            return [
-                SearchResult(url=item["url"], title=item.get("title"), rank=i + 1)
-                for i, item in enumerate(items)
-            ]
+            return [SearchResult(url=item["url"]) for item in items]
         except (ValueError, KeyError, TypeError) as exc:
             raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
@@ -407,10 +402,8 @@ def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
             json.dump(payload, fh, ensure_ascii=False)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

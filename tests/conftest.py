@@ -92,11 +92,11 @@ class FixtureWeb:
         self.search_map = {}
         for query, items in raw.items():
             results = []
-            for i, item in enumerate(items):
+            for item in items:
                 name = item["url"].rsplit("/", 1)[-1]
                 url = f"mock://web/{name}"
                 self.pages[url] = (fixtures_dir / "pages" / name).read_text("utf-8")
-                results.append(SearchResult(url=url, title=item.get("title"), rank=i + 1))
+                results.append(SearchResult(url=url))
             self.search_map[query] = results
 
     def search_client(self) -> ListSearchClient:

@@ -315,7 +315,7 @@ def test_criterion_8_fetch_cache_deduplicates(tmp_path):
     url = "mock://web/page"
     transport = CountingTransport({url: "<p>alpha</p><p>beta</p>"})
     config = SearchConfig(cache_dir=tmp_path / "cache")
-    result = SearchResult(url=url, rank=1)
+    result = SearchResult(url=url)
 
     first = fetch_and_extract(result, config, transport=transport)
     second = fetch_and_extract(result, config, transport=transport)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, outputs, offline guard."""
 
+import _thread
 import csv
 import json
 import os
@@ -8,6 +9,8 @@ import socket
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import requests
 from hypothesis import given, strategies as st
 
 import ragmend
+from ragmend import cli
 from ragmend.cli import (
     OfflineGuardTransport,
     _is_local_url,
@@ -319,11 +323,31 @@ class TestRunCommand:
         dataset = mini_dataset(tmp_path)
         report_path = tmp_path / "report.json"
         code = main(
-            ["run", str(dataset), "--no-refinement", "--report", str(report_path)]
+            [
+                "run",
+                str(dataset),
+                "--no-refinement",
+                "--disable-action",
+                "Incorrect",
+                "--report",
+                str(report_path),
+            ]
         )
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["config"]["ablations"]["no_refinement"] is True
+        assert report["config"]["ablations"]["disable_action"] == "Incorrect"
+
+    def test_non_object_config_section_exits_2(self, tmp_path, capsys):
+        # config._validate_tree: "section ... must be an object"
+        dataset = mini_dataset(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scorer": 5}), encoding="utf-8")
+        code = main(
+            ["run", str(dataset), "--config", str(config), "--report", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert "section 'scorer' must be an object" in capsys.readouterr().err
 
     def test_missing_dataset(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.jsonl")]) == 2
@@ -466,6 +490,49 @@ class TestMockServeCommand:
             proc.stderr.close()
         assert status == 200
         assert code == 0
+
+    def test_serves_in_process_until_interrupted(self, monkeypatch, capsys):
+        # cli.cmd_mock_serve's serve loop and its KeyboardInterrupt exit, in this process.
+        services = []
+
+        class Recorded(MockService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr(cli, "MockService", Recorded)
+        statuses = []
+
+        def interrupt_once_served():
+            # A reply proves the main thread is in the serve loop. Without a bound
+            # service there is no loop to end, so no interrupt either.
+            deadline = time.monotonic() + 10
+            while not services and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if not services:
+                return
+            session = requests.Session()
+            session.trust_env = False
+            try:
+                with session:
+                    resp = session.get(
+                        f"{services[0].base_url}/search", params={"q": "x"}, timeout=5
+                    )
+                statuses.append(resp.status_code)
+            finally:
+                _thread.interrupt_main()
+
+        helper = threading.Thread(target=interrupt_once_served, daemon=True)
+        helper.start()
+        code = main(["mock-serve", "--port", "0"])
+        helper.join(timeout=15)
+        assert not helper.is_alive()
+        assert code == 0
+        assert statuses == [200]
+        assert capsys.readouterr().out.strip() == services[0].base_url
+        port = int(services[0].base_url.rsplit(":", 1)[1])
+        with pytest.raises(OSError), socket.create_connection(("127.0.0.1", port), timeout=1):
+            pass
 
     def test_default_fixtures_bundled(self):
         assert (default_fixtures_dir() / "dataset_20.jsonl").is_file()

@@ -387,6 +387,52 @@ class TestValueTypes:
         assert has_declared_type(dotted, field_value(cfg, *dotted.split(".")))
 
 
+def example_value(dotted):
+    """The parsed JSON of a key's SET_VALUES example, as a config file holds it."""
+    raw = SET_VALUES[dotted][0]
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return raw
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.sampled_from([10**400, -(10**400)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@st.composite
+def config_trees(draw):
+    """A tree whose sections and keys are in SCHEMA and whose values are any JSON.
+
+    Half the values are the key's valid example, so many trees pass the type
+    check and reach the config dataclasses; one section in eight is not an object.
+    """
+    tree = {}
+    for section in draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True)):
+        keys = draw(st.lists(st.sampled_from(sorted(SCHEMA[section])), unique=True, max_size=4))
+        values = {
+            key: draw(JSON_VALUES) if draw(st.booleans()) else example_value(f"{section}.{key}")
+            for key in keys
+        }
+        tree[section] = draw(JSON_VALUES) if draw(st.integers(0, 7)) == 0 else values
+    return tree
+
+
+class TestBuildPipelineConfig:
+    @given(config_trees())
+    def test_any_tree_builds_or_raises_config_error(self, tree):
+        # Only ConfigError may escape: the type check runs before any dataclass is built.
+        try:
+            cfg = build_pipeline_config(tree)
+        except ConfigError:
+            return
+        assert isinstance(cfg, PipelineConfig)
+
+
 class TestReadme:
     def test_config_block_is_the_schema_and_the_defaults(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")

@@ -417,7 +417,7 @@ class TestRunExperiment:
 
     def test_rag_web_always_combines(self, tmp_path, lexical):
         client = ListSearchClient(
-            {"capital city France": [SearchResult(url=PAGE_URL, rank=1)]}
+            {"capital city France": [SearchResult(url=PAGE_URL)]}
         )
         transport = CountingTransport({PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
@@ -437,7 +437,7 @@ class TestRunExperiment:
 
     def test_baseline_timings_cover_knowledge(self, tmp_path, lexical):
         client = ListSearchClient(
-            {"capital city France": [SearchResult(url=PAGE_URL, rank=1)]}
+            {"capital city France": [SearchResult(url=PAGE_URL)]}
         )
         transport = CountingTransport({PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))

@@ -298,6 +298,17 @@ class TestStop:
         svc.stop()
         assert time.monotonic() - t0 < 0.25
 
+    def test_close_connections_skips_a_closed_socket(self, tmp_path):
+        # _Server.close_connections: a handler thread may close its socket first
+        svc = MockService(tmp_path)
+        closed = socket.socket()
+        closed.close()
+        svc._server._open.add(closed)
+        try:
+            svc._server.close_connections()
+        finally:
+            svc.stop()
+
     def test_stop_without_start_returns(self, tmp_path):
         svc = MockService(tmp_path)
         stopper = threading.Thread(target=svc.stop, daemon=True)

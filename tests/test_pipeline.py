@@ -29,7 +29,7 @@ from ragmend.pipeline import (
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
 from ragmend.scoring import Document, LexicalScorer, Query
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
-from ragmend.websearch import SearchConfig, SearchResult
+from ragmend.websearch import HttpSearchClient, SearchConfig, SearchResult
 
 
 def make_judgment(max_score, action):
@@ -178,8 +178,8 @@ def web_cfg(tmp_path, **kwargs):
 def web_doubles():
     client = ListSearchClient(
         {
-            "capital city France": [SearchResult(url=PAGE_URL, rank=1)],
-            QUESTION: [SearchResult(url=PAGE_URL, rank=1)],
+            "capital city France": [SearchResult(url=PAGE_URL)],
+            QUESTION: [SearchResult(url=PAGE_URL)],
         }
     )
     transport = CountingTransport({PAGE_URL: PAGE_HTML})
@@ -301,8 +301,8 @@ class TestRunDegradedPaths:
         client = ListSearchClient(
             {
                 "capital city France": [
-                    SearchResult(url="mock://web/missing", rank=1),
-                    SearchResult(url=good, rank=2),
+                    SearchResult(url="mock://web/missing"),
+                    SearchResult(url=good),
                 ]
             }
         )
@@ -337,6 +337,27 @@ class TestRunDegradedPaths:
         )
         assert record.knowledge.text == "The capital city of France is Paris."
         assert "Paris" in record.answer
+
+    @pytest.mark.parametrize("url", ["/page/france", 5], ids=["relative", "non-string"])
+    def test_bad_search_url_degrades(self, tmp_path, lexical, caplog, url):
+        # websearch.SearchResult: "url must be absolute" / "url must be a string"
+        session = FakeSession([FakeResponse(payload={"results": [{"url": url}]})])
+        client = HttpSearchClient("http://localhost:9/search", retries=0, session=session)
+        with caplog.at_level("WARNING"):
+            record = run(QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client)
+        assert record.action is Action.INCORRECT
+        assert record.knowledge.text == ""
+        assert record.searched_urls == ()
+        assert any("search unavailable" in r.getMessage() for r in caplog.records)
+
+    def test_non_string_generator_text_recorded(self, tmp_path, lexical):
+        # pipeline.RemoteGenerator: "generator reply text is not a string"
+        generator = RemoteGenerator(
+            "http://localhost:9/g", session=FakeSession([FakeResponse(payload={"text": 5})])
+        )
+        record = run(QUESTION, [RELEVANT], web_cfg(tmp_path), lexical, None, None, generator)
+        assert "not a string" in record.error
+        assert record.answer == ""
 
     def test_generation_error_recorded(self, tmp_path, lexical):
         class Exploding:
@@ -441,7 +462,7 @@ class TestExternalKnowledgeSessions:
             for batch in (range(3), range(3, 6)):
                 urls = [f"{svc.base_url}/page/p{i}.html" for i in batch]
                 client = ListSearchClient(
-                    {"capital city France": [SearchResult(url=u, rank=1) for u in urls]}
+                    {"capital city France": [SearchResult(url=u) for u in urls]}
                 )
                 bundle, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
                 assert searched == urls

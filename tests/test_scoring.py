@@ -227,6 +227,11 @@ def _remote(replies, **cfg_kwargs):
 
 
 class TestRemoteScorer:
+    def test_lexical_config_rejected(self):
+        # RemoteScorer.__init__: only a kind="remote" config names an endpoint
+        with pytest.raises(ConfigError, match="kind='remote'"):
+            RemoteScorer(ScorerConfig())
+
     def test_success(self):
         scorer, session = _remote([FakeResponse(payload={"score": 0.5})])
         assert scorer.score_text("q", "d") == 0.5

@@ -61,6 +61,10 @@ class TestKeywordRewriter:
         out = self.R.rewrite("Compare granite marble quartz slate limestone")
         assert out == ["Compare", "granite", "marble"]
 
+    def test_punctuation_token_ends_a_run(self):
+        # KeywordRewriter.rewrite: a token that cleans to "" flushes the capitalized run
+        assert self.R.rewrite("Where are Paris - France linked?") == ["Paris", "France", "linked"]
+
     def test_capitalized_run_merges(self):
         assert self.R.rewrite("Where does Kiribati National Team train?") == [
             "Kiribati National Team",
@@ -149,6 +153,24 @@ class TestRewriteOp:
         assert q.keywords == ("Henry Feilden", "occupation")
         assert any("fallback" in r.message for r in caplog.records)
 
+    def test_non_string_remote_text_falls_back(self, caplog):
+        # websearch.RemoteRewriter: "rewriter reply text is not a string"
+        remote = RemoteRewriter(
+            "http://localhost:9/g", session=FakeSession([FakeResponse(payload={"text": 5})])
+        )
+        with caplog.at_level("WARNING"):
+            q = rewrite(Query("What is Henry Feilden's occupation?"), remote)
+        assert q.keywords == ("Henry Feilden", "occupation")
+        assert any("not a string" in r.getMessage() for r in caplog.records)
+
+    def test_only_blank_keywords_search_the_question(self):
+        # websearch.rewrite: no keyword left after stripping
+        class Blank:
+            def rewrite(self, question):
+                return ["  ", ""]
+
+        assert rewrite(Query("Who wrote Dracula?"), Blank()).keywords == ("Who wrote Dracula?",)
+
     def test_clips_to_three(self):
         class Many:
             def rewrite(self, question):
@@ -165,7 +187,7 @@ class TestRewriteOp:
 
 
 def results(*urls):
-    return [SearchResult(url=u, rank=i + 1) for i, u in enumerate(urls)]
+    return [SearchResult(url=u) for u in urls]
 
 
 class TestSearchOp:
@@ -181,13 +203,6 @@ class TestSearchOp:
             "http://a.com/1",
             "http://b.com/2",
         ]
-
-    def test_ranks_reassigned(self):
-        client = ListSearchClient(
-            {"q": results("http://a.com/1", "http://en.wikipedia.org/X")}
-        )
-        out = search(SearchQuery(keywords=("q",)), client, self.CFG)
-        assert [r.rank for r in out] == [1, 2]
 
     def test_truncates_to_top_k(self):
         urls = [f"http://site{i}.com/p" for i in range(8)]
@@ -242,7 +257,7 @@ class TestHttpSearchClient:
             "http://localhost:9/search", session=FakeSession([FakeResponse(payload=payload)])
         )
         out = client.search("q")
-        assert out == [SearchResult(url="http://a.com/1", title="A", rank=1)]
+        assert out == [SearchResult(url="http://a.com/1")]
 
     def test_retries_then_fails(self):
         session = FakeSession([FakeResponse(status_code=500)] * 3)
@@ -312,7 +327,7 @@ class TestFetchAndExtract:
     def test_fetch_extract_and_cache(self, tmp_path):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
-        result = SearchResult(url="mock://web/p", rank=1)
+        result = SearchResult(url="mock://web/p")
         first = fetch_and_extract(result, cfg, transport=transport)
         second = fetch_and_extract(result, cfg, transport=transport)
         assert first == second == _page("mock://web/p", "hello there")
@@ -323,7 +338,7 @@ class TestFetchAndExtract:
 
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>body</p>"})
-        fetch_and_extract(SearchResult(url="mock://web/p", rank=1), cfg, transport=transport)
+        fetch_and_extract(SearchResult(url="mock://web/p"), cfg, transport=transport)
         expected_name = hashlib.sha256(b"mock://web/p").hexdigest()
         cache_file = cfg.cache_dir / expected_name
         assert cache_file.is_file()
@@ -338,7 +353,7 @@ class TestFetchAndExtract:
     def test_cache_from_other_extractor_refetched(self, tmp_path, version):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p", rank=1)
+        result = SearchResult(url="mock://web/p")
         fetch_and_extract(result, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         stale = {"url": "mock://web/p", "paragraphs": ["stale"]}
@@ -353,7 +368,7 @@ class TestFetchAndExtract:
     def test_corrupt_cache_refetched(self, tmp_path):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p", rank=1)
+        result = SearchResult(url="mock://web/p")
         fetch_and_extract(result, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text("{broken", "utf-8")
@@ -373,7 +388,7 @@ class TestFetchAndExtract:
     def test_bad_cache_file_refetched(self, tmp_path, stale):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p", rank=1)
+        result = SearchResult(url="mock://web/p")
         fetch_and_extract(result, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text(json.dumps({**stale, "extractor": EXTRACTOR_VERSION}), "utf-8")
@@ -386,7 +401,7 @@ class TestFetchAndExtract:
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
         transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
-        result = SearchResult(url="mock://web/p", rank=1)
+        result = SearchResult(url="mock://web/p")
         with caplog.at_level("WARNING"):
             first = fetch_and_extract(result, cfg, transport=transport)
             second = fetch_and_extract(result, cfg, transport=transport)
@@ -395,11 +410,23 @@ class TestFetchAndExtract:
         warnings = [r for r in caplog.records if "page cache not written" in r.getMessage()]
         assert len(warnings) == 2
 
+    def test_cache_path_is_a_directory(self, tmp_path, caplog):
+        # websearch._cache_write: os.replace fails, and the temp file is removed
+        cfg = self._cfg(tmp_path)
+        result = SearchResult(url="mock://web/p")
+        websearch._cache_path(cfg, result.url).mkdir(parents=True)
+        transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
+        with caplog.at_level("WARNING"):
+            page = fetch_and_extract(result, cfg, transport=transport)
+        assert page == _page("mock://web/p", "hello there")
+        assert list(cfg.cache_dir.glob("*.tmp")) == []
+        assert any("page cache not written" in r.getMessage() for r in caplog.records)
+
     def test_fetch_error_carries_url(self, tmp_path):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({})
         with pytest.raises(FetchError) as exc_info:
-            fetch_and_extract(SearchResult(url="mock://web/missing", rank=1), cfg, transport=transport)
+            fetch_and_extract(SearchResult(url="mock://web/missing"), cfg, transport=transport)
         assert exc_info.value.url == "mock://web/missing"
 
 
@@ -453,10 +480,10 @@ class TestFetchAndExtractTransportOwnership:
     def test_injected_transport_left_open(self, tmp_path, built):
         cfg = SearchConfig(cache_dir=tmp_path / "cache")
         transport = ClosableTransport(self.PAGES)
-        fetch_and_extract(SearchResult(url="mock://web/a", rank=1), cfg, transport=transport)
+        fetch_and_extract(SearchResult(url="mock://web/a"), cfg, transport=transport)
         with pytest.raises(FetchError):
             fetch_and_extract(
-                SearchResult(url="mock://web/missing", rank=1), cfg, transport=transport
+                SearchResult(url="mock://web/missing"), cfg, transport=transport
             )
         assert built == []
         assert (transport.calls, transport.closed) == (2, 0)
