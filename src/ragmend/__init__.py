@@ -67,8 +67,6 @@ from .websearch import (
     KeywordRewriter,
     RemoteRewriter,
     SearchConfig,
-    SearchQuery,
-    SearchResult,
     fetch_and_extract,
     rewrite,
     search,
@@ -113,8 +111,6 @@ __all__ = [
     "ScorerConfig",
     "ScorerUnavailableError",
     "SearchConfig",
-    "SearchQuery",
-    "SearchResult",
     "SearchUnavailableError",
     "StubGenerator",
     "THRESHOLD_PRESETS",

@@ -66,6 +66,13 @@ def _check_offline(cfg: PipelineConfig) -> None:
             raise ConfigError(f"--offline forbids non-local endpoint {name}={url}")
 
 
+def port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {value}")
+    return value
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument(
@@ -121,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mock = sub.add_parser("mock-serve", help="serve fixture-backed mock endpoints")
     _add_common_options(p_mock)
     p_mock.add_argument("--host", default="127.0.0.1")
-    p_mock.add_argument("--port", type=int, default=8080)
+    p_mock.add_argument("--port", type=port, default=8080)
     p_mock.add_argument(
         "--fixtures", type=Path, default=None, help="fixtures directory (default: bundled)"
     )

@@ -99,6 +99,10 @@ def _parse_instance(payload, line_no: int) -> DatasetInstance:
     question = payload["question"]
     if not isinstance(question, str) or not question.strip():
         raise bad("'question' must be a non-blank string")
+    try:
+        question.encode("utf-8")
+    except UnicodeEncodeError:
+        raise bad("'question' must be valid UTF-8 (it holds a lone surrogate)") from None
     answers = payload["answers"]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise bad("'answers' must be a list of strings")

@@ -37,7 +37,6 @@ from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
     KeywordRewriter,
     SearchConfig,
-    SearchQuery,
     fetch_and_extract,
     rewrite,
     search,
@@ -180,19 +179,18 @@ def external_knowledge(
         logger.warning("no search client configured; external knowledge is empty")
         return empty, []
     if cfg.ablations.no_rewriting:
-        query = SearchQuery(keywords=(question.text,))
+        query = question.text
     else:
         query = rewrite(question, rewriter if rewriter is not None else KeywordRewriter())
     try:
-        results = search(query, search_client, cfg.search)
+        urls = search(query, search_client, cfg.search)
     except SearchUnavailableError as exc:
         logger.warning("search unavailable, external knowledge is empty: %s", exc)
         return empty, []
-    urls = [r.url for r in results]
     strips: list[KnowledgeStrip] = []
-    for result in results:
+    for url in urls:
         try:
-            strips.extend(fetch_and_extract(result, cfg.search, transport=fetch_transport))
+            strips.extend(fetch_and_extract(url, cfg.search, transport=fetch_transport))
         except FetchError as exc:
             logger.warning("skipping unfetchable page: %s", exc)
     if cfg.ablations.no_selection:

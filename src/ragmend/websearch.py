@@ -62,37 +62,6 @@ _EDGE_CHARS = string.punctuation + "“”‘’…"
 
 
 @dataclass(frozen=True)
-class SearchQuery:
-    """One to three search keywords, order-preserving."""
-
-    keywords: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "keywords", tuple(self.keywords))
-        if not 1 <= len(self.keywords) <= 3:
-            raise ValueError(f"expected 1-3 keywords, got {len(self.keywords)}")
-        if any(not k.strip() for k in self.keywords):
-            raise ValueError("keywords must not be whitespace-only")
-
-    def as_string(self) -> str:
-        return " ".join(self.keywords)
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """A URL from the search endpoint."""
-
-    url: str
-
-    def __post_init__(self):
-        if not isinstance(self.url, str):
-            raise ValueError(f"url must be a string, got {self.url!r}")
-        parsed = urlparse(self.url)
-        if not parsed.scheme or not parsed.netloc:
-            raise ValueError(f"url must be absolute, got {self.url!r}")
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Search and fetch settings.
 
@@ -210,37 +179,51 @@ class RemoteRewriter:
         raise RewriteError("no 'query:' line in rewriter reply")
 
 
-def rewrite(question: Query, rewriter) -> SearchQuery:
-    """Turn a question into a SearchQuery, falling back on remote failure."""
+def rewrite(question: Query, rewriter) -> str:
+    """The first three stripped non-blank keywords joined by spaces, else the question
+    text; a remote rewriter that fails falls back to KeywordRewriter."""
     try:
         keywords = rewriter.rewrite(question.text)
     except RewriteError as exc:
         logger.warning("remote rewrite failed, using keyword fallback: %s", exc)
         keywords = KeywordRewriter().rewrite(question.text)
     keywords = [k.strip() for k in keywords if k.strip()]
-    if not keywords:
-        keywords = [question.text]
-    return SearchQuery(keywords=tuple(keywords[:3]))
+    return " ".join(keywords[:3]) if keywords else question.text
 
 
-def _is_wikipedia(url: str) -> bool:
-    host = (urlparse(url).hostname or "").lower()
+def _is_wikipedia(url) -> bool:
+    """Whether a search-reply URL is on Wikipedia; a URL that is not an absolute
+    string encodable as UTF-8 fails the whole reply with SearchUnavailableError."""
+    if not isinstance(url, str):
+        raise SearchUnavailableError(f"malformed search reply: url must be a string, got {url!r}")
+    try:
+        url.encode("utf-8")
+        parsed = urlparse(url)
+    except ValueError as exc:
+        raise SearchUnavailableError(
+            f"malformed search reply: url must be a valid UTF-8 URL, got {url!r}: {exc}"
+        ) from exc
+    if not parsed.scheme or not parsed.netloc:
+        raise SearchUnavailableError(f"malformed search reply: url must be absolute, got {url!r}")
+    host = (parsed.hostname or "").lower()
     return host == "wikipedia.org" or host.endswith(".wikipedia.org")
 
 
-def search(q: SearchQuery, client, cfg: SearchConfig) -> list[SearchResult]:
-    """Run the query and order results: Wikipedia first (stably), then truncate."""
-    results = list(client.search(q.as_string()))
+def search(query: str, client, cfg: SearchConfig) -> list[str]:
+    """Run the query and check every URL; order Wikipedia first (stably), then truncate."""
+    urls = list(client.search(query))
+    # Checks every URL, also when Wikipedia is not preferred.
+    wikipedia = {url for url in urls if _is_wikipedia(url)}
     if cfg.prefer_wikipedia:
-        results.sort(key=lambda r: 0 if _is_wikipedia(r.url) else 1)
-    return results[: cfg.top_k_urls]
+        urls.sort(key=lambda url: url not in wikipedia)
+    return urls[: cfg.top_k_urls]
 
 
 class HttpSearchClient:
     """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]}.
 
-    A result's "title" is accepted and ignored; a "url" that is not an
-    absolute URL string fails the reply with SearchUnavailableError.
+    Returns each result's "url" value; a result's "title" is accepted and
+    ignored. `search()` checks the URLs.
 
     If RAGMEND_SEARCH_API_KEY is set in the environment it is sent as an
     X-API-Key header, which real search backends can require.
@@ -262,7 +245,7 @@ class HttpSearchClient:
         if api_key:
             self.headers["X-API-Key"] = api_key
 
-    def search(self, query: str) -> list[SearchResult]:
+    def search(self, query: str) -> list:
         items = request_json(
             lambda: self.session.get(
                 self.endpoint, params={"q": query}, headers=self.headers, timeout=self.timeout
@@ -273,8 +256,8 @@ class HttpSearchClient:
             retries=self.retries,
         )
         try:
-            return [SearchResult(url=item["url"]) for item in items]
-        except (ValueError, KeyError, TypeError) as exc:
+            return [item["url"] for item in items]
+        except (KeyError, TypeError) as exc:
             raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
 
@@ -407,10 +390,8 @@ def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
         raise
 
 
-def fetch_and_extract(
-    result: SearchResult, cfg: SearchConfig, transport=None
-) -> list[KnowledgeStrip]:
-    """Fetch one result through the disk cache as one unscored strip per paragraph.
+def fetch_and_extract(url: str, cfg: SearchConfig, transport=None) -> list[KnowledgeStrip]:
+    """Fetch one URL through the disk cache as one unscored strip per paragraph.
 
     A cache hit performs no network call; misses fetch, extract, and write the
     cache atomically so concurrent writers cannot corrupt it, or warn and stay
@@ -418,19 +399,19 @@ def fetch_and_extract(
     the process-wide `_DEFAULT_TRANSPORT`, whose pooled connections are reused
     by later fetches and never closed.
     """
-    path = _cache_path(cfg, result.url)
-    cached = _cache_read(path, result.url)
+    path = _cache_path(cfg, url)
+    cached = _cache_read(path, url)
     if cached is not None:
         return cached
     if transport is None:
         transport = _DEFAULT_TRANSPORT
-    body = transport.get(result.url, cfg.fetch_timeout)
+    body = transport.get(url, cfg.fetch_timeout)
     paragraphs = extract_paragraphs(body)
     try:
-        _cache_write(path, result.url, paragraphs)
+        _cache_write(path, url, paragraphs)
     except OSError as exc:
-        logger.warning("page cache not written, %s stays uncached: %s", result.url, exc)
-    return _page_strips(result.url, paragraphs)
+        logger.warning("page cache not written, %s stays uncached: %s", url, exc)
+    return _page_strips(url, paragraphs)
 
 
 def select_external(

@@ -12,7 +12,6 @@ from ragmend.cli import default_fixtures_dir
 from ragmend.errors import FetchError
 from ragmend.harness import load_dataset
 from ragmend.scoring import LexicalScorer
-from ragmend.websearch import SearchResult
 
 
 class FakeResponse:
@@ -96,7 +95,7 @@ class FixtureWeb:
                 name = item["url"].rsplit("/", 1)[-1]
                 url = f"mock://web/{name}"
                 self.pages[url] = (fixtures_dir / "pages" / name).read_text("utf-8")
-                results.append(SearchResult(url=url))
+                results.append(url)
             self.search_map[query] = results
 
     def search_client(self) -> ListSearchClient:

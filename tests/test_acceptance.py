@@ -25,7 +25,6 @@ from ragmend.trigger import THRESHOLD_PRESETS, Action, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
     SearchConfig,
-    SearchResult,
     fetch_and_extract,
 )
 
@@ -315,10 +314,9 @@ def test_criterion_8_fetch_cache_deduplicates(tmp_path):
     url = "mock://web/page"
     transport = CountingTransport({url: "<p>alpha</p><p>beta</p>"})
     config = SearchConfig(cache_dir=tmp_path / "cache")
-    result = SearchResult(url=url)
 
-    first = fetch_and_extract(result, config, transport=transport)
-    second = fetch_and_extract(result, config, transport=transport)
+    first = fetch_and_extract(url, config, transport=transport)
+    second = fetch_and_extract(url, config, transport=transport)
     assert transport.calls == 1
     assert first == second
     assert [strip.text for strip in first] == ["alpha", "beta"]

@@ -453,6 +453,11 @@ class TestMockServeCommand:
         code = main(["mock-serve", "--fixtures", str(tmp_path / "nope")])
         assert code == 2
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_is_usage_error(self, capsys, port):
+        assert main(["mock-serve", f"--port={port}"]) == 2
+        assert f"port must be in 0-65535, got {port}" in capsys.readouterr().err
+
     def test_port_in_use(self, capsys):
         blocker = socket.socket()
         try:

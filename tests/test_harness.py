@@ -28,7 +28,7 @@ from ragmend.pipeline import PipelineConfig
 from ragmend.refinement import BundleKind
 from ragmend.scoring import Document, LexicalScorer
 from ragmend.trigger import Action
-from ragmend.websearch import HttpSearchClient, SearchConfig, SearchResult
+from ragmend.websearch import HttpSearchClient, SearchConfig
 
 
 JSON_VALUES = st.recursive(
@@ -141,6 +141,11 @@ class TestLoadDataset:
     def test_bad_field_type_rejected(self, tmp_path, name, value):
         path = write_jsonl(tmp_path, [valid_line("q1"), valid_line("q2", **{name: value})])
         with pytest.raises(DatasetError, match=f"line 2.*{name}"):
+            load_dataset(path)
+
+    def test_lone_surrogate_question_rejected(self, tmp_path):
+        path = write_jsonl(tmp_path, [valid_line("q1", question="Who is Zorblax \ud800 here?")])
+        with pytest.raises(DatasetError, match="line 1.*'question' must be valid UTF-8"):
             load_dataset(path)
 
     @pytest.mark.parametrize("line", ["5", '"id question answers docs"'])
@@ -417,7 +422,7 @@ class TestRunExperiment:
 
     def test_rag_web_always_combines(self, tmp_path, lexical):
         client = ListSearchClient(
-            {"capital city France": [SearchResult(url=PAGE_URL)]}
+            {"capital city France": [PAGE_URL]}
         )
         transport = CountingTransport({PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
@@ -437,7 +442,7 @@ class TestRunExperiment:
 
     def test_baseline_timings_cover_knowledge(self, tmp_path, lexical):
         client = ListSearchClient(
-            {"capital city France": [SearchResult(url=PAGE_URL)]}
+            {"capital city France": [PAGE_URL]}
         )
         transport = CountingTransport({PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))

@@ -29,7 +29,7 @@ from ragmend.pipeline import (
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
 from ragmend.scoring import Document, LexicalScorer, Query
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
-from ragmend.websearch import HttpSearchClient, SearchConfig, SearchResult
+from ragmend.websearch import HttpSearchClient, SearchConfig
 
 
 def make_judgment(max_score, action):
@@ -178,8 +178,8 @@ def web_cfg(tmp_path, **kwargs):
 def web_doubles():
     client = ListSearchClient(
         {
-            "capital city France": [SearchResult(url=PAGE_URL)],
-            QUESTION: [SearchResult(url=PAGE_URL)],
+            "capital city France": [PAGE_URL],
+            QUESTION: [PAGE_URL],
         }
     )
     transport = CountingTransport({PAGE_URL: PAGE_HTML})
@@ -298,14 +298,7 @@ class TestRunDegradedPaths:
 
     def test_fetch_error_skips_that_url(self, tmp_path, lexical):
         good = "mock://web/good"
-        client = ListSearchClient(
-            {
-                "capital city France": [
-                    SearchResult(url="mock://web/missing"),
-                    SearchResult(url=good),
-                ]
-            }
-        )
+        client = ListSearchClient({"capital city France": ["mock://web/missing", good]})
         transport = CountingTransport({good: PAGE_HTML})
         record = run(
             QUESTION,
@@ -338,9 +331,14 @@ class TestRunDegradedPaths:
         assert record.knowledge.text == "The capital city of France is Paris."
         assert "Paris" in record.answer
 
-    @pytest.mark.parametrize("url", ["/page/france", 5], ids=["relative", "non-string"])
+    @pytest.mark.parametrize(
+        "url",
+        ["/page/france", 5, "http://a.com/\ud800"],
+        ids=["relative", "non-string", "lone-surrogate"],
+    )
     def test_bad_search_url_degrades(self, tmp_path, lexical, caplog, url):
-        # websearch.SearchResult: "url must be absolute" / "url must be a string"
+        # websearch.search checks each URL: "url must be absolute" / "url must be a
+        # string" / "url must be a valid UTF-8 URL"
         session = FakeSession([FakeResponse(payload={"results": [{"url": url}]})])
         client = HttpSearchClient("http://localhost:9/search", retries=0, session=session)
         with caplog.at_level("WARNING"):
@@ -461,9 +459,7 @@ class TestExternalKnowledgeSessions:
         with MockService(tmp_path / "fixtures") as svc:
             for batch in (range(3), range(3, 6)):
                 urls = [f"{svc.base_url}/page/p{i}.html" for i in batch]
-                client = ListSearchClient(
-                    {"capital city France": [SearchResult(url=u) for u in urls]}
-                )
+                client = ListSearchClient({"capital city France": urls})
                 bundle, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
                 assert searched == urls
                 assert len(bundle.strips) == 3

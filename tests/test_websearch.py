@@ -20,8 +20,6 @@ from ragmend.websearch import (
     KeywordRewriter,
     RemoteRewriter,
     SearchConfig,
-    SearchQuery,
-    SearchResult,
     _clean_word,
     extract_paragraphs,
     fetch_and_extract,
@@ -89,23 +87,6 @@ class TestCleanWord:
         assert _clean_word(raw) == expected
 
 
-class TestSearchQuery:
-    def test_as_string(self):
-        assert SearchQuery(keywords=("a", "b c")).as_string() == "a b c"
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SearchQuery(keywords=())
-
-    def test_rejects_too_many(self):
-        with pytest.raises(ValueError):
-            SearchQuery(keywords=("a", "b", "c", "d"))
-
-    def test_rejects_whitespace_keyword(self):
-        with pytest.raises(ValueError):
-            SearchQuery(keywords=("a", "  "))
-
-
 class TestRemoteRewriter:
     def _rewriter(self, replies):
         return RemoteRewriter(
@@ -150,7 +131,7 @@ class TestRewriteOp:
         )
         with caplog.at_level("WARNING"):
             q = rewrite(Query("What is Henry Feilden's occupation?"), failing)
-        assert q.keywords == ("Henry Feilden", "occupation")
+        assert q == "Henry Feilden occupation"
         assert any("fallback" in r.message for r in caplog.records)
 
     def test_non_string_remote_text_falls_back(self, caplog):
@@ -160,7 +141,7 @@ class TestRewriteOp:
         )
         with caplog.at_level("WARNING"):
             q = rewrite(Query("What is Henry Feilden's occupation?"), remote)
-        assert q.keywords == ("Henry Feilden", "occupation")
+        assert q == "Henry Feilden occupation"
         assert any("not a string" in r.getMessage() for r in caplog.records)
 
     def test_only_blank_keywords_search_the_question(self):
@@ -169,25 +150,55 @@ class TestRewriteOp:
             def rewrite(self, question):
                 return ["  ", ""]
 
-        assert rewrite(Query("Who wrote Dracula?"), Blank()).keywords == ("Who wrote Dracula?",)
+        assert rewrite(Query("Who wrote Dracula?"), Blank()) == "Who wrote Dracula?"
 
     def test_clips_to_three(self):
         class Many:
             def rewrite(self, question):
                 return ["a", "b", "c", "d", "e"]
 
-        assert rewrite(Query("q"), Many()).keywords == ("a", "b", "c")
+        assert rewrite(Query("q"), Many()) == "a b c"
 
     def test_blank_keywords_dropped(self):
         class Blank:
             def rewrite(self, question):
                 return ["  ", "real"]
 
-        assert rewrite(Query("q"), Blank()).keywords == ("real",)
+        assert rewrite(Query("q"), Blank()) == "real"
+
+    @given(
+        st.lists(st.one_of(st.text(max_size=8), st.sampled_from(["", " ", "\t\n"])), max_size=6),
+        st.text(min_size=1).filter(str.strip),
+    )
+    def test_first_three_stripped_keywords_or_the_question(self, keywords, text):
+        class Fixed:
+            def rewrite(self, question):
+                return list(keywords)
+
+        question = Query(text)
+        kept = [k.strip() for k in keywords if k.strip()]
+        expected = " ".join(kept[:3]) if kept else question.text
+        assert rewrite(question, Fixed()) == expected
 
 
-def results(*urls):
-    return [SearchResult(url=u) for u in urls]
+WIKIPEDIA_URLS = st.builds(
+    "https://{}wikipedia.org/{}".format,
+    st.sampled_from(["", "en.", "EN.", "de.m."]),
+    st.integers(0, 9),
+)
+OTHER_URLS = st.builds(
+    "http://{}.{}/{}".format,
+    st.sampled_from(["a", "notwikipedia", "wikipedia.org"]),
+    st.sampled_from(["com", "org"]),
+    st.integers(0, 9),
+)
+BAD_URLS = st.one_of(
+    st.sampled_from(["", "/page/x", "example.com/x", "mailto:x@example.com", "http://[::1/x"]),
+    st.text(st.characters(categories=["Cs"]), min_size=1).map("http://a.com/".__add__),
+    st.none(),
+    st.integers(),
+    st.lists(st.integers(), max_size=1),
+)
 
 
 class TestSearchOp:
@@ -195,10 +206,10 @@ class TestSearchOp:
 
     def test_wikipedia_partitioned_first(self):
         client = ListSearchClient(
-            {"q": results("http://a.com/1", "http://en.wikipedia.org/X", "http://b.com/2")}
+            {"q": ["http://a.com/1", "http://en.wikipedia.org/X", "http://b.com/2"]}
         )
-        out = search(SearchQuery(keywords=("q",)), client, self.CFG)
-        assert [r.url for r in out] == [
+        out = search("q", client, self.CFG)
+        assert out == [
             "http://en.wikipedia.org/X",
             "http://a.com/1",
             "http://b.com/2",
@@ -206,33 +217,30 @@ class TestSearchOp:
 
     def test_truncates_to_top_k(self):
         urls = [f"http://site{i}.com/p" for i in range(8)]
-        client = ListSearchClient({"q": results(*urls)})
-        out = search(SearchQuery(keywords=("q",)), client, self.CFG)
+        client = ListSearchClient({"q": urls})
+        out = search("q", client, self.CFG)
         assert len(out) == 5
-        assert [r.url for r in out] == urls[:5]
+        assert out == urls[:5]
 
     def test_empty_results_ok(self):
-        out = search(SearchQuery(keywords=("q",)), ListSearchClient(), self.CFG)
+        out = search("q", ListSearchClient(), self.CFG)
         assert out == []
 
     def test_preference_disabled(self):
         cfg = SearchConfig(prefer_wikipedia=False)
-        client = ListSearchClient(
-            {"q": results("http://a.com/1", "http://en.wikipedia.org/X")}
-        )
-        out = search(SearchQuery(keywords=("q",)), client, cfg)
-        assert [r.url for r in out] == ["http://a.com/1", "http://en.wikipedia.org/X"]
+        client = ListSearchClient({"q": ["http://a.com/1", "http://en.wikipedia.org/X"]})
+        out = search("q", client, cfg)
+        assert out == ["http://a.com/1", "http://en.wikipedia.org/X"]
 
     def test_lookalike_host_not_preferred(self):
-        client = ListSearchClient(
-            {"q": results("http://notwikipedia.org/a", "http://wikipedia.org/b")}
-        )
-        out = search(SearchQuery(keywords=("q",)), client, self.CFG)
-        assert out[0].url == "http://wikipedia.org/b"
+        client = ListSearchClient({"q": ["http://notwikipedia.org/a", "http://wikipedia.org/b"]})
+        out = search("q", client, self.CFG)
+        assert out[0] == "http://wikipedia.org/b"
 
     def test_query_string_is_joined_keywords(self):
         client = ListSearchClient()
-        search(SearchQuery(keywords=("Henry Feilden", "occupation")), client, self.CFG)
+        query = rewrite(Query("What is Henry Feilden's occupation?"), KeywordRewriter())
+        search(query, client, self.CFG)
         assert client.queries == ["Henry Feilden occupation"]
 
     @given(st.lists(st.sampled_from("abcdw"), min_size=0, max_size=12))
@@ -241,13 +249,51 @@ class TestSearchOp:
         for i, kind in enumerate(kinds):
             host = "en.wikipedia.org" if kind == "w" else f"{kind}{i}.example.com"
             urls.append(f"http://{host}/{i}")
-        client = ListSearchClient({"q": results(*urls)})
+        client = ListSearchClient({"q": urls})
         cfg = SearchConfig(top_k_urls=100)
-        out = [r.url for r in search(SearchQuery(keywords=("q",)), client, cfg)]
+        out = search("q", client, cfg)
         non_wiki = [u for u in urls if "wikipedia" not in u]
         assert [u for u in out if "wikipedia" not in u] == non_wiki
         wiki = [u for u in urls if "wikipedia" in u]
         assert out[: len(wiki)] == wiki
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            (5, "url must be a string"),
+            ("/page/x", "url must be absolute"),
+            ("mailto:x@example.com", "url must be absolute"),
+            ("http://a.com/\ud800", "url must be a valid UTF-8 URL"),
+            ("http://[::1/x", "url must be a valid UTF-8 URL"),
+        ],
+    )
+    def test_malformed_url_fails_the_reply(self, url, message):
+        client = ListSearchClient({"q": ["http://a.com/1", url]})
+        with pytest.raises(SearchUnavailableError, match=f"malformed search reply: {message}"):
+            search("q", client, SearchConfig(top_k_urls=1, prefer_wikipedia=False))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("wikipedia"), WIKIPEDIA_URLS),
+                st.tuples(st.just("other"), OTHER_URLS),
+                st.tuples(st.just("bad"), BAD_URLS),
+            ),
+            max_size=8,
+        ),
+        st.integers(1, 6),
+        st.booleans(),
+    )
+    def test_wikipedia_first_prefix_or_unavailable(self, drawn, top_k, prefer):
+        client = ListSearchClient({"q": [url for _, url in drawn]})
+        cfg = SearchConfig(top_k_urls=top_k, prefer_wikipedia=prefer)
+        if any(kind == "bad" for kind, _ in drawn):
+            with pytest.raises(SearchUnavailableError, match="malformed search reply"):
+                search("q", client, cfg)
+            return
+        order = ("wikipedia", "other") if prefer else (None,)
+        expected = [url for want in order for kind, url in drawn if want in (None, kind)]
+        assert search("q", client, cfg) == expected[:top_k]
 
 
 class TestHttpSearchClient:
@@ -257,7 +303,7 @@ class TestHttpSearchClient:
             "http://localhost:9/search", session=FakeSession([FakeResponse(payload=payload)])
         )
         out = client.search("q")
-        assert out == [SearchResult(url="http://a.com/1")]
+        assert out == ["http://a.com/1"]
 
     def test_retries_then_fails(self):
         session = FakeSession([FakeResponse(status_code=500)] * 3)
@@ -278,6 +324,14 @@ class TestHttpSearchClient:
         client = HttpSearchClient(
             "http://localhost:9/search",
             session=FakeSession([FakeResponse(payload={"results": [{"url": 5}]})]),
+        )
+        with pytest.raises(SearchUnavailableError, match="malformed search reply"):
+            search("q", client, SearchConfig())
+
+    def test_result_without_url_is_malformed(self):
+        client = HttpSearchClient(
+            "http://localhost:9/search",
+            session=FakeSession([FakeResponse(payload={"results": [{"title": "A"}]})]),
         )
         with pytest.raises(SearchUnavailableError, match="malformed search reply"):
             client.search("q")
@@ -327,9 +381,9 @@ class TestFetchAndExtract:
     def test_fetch_extract_and_cache(self, tmp_path):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
-        result = SearchResult(url="mock://web/p")
-        first = fetch_and_extract(result, cfg, transport=transport)
-        second = fetch_and_extract(result, cfg, transport=transport)
+        url = "mock://web/p"
+        first = fetch_and_extract(url, cfg, transport=transport)
+        second = fetch_and_extract(url, cfg, transport=transport)
         assert first == second == _page("mock://web/p", "hello there")
         assert transport.calls == 1
 
@@ -338,7 +392,7 @@ class TestFetchAndExtract:
 
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>body</p>"})
-        fetch_and_extract(SearchResult(url="mock://web/p"), cfg, transport=transport)
+        fetch_and_extract("mock://web/p", cfg, transport=transport)
         expected_name = hashlib.sha256(b"mock://web/p").hexdigest()
         cache_file = cfg.cache_dir / expected_name
         assert cache_file.is_file()
@@ -353,14 +407,14 @@ class TestFetchAndExtract:
     def test_cache_from_other_extractor_refetched(self, tmp_path, version):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p")
-        fetch_and_extract(result, cfg, transport=transport)
+        url = "mock://web/p"
+        fetch_and_extract(url, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         stale = {"url": "mock://web/p", "paragraphs": ["stale"]}
         if version is not None:
             stale["extractor"] = version
         cache_file.write_text(json.dumps(stale), "utf-8")
-        page = fetch_and_extract(result, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, transport=transport)
         assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
         assert json.loads(cache_file.read_text("utf-8"))["extractor"] == EXTRACTOR_VERSION
@@ -368,11 +422,11 @@ class TestFetchAndExtract:
     def test_corrupt_cache_refetched(self, tmp_path):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p")
-        fetch_and_extract(result, cfg, transport=transport)
+        url = "mock://web/p"
+        fetch_and_extract(url, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text("{broken", "utf-8")
-        page = fetch_and_extract(result, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, transport=transport)
         assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
 
@@ -388,11 +442,11 @@ class TestFetchAndExtract:
     def test_bad_cache_file_refetched(self, tmp_path, stale):
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
-        result = SearchResult(url="mock://web/p")
-        fetch_and_extract(result, cfg, transport=transport)
+        url = "mock://web/p"
+        fetch_and_extract(url, cfg, transport=transport)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text(json.dumps({**stale, "extractor": EXTRACTOR_VERSION}), "utf-8")
-        page = fetch_and_extract(result, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, transport=transport)
         assert page == _page("mock://web/p", "fresh")
         assert transport.calls == 2
         assert json.loads(cache_file.read_text("utf-8"))["paragraphs"] == ["fresh"]
@@ -401,10 +455,10 @@ class TestFetchAndExtract:
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
         transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
-        result = SearchResult(url="mock://web/p")
+        url = "mock://web/p"
         with caplog.at_level("WARNING"):
-            first = fetch_and_extract(result, cfg, transport=transport)
-            second = fetch_and_extract(result, cfg, transport=transport)
+            first = fetch_and_extract(url, cfg, transport=transport)
+            second = fetch_and_extract(url, cfg, transport=transport)
         assert first == second == _page("mock://web/p", "hello there")
         assert transport.calls == 2
         warnings = [r for r in caplog.records if "page cache not written" in r.getMessage()]
@@ -413,11 +467,11 @@ class TestFetchAndExtract:
     def test_cache_path_is_a_directory(self, tmp_path, caplog):
         # websearch._cache_write: os.replace fails, and the temp file is removed
         cfg = self._cfg(tmp_path)
-        result = SearchResult(url="mock://web/p")
-        websearch._cache_path(cfg, result.url).mkdir(parents=True)
+        url = "mock://web/p"
+        websearch._cache_path(cfg, url).mkdir(parents=True)
         transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
         with caplog.at_level("WARNING"):
-            page = fetch_and_extract(result, cfg, transport=transport)
+            page = fetch_and_extract(url, cfg, transport=transport)
         assert page == _page("mock://web/p", "hello there")
         assert list(cfg.cache_dir.glob("*.tmp")) == []
         assert any("page cache not written" in r.getMessage() for r in caplog.records)
@@ -426,7 +480,7 @@ class TestFetchAndExtract:
         cfg = self._cfg(tmp_path)
         transport = CountingTransport({})
         with pytest.raises(FetchError) as exc_info:
-            fetch_and_extract(SearchResult(url="mock://web/missing"), cfg, transport=transport)
+            fetch_and_extract("mock://web/missing", cfg, transport=transport)
         assert exc_info.value.url == "mock://web/missing"
 
 
@@ -480,11 +534,9 @@ class TestFetchAndExtractTransportOwnership:
     def test_injected_transport_left_open(self, tmp_path, built):
         cfg = SearchConfig(cache_dir=tmp_path / "cache")
         transport = ClosableTransport(self.PAGES)
-        fetch_and_extract(SearchResult(url="mock://web/a"), cfg, transport=transport)
+        fetch_and_extract("mock://web/a", cfg, transport=transport)
         with pytest.raises(FetchError):
-            fetch_and_extract(
-                SearchResult(url="mock://web/missing"), cfg, transport=transport
-            )
+            fetch_and_extract("mock://web/missing", cfg, transport=transport)
         assert built == []
         assert (transport.calls, transport.closed) == (2, 0)
 
@@ -497,12 +549,12 @@ class TestDefaultTransport:
             (pages / f"{name}.html").write_text(f"<p>page {name}</p>")
         cfg = SearchConfig(cache_dir=tmp_path / "cache")
         with MockService(tmp_path / "fixtures") as svc:
-            first = fetch_and_extract(SearchResult(url=f"{svc.base_url}/page/a.html"), cfg)
+            first = fetch_and_extract(f"{svc.base_url}/page/a.html", cfg)
             svc._server.close_connections()
             deadline = time.monotonic() + 5
             while svc._server._open and time.monotonic() < deadline:
                 time.sleep(0.01)
-            second = fetch_and_extract(SearchResult(url=f"{svc.base_url}/page/b.html"), cfg)
+            second = fetch_and_extract(f"{svc.base_url}/page/b.html", cfg)
         assert [s.text for s in first + second] == ["page a", "page b"]
         assert wire_counts.sessions == []
         assert len(wire_counts.connections) == 2
