@@ -36,7 +36,8 @@ _REWRITE_HEAD, _REWRITE_TAIL = REWRITE_PROMPT.split("[question]")
 
 
 class _Fixtures:
-    """Lazy view of a fixtures directory."""
+    """A fixtures directory: its JSON files are loaded when this is built, and
+    its pages are read on each request."""
 
     def __init__(self, root: Path):
         self.root = Path(root)

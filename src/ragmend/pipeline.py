@@ -4,6 +4,7 @@ In `crag` mode a Correct judgment refines the documents, Incorrect replaces
 them with web-search knowledge, and Ambiguous combines both, internal first;
 ablation flags remap the branching. The baselines neither score nor judge:
 `plain_rag` uses the raw documents and `rag_web` adds web-search knowledge.
+`run` alone builds the knowledge bundle, holding each strip text once.
 """
 
 from __future__ import annotations
@@ -132,31 +133,17 @@ def resolve_action(
     return judgment.action
 
 
-def raw_internal_bundle(
-    docs: Sequence[Document], scores: Optional[Sequence[float]] = None
-) -> KnowledgeBundle:
-    """Internal knowledge without refinement: each document is one strip."""
-    if scores is None:
-        scores = [None] * len(docs)
-    strips = [
+def raw_internal_strips(
+    docs: Sequence[Document], scores: Sequence[float] = ()
+) -> list[KnowledgeStrip]:
+    """Internal knowledge without refinement: each non-blank document is one
+    strip, holding the document's score when `scores` are given."""
+    scores = scores or [None] * len(docs)
+    return [
         KnowledgeStrip(doc_id=doc.id, index=0, text=doc.text.strip(), score=score)
         for doc, score in zip(docs, scores)
         if doc.text.strip()
     ]
-    return KnowledgeBundle.from_strips(BundleKind.INTERNAL, strips)
-
-
-def internal_knowledge(
-    question: Query,
-    docs: Sequence[Document],
-    scores: Sequence[float],
-    cfg: PipelineConfig,
-    scorer: Scorer,
-) -> KnowledgeBundle:
-    """Refined internal knowledge, or the raw documents under no_refinement."""
-    if cfg.ablations.no_refinement:
-        return raw_internal_bundle(docs, scores)
-    return refine(question, docs, scorer, cfg.refine)
 
 
 def external_knowledge(
@@ -166,18 +153,17 @@ def external_knowledge(
     search_client,
     rewriter=None,
     fetch_transport=None,
-) -> tuple[KnowledgeBundle, list[str]]:
-    """Web-search knowledge for a question, degrading to empty on failure.
+) -> tuple[list[KnowledgeStrip], list[str]]:
+    """Web-search strips for a question, degrading to none on failure.
 
-    Returns the bundle plus the URLs that were searched. A missing or failing
-    search client yields an empty bundle with a logged warning; individual
+    Returns the kept strips plus the URLs that were searched. A missing or
+    failing search client yields no strips with a logged warning; individual
     fetch failures skip that URL and continue. Without a `fetch_transport`,
     page misses share the process-wide session of `fetch_and_extract`.
     """
-    empty = KnowledgeBundle.from_strips(BundleKind.EXTERNAL, [])
     if search_client is None:
         logger.warning("no search client configured; external knowledge is empty")
-        return empty, []
+        return [], []
     if cfg.ablations.no_rewriting:
         query = question.text
     else:
@@ -186,7 +172,7 @@ def external_knowledge(
         urls = search(query, search_client, cfg.search)
     except SearchUnavailableError as exc:
         logger.warning("search unavailable, external knowledge is empty: %s", exc)
-        return empty, []
+        return [], []
     strips: list[KnowledgeStrip] = []
     for url in urls:
         try:
@@ -194,15 +180,8 @@ def external_knowledge(
         except FetchError as exc:
             logger.warning("skipping unfetchable page: %s", exc)
     if cfg.ablations.no_selection:
-        return KnowledgeBundle.from_strips(BundleKind.EXTERNAL, strips), urls
+        return strips, urls
     return select_external(question, strips, scorer, cfg.refine), urls
-
-
-def combine(internal: KnowledgeBundle, external: KnowledgeBundle) -> KnowledgeBundle:
-    """Merge bundles in internal-then-external order."""
-    return KnowledgeBundle.from_strips(
-        BundleKind.COMBINED, internal.strips + external.strips
-    )
 
 
 def assemble_prompt(question: Query, knowledge: Optional[KnowledgeBundle]) -> str:
@@ -284,6 +263,8 @@ def run(
     """Answer one question over its retrieved documents in one of `MODES`.
 
     Only `crag` scores and judges the documents, and it needs at least one.
+    The knowledge bundle is `INTERNAL`, `EXTERNAL` or `COMBINED` by the
+    sources used, holds each strip text once and puts internal strips first.
     Scorer failures propagate (no silent default scores). Generation failures
     are captured on the record with an empty answer so experiment denominators
     stay stable. timings holds "knowledge", "generate" and "total", and
@@ -309,27 +290,30 @@ def run(
         judgment = judge(scores, cfg.thresholds)
         action = resolve_action(judgment, cfg.thresholds, cfg.ablations)
 
+    use_internal = action is not Action.INCORRECT
+    use_external = action in (Action.INCORRECT, Action.AMBIGUOUS) or mode == "rag_web"
     t0 = time.perf_counter()
+    strips: list[KnowledgeStrip] = []
     searched_urls: list[str] = []
-    if action is None:
-        knowledge = raw_internal_bundle(docs)
-        if mode == "rag_web":
-            external, searched_urls = external_knowledge(
-                question, cfg, scorer, search_client, rewriter, fetch_transport
-            )
-            knowledge = combine(knowledge, external)
-    elif action is Action.CORRECT:
-        knowledge = internal_knowledge(question, docs, scores, cfg, scorer)
-    elif action is Action.INCORRECT:
-        knowledge, searched_urls = external_knowledge(
+    if use_internal:
+        if action is None or cfg.ablations.no_refinement:
+            strips = raw_internal_strips(docs, scores)
+        else:
+            strips = refine(question, docs, scorer, cfg.refine)
+    if use_external:
+        web, searched_urls = external_knowledge(
             question, cfg, scorer, search_client, rewriter, fetch_transport
         )
+        strips.extend(web)
+    if use_internal and use_external:
+        kind = BundleKind.COMBINED
     else:
-        internal = internal_knowledge(question, docs, scores, cfg, scorer)
-        external, searched_urls = external_knowledge(
-            question, cfg, scorer, search_client, rewriter, fetch_transport
-        )
-        knowledge = combine(internal, external)
+        kind = BundleKind.INTERNAL if use_internal else BundleKind.EXTERNAL
+    # Each text once, at its first place: internal strips stay ahead of external ones.
+    unique: dict[str, KnowledgeStrip] = {}
+    for strip in strips:
+        unique.setdefault(strip.text, strip)
+    knowledge = KnowledgeBundle.from_strips(kind, list(unique.values()))
     timings["knowledge"] = time.perf_counter() - t0
 
     prompt = assemble_prompt(question, knowledge)

@@ -2,7 +2,8 @@
 
 Documents are segmented into strips of consecutive sentences, each strip is
 scored against the query, low scorers are dropped, and the survivors are
-recomposed in original order into a single internal-knowledge bundle.
+kept in original order. `pipeline.run` recomposes the kept strips, with any
+web-search strips, into one knowledge bundle.
 """
 
 from __future__ import annotations
@@ -123,8 +124,7 @@ def filter_strips(
 
     Keeps strips scoring strictly above config.strip_threshold, capped at
     config.top_k by score (earlier strip wins a tie), then restores original
-    order. When nothing clears the threshold the single best strip is kept so
-    the bundle is never empty.
+    order. When nothing clears the threshold the single best strip is kept.
     """
     if not strips:
         raise ValueError("filter_strips requires at least one strip")
@@ -146,8 +146,8 @@ def refine(
     docs: Sequence[Document],
     scorer: Scorer,
     config: RefineConfig,
-) -> KnowledgeBundle:
-    """Segment all documents, filter the pooled strips, recompose a bundle.
+) -> list[KnowledgeStrip]:
+    """Segment all documents and filter the pooled strips; return the kept ones.
 
     Blank documents are skipped; EmptyDocumentError is raised only when every
     document is blank.
@@ -160,5 +160,4 @@ def refine(
             pool.extend(segment(doc, config))
     if not pool:
         raise EmptyDocumentError("every document to refine is blank")
-    kept = filter_strips(pool, query, scorer, config)
-    return KnowledgeBundle.from_strips(BundleKind.INTERNAL, kept)
+    return filter_strips(pool, query, scorer, config)

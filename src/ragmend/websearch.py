@@ -3,7 +3,7 @@
 Questions are rewritten into short keyword queries (deterministically, or via
 a remote LLM with automatic fallback), sent to a search endpoint, and the
 returned pages are fetched through a disk cache, reduced to clean paragraphs,
-and filtered with the relevance scorer into an external knowledge bundle.
+and filtered with the relevance scorer into external knowledge strips.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import requests
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
 from .http_session import EnvCachedSession, check_timeout, request_json
 from .prompts import render_rewrite_prompt
-from .refinement import BundleKind, KnowledgeBundle, KnowledgeStrip, RefineConfig, filter_strips
+from .refinement import KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
 
 logger = logging.getLogger(__name__)
@@ -164,7 +164,12 @@ class RemoteRewriter:
         )
         if not isinstance(text, str):
             raise RewriteError(f"rewriter reply text is not a string: {text!r}")
-        return self._parse_reply(text)
+        keywords = self._parse_reply(text)
+        try:
+            " ".join(keywords).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise RewriteError(f"rewriter keywords are not valid UTF-8: {keywords!r}") from exc
+        return keywords
 
     @staticmethod
     def _parse_reply(text: str) -> list[str]:
@@ -419,11 +424,10 @@ def select_external(
     strips: Sequence[KnowledgeStrip],
     scorer: Scorer,
     cfg: RefineConfig,
-) -> KnowledgeBundle:
-    """Filter pooled page strips into an external knowledge bundle.
+) -> list[KnowledgeStrip]:
+    """Filter pooled page strips and return the kept ones.
 
     Paragraphs are already strip-sized, so they go straight to filtering in
-    the order given; no strips give an empty bundle.
+    the order given; no strips keep none.
     """
-    kept = filter_strips(strips, question, scorer, cfg) if strips else []
-    return KnowledgeBundle.from_strips(BundleKind.EXTERNAL, kept)
+    return filter_strips(strips, question, scorer, cfg) if strips else []

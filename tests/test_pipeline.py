@@ -1,5 +1,8 @@
 """Pipeline orchestration: branching, ablations, prompts, generators."""
 
+import json
+import tempfile
+
 import pytest
 import requests
 from hypothesis import given, strategies as st
@@ -19,17 +22,17 @@ from ragmend.pipeline import (
     PipelineConfig,
     RemoteGenerator,
     StubGenerator,
+    MODES,
     assemble_prompt,
-    combine,
     external_knowledge,
-    raw_internal_bundle,
+    raw_internal_strips,
     resolve_action,
     run,
 )
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
 from ragmend.scoring import Document, LexicalScorer, Query
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
-from ragmend.websearch import HttpSearchClient, SearchConfig
+from ragmend.websearch import HttpSearchClient, RemoteRewriter, SearchConfig
 
 
 def make_judgment(max_score, action):
@@ -245,6 +248,18 @@ class TestRunBranches:
         external_text = "The capital city of France is Paris."
         assert record.knowledge.text == internal_text + "\n" + external_text
 
+    def test_ambiguous_knowledge_holds_each_text_once(self, tmp_path, lexical):
+        # The page repeats the document's sentence; the internal strip keeps it.
+        client, transport = web_doubles()
+        cfg = web_cfg(tmp_path, ablations=AblationFlags(only_action=Action.AMBIGUOUS))
+        record = run(
+            QUESTION, [RELEVANT], cfg, lexical, client, None, StubGenerator(),
+            fetch_transport=transport,
+        )
+        assert record.knowledge.kind is BundleKind.COMBINED
+        assert record.knowledge.text == RELEVANT.text
+        assert [s.doc_id for s in record.knowledge.strips] == ["rel"]
+
     def test_judgment_recomputable_from_scores(self, tmp_path, lexical):
         cfg = web_cfg(tmp_path)
         record = run(
@@ -348,6 +363,24 @@ class TestRunDegradedPaths:
         assert record.searched_urls == ()
         assert any("search unavailable" in r.getMessage() for r in caplog.records)
 
+    def test_rewriter_keyword_with_lone_surrogate_falls_back(self, tmp_path, lexical, caplog):
+        # websearch.RemoteRewriter: "rewriter keywords are not valid UTF-8"
+        fixtures = tmp_path / "fixtures"
+        (fixtures / "pages").mkdir(parents=True)
+        (fixtures / "pages" / "france.html").write_text(PAGE_HTML, "utf-8")
+        search_map = {"capital city France": [{"url": "{base}/page/france.html"}]}
+        (fixtures / "search.json").write_text(json.dumps(search_map), "utf-8")
+        reply = FakeResponse(payload={"text": "query: Zorblax \ud800"})
+        rewriter = RemoteRewriter("http://localhost:9/generate", session=FakeSession([reply]))
+        with MockService(fixtures) as svc, caplog.at_level("WARNING"):
+            client = HttpSearchClient(f"{svc.base_url}/search", retries=0)
+            record = run(
+                QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client, rewriter, StubGenerator()
+            )
+        assert record.action is Action.INCORRECT
+        assert "Paris" in record.answer
+        assert any("not valid UTF-8" in r.getMessage() for r in caplog.records)
+
     def test_non_string_generator_text_recorded(self, tmp_path, lexical):
         # pipeline.RemoteGenerator: "generator reply text is not a string"
         generator = RemoteGenerator(
@@ -449,6 +482,75 @@ class TestRunRobustness:
         assert match.group("question") == query.text
 
 
+SENTENCES = (
+    "The capital city of France is Paris.",
+    "Paris lies on the Seine.",
+    "Granite weathers slowly.",
+    "France borders Spain.",
+)
+
+# The knowledge kind by crag action, or by baseline mode.
+KNOWLEDGE_KIND = {
+    Action.CORRECT: BundleKind.INTERNAL,
+    Action.INCORRECT: BundleKind.EXTERNAL,
+    Action.AMBIGUOUS: BundleKind.COMBINED,
+    "plain_rag": BundleKind.INTERNAL,
+    "rag_web": BundleKind.COMBINED,
+}
+
+
+class AnyQuerySearchClient:
+    """Returns the same URLs for every query."""
+
+    def __init__(self, urls):
+        self.urls = list(urls)
+
+    def search(self, query):
+        return list(self.urls)
+
+
+class TestKnowledgeBundle:
+    @given(
+        mode=st.sampled_from(MODES),
+        only_action=st.sampled_from([None, *Action]),
+        docs=st.lists(
+            st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=2), min_size=1, max_size=4
+        ),
+        pages=st.lists(
+            st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3), min_size=1, max_size=3
+        ),
+    )
+    def test_kind_follows_sources_and_texts_do_not_repeat(self, mode, only_action, docs, pages):
+        documents = [Document(id=f"d{i}", text=" ".join(doc)) for i, doc in enumerate(docs)]
+        urls = [f"mock://web/p{i}" for i in range(len(pages))]
+        transport = CountingTransport(
+            {url: "".join(f"<p>{p}</p>" for p in page) for url, page in zip(urls, pages)}
+        )
+        with tempfile.TemporaryDirectory() as cache:
+            cfg = PipelineConfig(
+                search=SearchConfig(cache_dir=cache),
+                ablations=AblationFlags(only_action=only_action),
+            )
+            record = run(
+                QUESTION,
+                documents,
+                cfg,
+                LexicalScorer(),
+                AnyQuerySearchClient(urls),
+                None,
+                StubGenerator(),
+                mode=mode,
+                fetch_transport=transport,
+            )
+        knowledge = record.knowledge
+        assert knowledge.kind is KNOWLEDGE_KIND[record.action or mode]
+        texts = [strip.text for strip in knowledge.strips]
+        assert len(set(texts)) == len(texts)
+        assert knowledge.text == "\n".join(texts)
+        from_web = [strip.doc_id in urls for strip in knowledge.strips]
+        assert from_web == sorted(from_web)
+
+
 class TestExternalKnowledgeSessions:
     def test_fetch_misses_reuse_one_process_session(self, tmp_path, lexical, wire_counts):
         pages = tmp_path / "fixtures" / "pages"
@@ -460,34 +562,22 @@ class TestExternalKnowledgeSessions:
             for batch in (range(3), range(3, 6)):
                 urls = [f"{svc.base_url}/page/p{i}.html" for i in batch]
                 client = ListSearchClient({"capital city France": urls})
-                bundle, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
+                strips, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
                 assert searched == urls
-                assert len(bundle.strips) == 3
+                assert len(strips) == 3
         assert wire_counts.sessions == []
         assert len(wire_counts.connections) == 1
 
 
 class TestHelpers:
-    def test_raw_internal_bundle_skips_empty_docs(self):
+    def test_raw_internal_strips_skip_empty_docs(self):
         docs = [Document(id="a", text="  "), Document(id="b", text="real text")]
-        bundle = raw_internal_bundle(docs)
-        assert [s.doc_id for s in bundle.strips] == ["b"]
+        assert [s.doc_id for s in raw_internal_strips(docs)] == ["b"]
 
-    def test_raw_internal_bundle_keeps_scores(self):
+    def test_raw_internal_strips_keep_scores(self):
         docs = [Document(id="a", text="x"), Document(id="b", text="y")]
-        bundle = raw_internal_bundle(docs, [0.25, -0.5])
-        assert [s.score for s in bundle.strips] == [0.25, -0.5]
-
-    def test_combine_order_and_kind(self):
-        internal = KnowledgeBundle.from_strips(
-            BundleKind.INTERNAL, [KnowledgeStrip(doc_id="a", index=0, text="in")]
-        )
-        external = KnowledgeBundle.from_strips(
-            BundleKind.EXTERNAL, [KnowledgeStrip(doc_id="b", index=0, text="out")]
-        )
-        merged = combine(internal, external)
-        assert merged.kind is BundleKind.COMBINED
-        assert merged.text == "in\nout"
+        assert [s.score for s in raw_internal_strips(docs, [0.25, -0.5])] == [0.25, -0.5]
+        assert [s.score for s in raw_internal_strips(docs)] == [None, None]
 
     def test_pipeline_config_validation(self):
         with pytest.raises(ConfigError):

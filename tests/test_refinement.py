@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from ragmend import scoring
 from ragmend.errors import ConfigError, EmptyDocumentError, NoDocumentsError
 from ragmend.refinement import (
-    STRIP_SEPARATOR,
     BundleKind,
     KnowledgeBundle,
     KnowledgeStrip,
@@ -249,29 +248,31 @@ class TestRefine:
             Document(id="d2", text="alpha beta gamma delta."),
         ]
         cfg = RefineConfig(strip_sentences=1)
-        bundle = refine(query, docs, lexical, cfg)
-        assert bundle.kind is BundleKind.INTERNAL
-        assert bundle.text == STRIP_SEPARATOR.join(
-            ["alpha beta gamma one.", "alpha beta gamma two.", "alpha beta gamma delta."]
-        )
+        strips = refine(query, docs, lexical, cfg)
+        assert [(s.doc_id, s.text) for s in strips] == [
+            ("d1", "alpha beta gamma one."),
+            ("d1", "alpha beta gamma two."),
+            ("d2", "alpha beta gamma delta."),
+        ]
 
     def test_fallback_single_best(self, lexical):
         query = Query("alpha beta gamma delta")
         docs = [Document(id="d1", text="alpha only."), Document(id="d2", text="none here.")]
-        bundle = refine(query, docs, lexical, RefineConfig())
-        assert bundle.text == "alpha only."
+        strips = refine(query, docs, lexical, RefineConfig())
+        assert [s.text for s in strips] == ["alpha only."]
 
     def test_separator_is_newline(self, lexical):
         query = Query("alpha beta")
         docs = [Document(id="d1", text="alpha beta."), Document(id="d2", text="alpha beta too.")]
-        bundle = refine(query, docs, lexical, RefineConfig())
-        assert "\n" in bundle.text
+        strips = refine(query, docs, lexical, RefineConfig())
+        bundle = KnowledgeBundle.from_strips(BundleKind.INTERNAL, strips)
+        assert bundle.text == "alpha beta.\nalpha beta too."
 
     def test_skips_blank_docs(self, lexical):
         query = Query("alpha beta")
         docs = [Document(id="blank", text=" \n\t"), Document(id="d", text="alpha beta.")]
-        bundle = refine(query, docs, lexical, RefineConfig())
-        assert [s.doc_id for s in bundle.strips] == ["d"]
+        strips = refine(query, docs, lexical, RefineConfig())
+        assert [s.doc_id for s in strips] == ["d"]
 
     def test_question_tokenized_once(self, lexical, monkeypatch):
         calls = []
@@ -288,9 +289,9 @@ class TestRefine:
             Document(id=f"d{i}", text=" ".join(random_sentences(random.Random(i), 9)))
             for i in range(4)
         ]
-        bundle = refine(Query(question), docs, lexical, RefineConfig())
+        kept = refine(Query(question), docs, lexical, RefineConfig())
         strips = sum(len(segment(doc, RefineConfig())) for doc in docs)
-        assert strips == 12 and bundle.strips
+        assert strips == 12 and kept
         assert calls == [question]
 
     def test_all_blank_docs_rejected(self, lexical):

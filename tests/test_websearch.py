@@ -11,7 +11,7 @@ from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchCli
 from ragmend import websearch
 from ragmend.errors import FetchError, RewriteError, SearchUnavailableError
 from ragmend.mockserver import MockService
-from ragmend.refinement import BundleKind, KnowledgeStrip, RefineConfig
+from ragmend.refinement import KnowledgeStrip, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
     EXTRACTOR_VERSION,
@@ -565,26 +565,23 @@ class TestSelectExternal:
 
     def test_full_overlap_paragraph_selected(self, lexical):
         strips = _page("u", "alpha beta both here", "nothing else")
-        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
-        assert bundle.kind is BundleKind.EXTERNAL
-        assert bundle.text == "alpha beta both here"
+        kept = select_external(Query("alpha beta"), strips, lexical, self.CFG)
+        assert [(s.doc_id, s.index, s.text) for s in kept] == [("u", 0, "alpha beta both here")]
 
     def test_zero_pages(self, lexical):
-        bundle = select_external(Query("q"), [], lexical, self.CFG)
-        assert bundle.text == ""
-        assert bundle.kind is BundleKind.EXTERNAL
+        assert select_external(Query("q"), [], lexical, self.CFG) == []
 
     def test_many_paragraphs_capped_and_ordered(self, lexical):
         strips = _page("u", *(f"alpha beta item {i}" for i in range(12)))
-        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
-        assert len(bundle.strips) == 5
-        positions = [s.index for s in bundle.strips]
+        kept = select_external(Query("alpha beta"), strips, lexical, self.CFG)
+        assert len(kept) == 5
+        positions = [s.index for s in kept]
         assert positions == sorted(positions)
 
     def test_page_order_preserved(self, lexical):
         strips = _page("u1", "alpha beta first") + _page("u2", "alpha beta second")
-        bundle = select_external(Query("alpha beta"), strips, lexical, self.CFG)
-        assert [s.doc_id for s in bundle.strips] == ["u1", "u2"]
+        kept = select_external(Query("alpha beta"), strips, lexical, self.CFG)
+        assert [s.doc_id for s in kept] == ["u1", "u2"]
 
 
 class TestSearchConfig:
