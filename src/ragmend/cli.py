@@ -23,7 +23,6 @@ from .mockserver import MockService
 from .pipeline import PipelineConfig
 from .scoring import Document, Query, build_scorer
 from .trigger import Action, judge
-from .websearch import HttpTransport
 
 logger = logging.getLogger(__name__)
 
@@ -41,16 +40,19 @@ def _is_local_url(url: str) -> bool:
     return (urlparse(url).hostname or "") in _LOCAL_HOSTS
 
 
-class OfflineGuardTransport:
-    """Fetch transport that refuses to touch non-local hosts."""
+class OfflineGuard:
+    """A search client that refuses to fetch pages from non-local hosts."""
 
-    def __init__(self, inner=None):
-        self.inner = inner or HttpTransport()
+    def __init__(self, inner):
+        self.inner = inner
 
-    def get(self, url: str, timeout: float) -> str:
+    def search(self, query: str) -> list:
+        return self.inner.search(query)
+
+    def fetch(self, url: str, timeout: float) -> str:
         if not _is_local_url(url):
             raise OfflineViolationError(f"offline mode forbids fetching {url}")
-        return self.inner.get(url, timeout)
+        return self.inner.fetch(url, timeout)
 
 
 def _check_offline(cfg: PipelineConfig) -> None:
@@ -185,17 +187,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         _check_offline(cfg)
 
     instances = harness.load_dataset(args.dataset)
-    fetch_transport = OfflineGuardTransport() if args.offline else None
+    roles = config_mod.build_roles(cfg)
+    if args.offline and roles["search_client"] is not None:
+        roles["search_client"] = OfflineGuard(roles["search_client"])
     degradation = None if args.degrade_p is None else (args.degrade_p, args.seed)
 
     report = harness.run_experiment(
-        instances,
-        cfg,
-        args.mode,
-        degradation,
-        **config_mod.build_roles(cfg),
-        fetch_transport=fetch_transport,
-        workers=args.workers,
+        instances, cfg, args.mode, degradation, **roles, workers=args.workers
     )
 
     args.report.parent.mkdir(parents=True, exist_ok=True)

@@ -252,7 +252,6 @@ def run_experiment(
     search_client=None,
     rewriter=None,
     generator=None,
-    fetch_transport=None,
     workers: int = 1,
 ) -> ExperimentReport:
     """Run one experiment over a dataset and aggregate the report.
@@ -282,7 +281,6 @@ def run_experiment(
             rewriter,
             generator,
             mode=mode,
-            fetch_transport=fetch_transport,
         )
         correct = record.error is None and accuracy(record.answer, instance.answers)
         return InstanceRecord(

@@ -152,14 +152,13 @@ def external_knowledge(
     scorer: Scorer,
     search_client,
     rewriter=None,
-    fetch_transport=None,
 ) -> tuple[list[KnowledgeStrip], list[str]]:
     """Web-search strips for a question, degrading to none on failure.
 
     Returns the kept strips plus the URLs that were searched. A missing or
     failing search client yields no strips with a logged warning; individual
-    fetch failures skip that URL and continue. Without a `fetch_transport`,
-    page misses share the process-wide session of `fetch_and_extract`.
+    fetch failures skip that URL and continue. Pages are fetched through the
+    search client.
     """
     if search_client is None:
         logger.warning("no search client configured; external knowledge is empty")
@@ -176,7 +175,7 @@ def external_knowledge(
     strips: list[KnowledgeStrip] = []
     for url in urls:
         try:
-            strips.extend(fetch_and_extract(url, cfg.search, transport=fetch_transport))
+            strips.extend(fetch_and_extract(url, cfg.search, search_client))
         except FetchError as exc:
             logger.warning("skipping unfetchable page: %s", exc)
     if cfg.ablations.no_selection:
@@ -258,7 +257,6 @@ def run(
     generator=None,
     *,
     mode: str = "crag",
-    fetch_transport=None,
 ) -> RunRecord:
     """Answer one question over its retrieved documents in one of `MODES`.
 
@@ -301,9 +299,7 @@ def run(
         else:
             strips = refine(question, docs, scorer, cfg.refine)
     if use_external:
-        web, searched_urls = external_knowledge(
-            question, cfg, scorer, search_client, rewriter, fetch_transport
-        )
+        web, searched_urls = external_knowledge(question, cfg, scorer, search_client, rewriter)
         strips.extend(web)
     if use_internal and use_external:
         kind = BundleKind.COMBINED

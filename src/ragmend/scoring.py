@@ -48,7 +48,8 @@ class Query:
 
     Text is stripped, and each line break (as `str.splitlines` splits) with the
     whitespace around it becomes one space, so the question stays on the
-    prompt's one "Question:" line. Other whitespace is kept. Text must be non-empty.
+    prompt's one "Question:" line. Other whitespace is kept. Text must be
+    non-empty and encodable as UTF-8 (no lone surrogate).
     """
 
     text: str
@@ -58,6 +59,10 @@ class Query:
         normalized = " ".join(line for line in lines if line)
         if not normalized:
             raise ValueError("query text must be non-empty")
+        try:
+            normalized.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("query text must be valid UTF-8 (no lone surrogate)") from None
         object.__setattr__(self, "text", normalized)
 
 

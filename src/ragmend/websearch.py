@@ -52,12 +52,6 @@ STOPWORDS = frozenset(
     """.split()
 )
 
-INTERROGATIVES = frozenset(
-    ["what", "who", "when", "where", "which", "how", "why", "is", "was", "does", "did"]
-)
-
-_STOPLIST = STOPWORDS | INTERROGATIVES
-
 _EDGE_CHARS = string.punctuation + "“”‘’…"
 
 
@@ -100,9 +94,9 @@ def _clean_word(raw: str) -> str:
 class KeywordRewriter:
     """Deterministic question-to-keywords rewriter.
 
-    Drops stopwords and interrogatives, merges consecutive capitalized tokens
-    into one phrase so multi-word proper nouns survive, and keeps the first
-    three keywords in question order.
+    Drops stopwords (interrogatives among them), merges consecutive
+    capitalized tokens into one phrase so multi-word proper nouns survive, and
+    keeps the first three keywords in question order.
     """
 
     def rewrite(self, question: str) -> list[str]:
@@ -119,7 +113,7 @@ class KeywordRewriter:
             if not word:
                 flush()
                 continue
-            if word.lower() in _STOPLIST:
+            if word.lower() in STOPWORDS:
                 flush()
                 continue
             if word[0].isupper():
@@ -225,13 +219,16 @@ def search(query: str, client, cfg: SearchConfig) -> list[str]:
 
 
 class HttpSearchClient:
-    """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]}.
+    """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]},
+    and GET of the pages those results name, both over the client's one session.
 
     Returns each result's "url" value; a result's "title" is accepted and
     ignored. `search()` checks the URLs.
 
-    If RAGMEND_SEARCH_API_KEY is set in the environment it is sent as an
-    X-API-Key header, which real search backends can require.
+    If RAGMEND_SEARCH_API_KEY is set in the environment it is sent to the
+    search endpoint, never to page hosts, as an X-API-Key header, which real
+    search backends can require; a key that cannot be a header value raises
+    ConfigError here.
     """
 
     def __init__(
@@ -244,11 +241,19 @@ class HttpSearchClient:
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
-        self.session = session or EnvCachedSession()
         self.headers = {}
         api_key = os.environ.get("RAGMEND_SEARCH_API_KEY")
         if api_key:
+            try:
+                api_key.encode("latin-1")
+                requests.utils.check_header_validity(("X-API-Key", api_key))
+            except (UnicodeEncodeError, requests.exceptions.InvalidHeader):
+                raise ConfigError(
+                    "RAGMEND_SEARCH_API_KEY must be a valid HTTP header value"
+                    " (Latin-1 text on one line, without leading whitespace)"
+                ) from None
             self.headers["X-API-Key"] = api_key
+        self.session = session or EnvCachedSession()
 
     def search(self, query: str) -> list:
         items = request_json(
@@ -265,14 +270,8 @@ class HttpSearchClient:
         except (KeyError, TypeError) as exc:
             raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
-
-class HttpTransport:
-    """Fetches a URL body as text. Swappable for counting doubles in tests."""
-
-    def __init__(self, session: Optional[requests.Session] = None):
-        self.session = session or EnvCachedSession()
-
-    def get(self, url: str, timeout: float) -> str:
+    def fetch(self, url: str, timeout: float) -> str:
+        """One page body as text; a failed request or a non-200 reply raises FetchError."""
         try:
             resp = self.session.get(url, timeout=timeout)
         except requests.RequestException as exc:
@@ -280,10 +279,6 @@ class HttpTransport:
         if resp.status_code != 200:
             raise FetchError(url, f"status {resp.status_code}")
         return resp.text
-
-
-# Fetches that inject no transport share this one: its pool outlives each question.
-_DEFAULT_TRANSPORT = HttpTransport()
 
 
 _TAG_RE = re.compile(r"<(?:!DOCTYPE|/?[a-zA-Z][a-zA-Z0-9:-]*)(?:\s[^>]*)?/?>", re.IGNORECASE)
@@ -395,22 +390,19 @@ def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
         raise
 
 
-def fetch_and_extract(url: str, cfg: SearchConfig, transport=None) -> list[KnowledgeStrip]:
+def fetch_and_extract(url: str, cfg: SearchConfig, client) -> list[KnowledgeStrip]:
     """Fetch one URL through the disk cache as one unscored strip per paragraph.
 
-    A cache hit performs no network call; misses fetch, extract, and write the
-    cache atomically so concurrent writers cannot corrupt it, or warn and stay
-    uncached if it cannot be written. Without a transport a miss goes through
-    the process-wide `_DEFAULT_TRANSPORT`, whose pooled connections are reused
-    by later fetches and never closed.
+    A cache hit performs no network call; a miss is fetched by the search
+    client's `fetch`, extracted, and written to the cache atomically so
+    concurrent writers cannot corrupt it, or warns and stays uncached if the
+    cache cannot be written.
     """
     path = _cache_path(cfg, url)
     cached = _cache_read(path, url)
     if cached is not None:
         return cached
-    if transport is None:
-        transport = _DEFAULT_TRANSPORT
-    body = transport.get(url, cfg.fetch_timeout)
+    body = client.fetch(url, cfg.fetch_timeout)
     paragraphs = extract_paragraphs(body)
     try:
         _cache_write(path, url, paragraphs)

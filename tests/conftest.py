@@ -52,34 +52,27 @@ class FakeSession:
         return self._next()
 
 
-class CountingTransport:
-    """Serves bodies from a dict and counts every network call."""
+class FakeWeb:
+    """A search client double: canned URLs per query and page bodies per URL.
 
-    def __init__(self, pages):
-        self.pages = dict(pages)
-        self.calls = 0
-        self.urls = []
+    Records every search query and every page fetch.
+    """
 
-    def get(self, url, timeout):
-        self.calls += 1
-        self.urls.append(url)
+    def __init__(self, results=None, pages=None):
+        self.results = dict(results or {})
+        self.pages = dict(pages or {})
+        self.queries = []
+        self.fetched = []
+
+    def search(self, query):
+        self.queries.append(query)
+        return list(self.results.get(query, []))
+
+    def fetch(self, url, timeout):
+        self.fetched.append(url)
         if url not in self.pages:
             raise FetchError(url, "no such page")
         return self.pages[url]
-
-
-class ListSearchClient:
-    """Returns preconfigured results per query string and counts calls."""
-
-    def __init__(self, mapping=None):
-        self.mapping = dict(mapping or {})
-        self.calls = 0
-        self.queries = []
-
-    def search(self, query):
-        self.calls += 1
-        self.queries.append(query)
-        return list(self.mapping.get(query, []))
 
 
 class FixtureWeb:
@@ -98,11 +91,8 @@ class FixtureWeb:
                 results.append(url)
             self.search_map[query] = results
 
-    def search_client(self) -> ListSearchClient:
-        return ListSearchClient(self.search_map)
-
-    def transport(self) -> CountingTransport:
-        return CountingTransport(self.pages)
+    def search_client(self) -> FakeWeb:
+        return FakeWeb(self.search_map, self.pages)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from conftest import CountingTransport, ListSearchClient
+from conftest import FakeWeb
 from ragmend import pipeline
 from ragmend.config import load_config
 from ragmend.harness import (
@@ -146,7 +146,7 @@ def test_criterion_4_branches_stay_pure(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "refine", counting_refine)
 
     rng = random.Random(404)
-    client = ListSearchClient()
+    client = FakeWeb()
     cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
     scorer = LexicalScorer()
     seen = {Action.CORRECT: 0, Action.INCORRECT: 0, Action.AMBIGUOUS: 0}
@@ -162,13 +162,13 @@ def test_criterion_4_branches_stay_pure(tmp_path, monkeypatch):
         rng.shuffle(texts)
         docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
 
-        search_before = client.calls
+        search_before = len(client.queries)
         refine_before = len(refine_calls)
         record = pipeline.run(QUESTION, docs, cfg, scorer, client)
         assert record.action is target
         seen[target] += 1
         if target is Action.CORRECT:
-            assert client.calls == search_before
+            assert len(client.queries) == search_before
         elif target is Action.INCORRECT:
             assert len(refine_calls) == refine_before
 
@@ -217,7 +217,6 @@ def run_fixture(fixture_dataset, fixture_web, tmp_path, subdir, **cfg_kwargs):
         "crag",
         scorer=LexicalScorer(),
         search_client=fixture_web.search_client(),
-        fetch_transport=fixture_web.transport(),
     )
 
 
@@ -312,12 +311,12 @@ def test_criterion_7_degradation_is_deterministic_and_nested(fixture_dataset):
 def test_criterion_8_fetch_cache_deduplicates(tmp_path):
     """Back-to-back fetches of one URL hit the network exactly once."""
     url = "mock://web/page"
-    transport = CountingTransport({url: "<p>alpha</p><p>beta</p>"})
+    web = FakeWeb(pages={url: "<p>alpha</p><p>beta</p>"})
     config = SearchConfig(cache_dir=tmp_path / "cache")
 
-    first = fetch_and_extract(url, config, transport=transport)
-    second = fetch_and_extract(url, config, transport=transport)
-    assert transport.calls == 1
+    first = fetch_and_extract(url, config, web)
+    second = fetch_and_extract(url, config, web)
+    assert web.fetched == [url]
     assert first == second
     assert [strip.text for strip in first] == ["alpha", "beta"]
 

@@ -17,10 +17,11 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from conftest import FakeWeb
 import ragmend
 from ragmend import cli
 from ragmend.cli import (
-    OfflineGuardTransport,
+    OfflineGuard,
     _is_local_url,
     _load_docs_jsonl,
     default_fixtures_dir,
@@ -91,23 +92,19 @@ class TestLocalUrlChecks:
         assert _is_local_url(url) is expected
 
     def test_guard_blocks_remote(self):
-        guard = OfflineGuardTransport()
+        inner = FakeWeb(pages={"http://example.com/page": "<p>body</p>"})
         with pytest.raises(OfflineViolationError):
-            guard.get("http://example.com/page", timeout=1)
+            OfflineGuard(inner).fetch("http://example.com/page", timeout=1)
+        assert inner.fetched == []
 
     def test_guard_delegates_local(self):
-        class Inner:
-            def __init__(self):
-                self.urls = []
-
-            def get(self, url, timeout):
-                self.urls.append(url)
-                return "<p>body</p>"
-
-        inner = Inner()
-        guard = OfflineGuardTransport(inner)
-        assert guard.get("http://localhost:9/x", timeout=1) == "<p>body</p>"
-        assert inner.urls == ["http://localhost:9/x"]
+        inner = FakeWeb(
+            {"q": ["http://example.com/page"]}, {"http://localhost:9/x": "<p>body</p>"}
+        )
+        guard = OfflineGuard(inner)
+        assert guard.search("q") == ["http://example.com/page"]
+        assert guard.fetch("http://localhost:9/x", timeout=1) == "<p>body</p>"
+        assert (inner.queries, inner.fetched) == (["q"], ["http://localhost:9/x"])
 
 
 class TestArgParsing:
@@ -370,6 +367,29 @@ class TestRunCommand:
         assert code == 2
         assert pair.split("=")[0].split(".")[1] in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("api_key", ["ключ", "sek\nrit"], ids=["non-latin-1", "newline"])
+    def test_search_api_key_that_is_no_header_value_exits_2(
+        self, tmp_path, capsys, monkeypatch, api_key
+    ):
+        monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", api_key)
+        dataset = mini_dataset(tmp_path)
+        report = tmp_path / "r.json"
+        code = main(
+            [
+                "run",
+                str(dataset),
+                "--degrade-p",
+                "1.0",
+                "--set",
+                "search.endpoint=http://localhost:9/search",
+                "--report",
+                str(report),
+            ]
+        )
+        assert code == 2
+        assert "RAGMEND_SEARCH_API_KEY" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bad_workers(self, tmp_path, capsys):
         dataset = mini_dataset(tmp_path)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CountingTransport, ListSearchClient
+from conftest import FakeWeb
 from ragmend.errors import DatasetError, InputError, ScorerUnavailableError
 from ragmend.harness import (
     PLACEHOLDER_DOC_ID,
@@ -403,13 +403,13 @@ class TestRunExperiment:
         assert report.action_histogram == {"Incorrect": 4}
 
     def test_plain_rag_ignores_scorer_and_search(self):
-        client = ListSearchClient()
+        client = FakeWeb()
         report = run_experiment(
             INSTANCES, PipelineConfig(), "plain_rag", scorer=BoomScorer(), search_client=client
         )
         assert report.accuracy == pytest.approx(0.75)
         assert report.action_histogram == {}
-        assert client.calls == 0
+        assert client.queries == []
         record = report.records[0].run
         assert record.judgment is None and record.action is None
         assert record.doc_scores == ()
@@ -421,39 +421,23 @@ class TestRunExperiment:
         assert report.accuracy == 0.0
 
     def test_rag_web_always_combines(self, tmp_path, lexical):
-        client = ListSearchClient(
-            {"capital city France": [PAGE_URL]}
-        )
-        transport = CountingTransport({PAGE_URL: PAGE_HTML})
+        client = FakeWeb({"capital city France": [PAGE_URL]}, {PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
         report = run_experiment(
-            INSTANCES[:1],
-            cfg,
-            "rag_web",
-            scorer=lexical,
-            search_client=client,
-            fetch_transport=transport,
+            INSTANCES[:1], cfg, "rag_web", scorer=lexical, search_client=client
         )
         record = report.records[0].run
         assert record.knowledge.kind is BundleKind.COMBINED
         assert record.searched_urls == (PAGE_URL,)
-        assert client.calls == 1
+        assert len(client.queries) == 1
         assert report.records[0].correct
 
     def test_baseline_timings_cover_knowledge(self, tmp_path, lexical):
-        client = ListSearchClient(
-            {"capital city France": [PAGE_URL]}
-        )
-        transport = CountingTransport({PAGE_URL: PAGE_HTML})
+        client = FakeWeb({"capital city France": [PAGE_URL]}, {PAGE_URL: PAGE_HTML})
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"))
         for mode in ("plain_rag", "rag_web"):
             report = run_experiment(
-                INSTANCES[:1],
-                cfg,
-                mode,
-                scorer=lexical,
-                search_client=client,
-                fetch_transport=transport,
+                INSTANCES[:1], cfg, mode, scorer=lexical, search_client=client
             )
             timings = report.records[0].run.timings
             assert set(timings) == {"knowledge", "generate", "total"}
@@ -478,13 +462,13 @@ class TestRunExperiment:
         mode=st.sampled_from(["plain_rag", "rag_web"]),
     )
     def test_baselines_give_one_record_per_instance(self, instances, mode):
-        client = ListSearchClient()
+        client = FakeWeb()
         scorer = BoomScorer() if mode == "plain_rag" else LexicalScorer()
         report = run_experiment(
             instances, PipelineConfig(), mode, scorer=scorer, search_client=client
         )
         assert [r.instance_id for r in report.records] == [i.id for i in instances]
-        assert client.calls == (len(instances) if mode == "rag_web" else 0)
+        assert len(client.queries) == (len(instances) if mode == "rag_web" else 0)
         for record in report.records:
             assert record.run.action is None and record.run.judgment is None
             assert record.run.doc_scores == ()

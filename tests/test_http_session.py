@@ -15,7 +15,7 @@ from ragmend.errors import RemoteError, RewriteError
 from ragmend.http_session import EnvCachedSession, request_json
 from ragmend.pipeline import RemoteGenerator
 from ragmend.scoring import RemoteScorer, ScorerConfig
-from ragmend.websearch import HttpSearchClient, HttpTransport, RemoteRewriter
+from ragmend.websearch import HttpSearchClient, RemoteRewriter
 
 ENV_NAMES = (
     "HTTP_PROXY",
@@ -141,9 +141,8 @@ class TestRoleDefaults:
             lambda: RemoteGenerator("http://localhost:9/g"),
             lambda: RemoteRewriter("http://localhost:9/g"),
             lambda: HttpSearchClient("http://localhost:9/search"),
-            lambda: HttpTransport(),
         ],
-        ids=["scorer", "generator", "rewriter", "search", "transport"],
+        ids=["scorer", "generator", "rewriter", "search"],
     )
     def test_default_session_caches_environment(self, build):
         assert isinstance(build().session, EnvCachedSession)

@@ -7,7 +7,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
+from conftest import FakeResponse, FakeSession, FakeWeb
 from ragmend import pipeline
 from ragmend.errors import (
     ConfigError,
@@ -102,7 +102,12 @@ class TestAssemblePrompt:
         assert assemble_prompt(Query("Q"), None) == "Question: Q\nAnswer:"
 
     @given(
-        st.text(alphabet=st.characters(blacklist_characters="\n"), min_size=1, max_size=40),
+        # Query rejects lone surrogates (category Cs); TestQuery covers that.
+        st.text(
+            alphabet=st.characters(blacklist_characters="\n", blacklist_categories=["Cs"]),
+            min_size=1,
+            max_size=40,
+        ),
         st.text(max_size=120),
     )
     def test_injective_without_delimiter(self, question, knowledge):
@@ -178,20 +183,15 @@ def web_cfg(tmp_path, **kwargs):
     return PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "cache"), **kwargs)
 
 
-def web_doubles():
-    client = ListSearchClient(
-        {
-            "capital city France": [PAGE_URL],
-            QUESTION: [PAGE_URL],
-        }
+def web_double():
+    return FakeWeb(
+        {"capital city France": [PAGE_URL], QUESTION: [PAGE_URL]}, {PAGE_URL: PAGE_HTML}
     )
-    transport = CountingTransport({PAGE_URL: PAGE_HTML})
-    return client, transport
 
 
 class TestRunBranches:
     def test_correct_branch(self, tmp_path, lexical):
-        client, transport = web_doubles()
+        client = web_double()
         record = run(
             QUESTION,
             [DISTRACTOR, RELEVANT],
@@ -200,12 +200,11 @@ class TestRunBranches:
             client,
             None,
             StubGenerator(),
-            fetch_transport=transport,
         )
         assert record.action is Action.CORRECT
         assert record.knowledge.kind is BundleKind.INTERNAL
         assert "Paris" in record.answer
-        assert client.calls == 0
+        assert client.queries == []
         assert record.searched_urls == ()
 
     def test_incorrect_branch(self, tmp_path, lexical, monkeypatch):
@@ -217,7 +216,7 @@ class TestRunBranches:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "refine", counting_refine)
-        client, transport = web_doubles()
+        client = web_double()
         record = run(
             QUESTION,
             [DISTRACTOR],
@@ -226,7 +225,6 @@ class TestRunBranches:
             client,
             None,
             StubGenerator(),
-            fetch_transport=transport,
         )
         assert record.action is Action.INCORRECT
         assert record.knowledge.kind is BundleKind.EXTERNAL
@@ -237,11 +235,9 @@ class TestRunBranches:
     def test_ambiguous_branch_combines(self, tmp_path, lexical):
         # Two of seven query tokens hit: score -3/7, between the thresholds.
         docs = [Document(id="half", text="capital France mention")]
-        client, transport = web_doubles()
+        client = web_double()
         cfg = web_cfg(tmp_path)
-        record = run(
-            QUESTION, docs, cfg, lexical, client, None, StubGenerator(), fetch_transport=transport
-        )
+        record = run(QUESTION, docs, cfg, lexical, client, None, StubGenerator())
         assert record.action is Action.AMBIGUOUS
         assert record.knowledge.kind is BundleKind.COMBINED
         internal_text = "capital France mention"
@@ -250,12 +246,9 @@ class TestRunBranches:
 
     def test_ambiguous_knowledge_holds_each_text_once(self, tmp_path, lexical):
         # The page repeats the document's sentence; the internal strip keeps it.
-        client, transport = web_doubles()
+        client = web_double()
         cfg = web_cfg(tmp_path, ablations=AblationFlags(only_action=Action.AMBIGUOUS))
-        record = run(
-            QUESTION, [RELEVANT], cfg, lexical, client, None, StubGenerator(),
-            fetch_transport=transport,
-        )
+        record = run(QUESTION, [RELEVANT], cfg, lexical, client, None, StubGenerator())
         assert record.knowledge.kind is BundleKind.COMBINED
         assert record.knowledge.text == RELEVANT.text
         assert [s.doc_id for s in record.knowledge.strips] == ["rel"]
@@ -313,8 +306,7 @@ class TestRunDegradedPaths:
 
     def test_fetch_error_skips_that_url(self, tmp_path, lexical):
         good = "mock://web/good"
-        client = ListSearchClient({"capital city France": ["mock://web/missing", good]})
-        transport = CountingTransport({good: PAGE_HTML})
+        client = FakeWeb({"capital city France": ["mock://web/missing", good]}, {good: PAGE_HTML})
         record = run(
             QUESTION,
             [DISTRACTOR],
@@ -323,7 +315,6 @@ class TestRunDegradedPaths:
             client,
             None,
             StubGenerator(),
-            fetch_transport=transport,
         )
         assert "Paris" in record.answer
         assert record.searched_urls == ("mock://web/missing", good)
@@ -331,7 +322,7 @@ class TestRunDegradedPaths:
     def test_unwritable_cache_keeps_fetched_page(self, tmp_path, lexical):
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "file" / "cache"))
-        client, transport = web_doubles()
+        client = web_double()
         record = run(
             QUESTION,
             [],
@@ -341,7 +332,6 @@ class TestRunDegradedPaths:
             None,
             StubGenerator(),
             mode="rag_web",
-            fetch_transport=transport,
         )
         assert record.knowledge.text == "The capital city of France is Paris."
         assert "Paris" in record.answer
@@ -408,7 +398,7 @@ class TestRunAblations:
         assert record.knowledge.text == DISTRACTOR.text + "\n" + RELEVANT.text
 
     def test_no_rewriting_searches_raw_question(self, tmp_path, lexical):
-        client, transport = web_doubles()
+        client = web_double()
         cfg = web_cfg(tmp_path, ablations=AblationFlags(no_rewriting=True))
         run(
             QUESTION,
@@ -418,12 +408,11 @@ class TestRunAblations:
             client,
             None,
             StubGenerator(),
-            fetch_transport=transport,
         )
         assert client.queries == [QUESTION]
 
     def test_no_selection_keeps_all_paragraphs(self, tmp_path, lexical):
-        client, transport = web_doubles()
+        client = web_double()
         cfg = web_cfg(tmp_path, ablations=AblationFlags(no_selection=True))
         record = run(
             QUESTION,
@@ -433,7 +422,6 @@ class TestRunAblations:
             client,
             None,
             StubGenerator(),
-            fetch_transport=transport,
         )
         assert len(record.knowledge.strips) == 2
         assert "Granite weathers slowly." in record.knowledge.text
@@ -452,6 +440,15 @@ class TestRunRobustness:
         assert record.action is Action.CORRECT
         assert [s.doc_id for s in record.knowledge.strips] == ["rel"]
         assert "Paris" in record.answer
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_lone_surrogate_question_is_value_error(self, tmp_path, lexical, fixtures_dir, mode):
+        # scoring.Query: "query text must be valid UTF-8"
+        question = "Who is Zorblax \ud800?"
+        with MockService(fixtures_dir) as svc:
+            client = HttpSearchClient(f"{svc.base_url}/search", retries=0)
+            with pytest.raises(ValueError, match="query text must be valid UTF-8"):
+                run(question, [DISTRACTOR], web_cfg(tmp_path), lexical, client, mode=mode)
 
     def test_question_with_newline_answered(self, tmp_path, lexical):
         question = "What is the capital\ncity of France?"
@@ -499,16 +496,6 @@ KNOWLEDGE_KIND = {
 }
 
 
-class AnyQuerySearchClient:
-    """Returns the same URLs for every query."""
-
-    def __init__(self, urls):
-        self.urls = list(urls)
-
-    def search(self, query):
-        return list(self.urls)
-
-
 class TestKnowledgeBundle:
     @given(
         mode=st.sampled_from(MODES),
@@ -523,8 +510,9 @@ class TestKnowledgeBundle:
     def test_kind_follows_sources_and_texts_do_not_repeat(self, mode, only_action, docs, pages):
         documents = [Document(id=f"d{i}", text=" ".join(doc)) for i, doc in enumerate(docs)]
         urls = [f"mock://web/p{i}" for i in range(len(pages))]
-        transport = CountingTransport(
-            {url: "".join(f"<p>{p}</p>" for p in page) for url, page in zip(urls, pages)}
+        web = FakeWeb(
+            {"capital city France": urls},
+            {url: "".join(f"<p>{p}</p>" for p in page) for url, page in zip(urls, pages)},
         )
         with tempfile.TemporaryDirectory() as cache:
             cfg = PipelineConfig(
@@ -536,11 +524,10 @@ class TestKnowledgeBundle:
                 documents,
                 cfg,
                 LexicalScorer(),
-                AnyQuerySearchClient(urls),
+                web,
                 None,
                 StubGenerator(),
                 mode=mode,
-                fetch_transport=transport,
             )
         knowledge = record.knowledge
         assert knowledge.kind is KNOWLEDGE_KIND[record.action or mode]
@@ -552,20 +539,28 @@ class TestKnowledgeBundle:
 
 
 class TestExternalKnowledgeSessions:
-    def test_fetch_misses_reuse_one_process_session(self, tmp_path, lexical, wire_counts):
-        pages = tmp_path / "fixtures" / "pages"
-        pages.mkdir(parents=True)
-        for i in range(6):
-            (pages / f"p{i}.html").write_text(f"<p>The capital city of France {i}.</p>")
+    def test_search_and_page_misses_share_the_client_session(
+        self, tmp_path, lexical, wire_counts
+    ):
+        fixtures = tmp_path / "fixtures"
+        (fixtures / "pages").mkdir(parents=True)
+        search_map = {}
+        for country, batch in (("France", range(3)), ("Spain", range(3, 6))):
+            for i in batch:
+                page = f"<p>The capital city of {country} {i}.</p>"
+                (fixtures / "pages" / f"p{i}.html").write_text(page, "utf-8")
+            search_map[f"capital city {country}"] = [
+                {"url": f"{{base}}/page/p{i}.html"} for i in batch
+            ]
+        (fixtures / "search.json").write_text(json.dumps(search_map), "utf-8")
         cfg = web_cfg(tmp_path)
-        with MockService(tmp_path / "fixtures") as svc:
-            for batch in (range(3), range(3, 6)):
-                urls = [f"{svc.base_url}/page/p{i}.html" for i in batch]
-                client = ListSearchClient({"capital city France": urls})
-                strips, searched = external_knowledge(Query(QUESTION), cfg, lexical, client)
-                assert searched == urls
-                assert len(strips) == 3
-        assert wire_counts.sessions == []
+        with MockService(fixtures) as svc:
+            client = HttpSearchClient(f"{svc.base_url}/search")
+            for country in ("France", "Spain"):
+                question = Query(f"What is the capital city of {country}?")
+                strips, searched = external_knowledge(question, cfg, lexical, client)
+                assert len(searched) == len(strips) == 3
+        assert wire_counts.sessions == [client.session]
         assert len(wire_counts.connections) == 1
 
 

@@ -101,6 +101,15 @@ class TestQuery:
         with pytest.raises(ValueError):
             Query("   ")
 
+    @given(
+        st.text(max_size=8),
+        st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+        st.text(max_size=8),
+    )
+    def test_rejects_a_lone_surrogate_anywhere(self, before, surrogate, after):
+        with pytest.raises(ValueError, match="query text must be valid UTF-8"):
+            Query(before + surrogate + after)
+
 
 class TestLexicalScorer:
     def test_all_tokens_present(self, lexical):

@@ -7,16 +7,15 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
-from conftest import CountingTransport, FakeResponse, FakeSession, ListSearchClient
+from conftest import FakeResponse, FakeSession, FakeWeb
 from ragmend import websearch
-from ragmend.errors import FetchError, RewriteError, SearchUnavailableError
+from ragmend.errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
 from ragmend.mockserver import MockService
 from ragmend.refinement import KnowledgeStrip, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
     EXTRACTOR_VERSION,
     HttpSearchClient,
-    HttpTransport,
     KeywordRewriter,
     RemoteRewriter,
     SearchConfig,
@@ -205,7 +204,7 @@ class TestSearchOp:
     CFG = SearchConfig()
 
     def test_wikipedia_partitioned_first(self):
-        client = ListSearchClient(
+        client = FakeWeb(
             {"q": ["http://a.com/1", "http://en.wikipedia.org/X", "http://b.com/2"]}
         )
         out = search("q", client, self.CFG)
@@ -217,28 +216,28 @@ class TestSearchOp:
 
     def test_truncates_to_top_k(self):
         urls = [f"http://site{i}.com/p" for i in range(8)]
-        client = ListSearchClient({"q": urls})
+        client = FakeWeb({"q": urls})
         out = search("q", client, self.CFG)
         assert len(out) == 5
         assert out == urls[:5]
 
     def test_empty_results_ok(self):
-        out = search("q", ListSearchClient(), self.CFG)
+        out = search("q", FakeWeb(), self.CFG)
         assert out == []
 
     def test_preference_disabled(self):
         cfg = SearchConfig(prefer_wikipedia=False)
-        client = ListSearchClient({"q": ["http://a.com/1", "http://en.wikipedia.org/X"]})
+        client = FakeWeb({"q": ["http://a.com/1", "http://en.wikipedia.org/X"]})
         out = search("q", client, cfg)
         assert out == ["http://a.com/1", "http://en.wikipedia.org/X"]
 
     def test_lookalike_host_not_preferred(self):
-        client = ListSearchClient({"q": ["http://notwikipedia.org/a", "http://wikipedia.org/b"]})
+        client = FakeWeb({"q": ["http://notwikipedia.org/a", "http://wikipedia.org/b"]})
         out = search("q", client, self.CFG)
         assert out[0] == "http://wikipedia.org/b"
 
     def test_query_string_is_joined_keywords(self):
-        client = ListSearchClient()
+        client = FakeWeb()
         query = rewrite(Query("What is Henry Feilden's occupation?"), KeywordRewriter())
         search(query, client, self.CFG)
         assert client.queries == ["Henry Feilden occupation"]
@@ -249,7 +248,7 @@ class TestSearchOp:
         for i, kind in enumerate(kinds):
             host = "en.wikipedia.org" if kind == "w" else f"{kind}{i}.example.com"
             urls.append(f"http://{host}/{i}")
-        client = ListSearchClient({"q": urls})
+        client = FakeWeb({"q": urls})
         cfg = SearchConfig(top_k_urls=100)
         out = search("q", client, cfg)
         non_wiki = [u for u in urls if "wikipedia" not in u]
@@ -268,7 +267,7 @@ class TestSearchOp:
         ],
     )
     def test_malformed_url_fails_the_reply(self, url, message):
-        client = ListSearchClient({"q": ["http://a.com/1", url]})
+        client = FakeWeb({"q": ["http://a.com/1", url]})
         with pytest.raises(SearchUnavailableError, match=f"malformed search reply: {message}"):
             search("q", client, SearchConfig(top_k_urls=1, prefer_wikipedia=False))
 
@@ -285,7 +284,7 @@ class TestSearchOp:
         st.booleans(),
     )
     def test_wikipedia_first_prefix_or_unavailable(self, drawn, top_k, prefer):
-        client = ListSearchClient({"q": [url for _, url in drawn]})
+        client = FakeWeb({"q": [url for _, url in drawn]})
         cfg = SearchConfig(top_k_urls=top_k, prefer_wikipedia=prefer)
         if any(kind == "bad" for kind, _ in drawn):
             with pytest.raises(SearchUnavailableError, match="malformed search reply"):
@@ -343,6 +342,22 @@ class TestHttpSearchClient:
         client.search("q")
         assert session.calls[0][3] == {"X-API-Key": "sekrit"}
 
+    def test_page_fetch_sends_no_api_key(self, monkeypatch):
+        monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", "sekrit")
+        replies = [FakeResponse(payload={"results": []}), FakeResponse(text="<p>page</p>")]
+        session = FakeSession(replies)
+        client = HttpSearchClient("http://localhost:9/search", session=session)
+        client.search("q")
+        assert client.fetch("http://pages.example/p", timeout=5) == "<p>page</p>"
+        assert session.calls[1] == ("get", "http://pages.example/p", None, None)
+
+    @pytest.mark.parametrize("api_key", ["ключ", "sek\nrit", " sekrit"])
+    def test_api_key_that_is_no_header_value_is_config_error(self, monkeypatch, api_key):
+        monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", api_key)
+        with pytest.raises(ConfigError, match="RAGMEND_SEARCH_API_KEY") as exc_info:
+            HttpSearchClient("http://localhost:9/search", session=FakeSession([]))
+        assert api_key not in str(exc_info.value)
+
 
 class TestExtractParagraphs:
     def test_paragraph_regions(self):
@@ -380,19 +395,19 @@ class TestFetchAndExtract:
 
     def test_fetch_extract_and_cache(self, tmp_path):
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>hello there</p>"})
         url = "mock://web/p"
-        first = fetch_and_extract(url, cfg, transport=transport)
-        second = fetch_and_extract(url, cfg, transport=transport)
+        first = fetch_and_extract(url, cfg, web)
+        second = fetch_and_extract(url, cfg, web)
         assert first == second == _page("mock://web/p", "hello there")
-        assert transport.calls == 1
+        assert len(web.fetched) == 1
 
     def test_cache_file_shape(self, tmp_path):
         import hashlib
 
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({"mock://web/p": "<p>body</p>"})
-        fetch_and_extract("mock://web/p", cfg, transport=transport)
+        web = FakeWeb(pages={"mock://web/p": "<p>body</p>"})
+        fetch_and_extract("mock://web/p", cfg, web)
         expected_name = hashlib.sha256(b"mock://web/p").hexdigest()
         cache_file = cfg.cache_dir / expected_name
         assert cache_file.is_file()
@@ -406,29 +421,29 @@ class TestFetchAndExtract:
     @pytest.mark.parametrize("version", [None, EXTRACTOR_VERSION - 1, str(EXTRACTOR_VERSION)])
     def test_cache_from_other_extractor_refetched(self, tmp_path, version):
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>fresh</p>"})
         url = "mock://web/p"
-        fetch_and_extract(url, cfg, transport=transport)
+        fetch_and_extract(url, cfg, web)
         cache_file = next(cfg.cache_dir.iterdir())
         stale = {"url": "mock://web/p", "paragraphs": ["stale"]}
         if version is not None:
             stale["extractor"] = version
         cache_file.write_text(json.dumps(stale), "utf-8")
-        page = fetch_and_extract(url, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, web)
         assert page == _page("mock://web/p", "fresh")
-        assert transport.calls == 2
+        assert len(web.fetched) == 2
         assert json.loads(cache_file.read_text("utf-8"))["extractor"] == EXTRACTOR_VERSION
 
     def test_corrupt_cache_refetched(self, tmp_path):
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>fresh</p>"})
         url = "mock://web/p"
-        fetch_and_extract(url, cfg, transport=transport)
+        fetch_and_extract(url, cfg, web)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text("{broken", "utf-8")
-        page = fetch_and_extract(url, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, web)
         assert page == _page("mock://web/p", "fresh")
-        assert transport.calls == 2
+        assert len(web.fetched) == 2
 
     @pytest.mark.parametrize(
         "stale",
@@ -441,26 +456,26 @@ class TestFetchAndExtract:
     )
     def test_bad_cache_file_refetched(self, tmp_path, stale):
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({"mock://web/p": "<p>fresh</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>fresh</p>"})
         url = "mock://web/p"
-        fetch_and_extract(url, cfg, transport=transport)
+        fetch_and_extract(url, cfg, web)
         cache_file = next(cfg.cache_dir.iterdir())
         cache_file.write_text(json.dumps({**stale, "extractor": EXTRACTOR_VERSION}), "utf-8")
-        page = fetch_and_extract(url, cfg, transport=transport)
+        page = fetch_and_extract(url, cfg, web)
         assert page == _page("mock://web/p", "fresh")
-        assert transport.calls == 2
+        assert len(web.fetched) == 2
         assert json.loads(cache_file.read_text("utf-8"))["paragraphs"] == ["fresh"]
 
     def test_unwritable_cache_dir_fetches_every_time(self, tmp_path, caplog):
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
-        transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>hello there</p>"})
         url = "mock://web/p"
         with caplog.at_level("WARNING"):
-            first = fetch_and_extract(url, cfg, transport=transport)
-            second = fetch_and_extract(url, cfg, transport=transport)
+            first = fetch_and_extract(url, cfg, web)
+            second = fetch_and_extract(url, cfg, web)
         assert first == second == _page("mock://web/p", "hello there")
-        assert transport.calls == 2
+        assert len(web.fetched) == 2
         warnings = [r for r in caplog.records if "page cache not written" in r.getMessage()]
         assert len(warnings) == 2
 
@@ -469,79 +484,44 @@ class TestFetchAndExtract:
         cfg = self._cfg(tmp_path)
         url = "mock://web/p"
         websearch._cache_path(cfg, url).mkdir(parents=True)
-        transport = CountingTransport({"mock://web/p": "<p>hello there</p>"})
+        web = FakeWeb(pages={"mock://web/p": "<p>hello there</p>"})
         with caplog.at_level("WARNING"):
-            page = fetch_and_extract(url, cfg, transport=transport)
+            page = fetch_and_extract(url, cfg, web)
         assert page == _page("mock://web/p", "hello there")
         assert list(cfg.cache_dir.glob("*.tmp")) == []
         assert any("page cache not written" in r.getMessage() for r in caplog.records)
 
     def test_fetch_error_carries_url(self, tmp_path):
         cfg = self._cfg(tmp_path)
-        transport = CountingTransport({})
+        web = FakeWeb(pages={})
         with pytest.raises(FetchError) as exc_info:
-            fetch_and_extract("mock://web/missing", cfg, transport=transport)
+            fetch_and_extract("mock://web/missing", cfg, web)
         assert exc_info.value.url == "mock://web/missing"
 
 
-class TestHttpTransport:
+class TestHttpSearchClientFetch:
     def test_page_body(self, fixtures_dir):
         with MockService(fixtures_dir) as svc, requests.Session() as session:
-            body = HttpTransport(session).get(f"{svc.base_url}/page/q01.html", timeout=5)
+            client = HttpSearchClient(f"{svc.base_url}/search", session=session)
+            body = client.fetch(f"{svc.base_url}/page/q01.html", timeout=5)
         assert "Paris" in body
 
     def test_missing_page_is_fetch_error_with_status(self, fixtures_dir):
         with MockService(fixtures_dir) as svc, requests.Session() as session:
+            client = HttpSearchClient(f"{svc.base_url}/search", session=session)
             url = f"{svc.base_url}/page/no-such-page.html"
             with pytest.raises(FetchError, match="status 404") as exc_info:
-                HttpTransport(session).get(url, timeout=5)
+                client.fetch(url, timeout=5)
         assert exc_info.value.url == url
 
     def test_closed_port_is_fetch_error(self, closed_port):
         url = f"http://127.0.0.1:{closed_port}/page/q01.html"
         with requests.Session() as session:
+            client = HttpSearchClient(f"http://127.0.0.1:{closed_port}/search", session=session)
             with pytest.raises(FetchError) as exc_info:
-                HttpTransport(session).get(url, timeout=5)
+                client.fetch(url, timeout=5)
         assert exc_info.value.url == url
 
-
-class ClosableTransport(CountingTransport):
-    """A CountingTransport that records close() calls."""
-
-    def __init__(self, pages):
-        super().__init__(pages)
-        self.closed = 0
-
-    def close(self):
-        self.closed += 1
-
-
-class TestFetchAndExtractTransportOwnership:
-    PAGES = {"mock://web/a": "<p>a</p>", "mock://web/b": "<p>b</p>"}
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        """Transports fetch_and_extract builds for itself, in build order."""
-        built = []
-
-        def build():
-            built.append(ClosableTransport(self.PAGES))
-            return built[-1]
-
-        monkeypatch.setattr(websearch, "HttpTransport", build)
-        return built
-
-    def test_injected_transport_left_open(self, tmp_path, built):
-        cfg = SearchConfig(cache_dir=tmp_path / "cache")
-        transport = ClosableTransport(self.PAGES)
-        fetch_and_extract("mock://web/a", cfg, transport=transport)
-        with pytest.raises(FetchError):
-            fetch_and_extract("mock://web/missing", cfg, transport=transport)
-        assert built == []
-        assert (transport.calls, transport.closed) == (2, 0)
-
-
-class TestDefaultTransport:
     def test_fetch_reconnects_after_server_drops_connection(self, tmp_path, wire_counts):
         pages = tmp_path / "fixtures" / "pages"
         pages.mkdir(parents=True)
@@ -549,14 +529,15 @@ class TestDefaultTransport:
             (pages / f"{name}.html").write_text(f"<p>page {name}</p>")
         cfg = SearchConfig(cache_dir=tmp_path / "cache")
         with MockService(tmp_path / "fixtures") as svc:
-            first = fetch_and_extract(f"{svc.base_url}/page/a.html", cfg)
+            client = HttpSearchClient(f"{svc.base_url}/search")
+            first = fetch_and_extract(f"{svc.base_url}/page/a.html", cfg, client)
             svc._server.close_connections()
             deadline = time.monotonic() + 5
             while svc._server._open and time.monotonic() < deadline:
                 time.sleep(0.01)
-            second = fetch_and_extract(f"{svc.base_url}/page/b.html", cfg)
+            second = fetch_and_extract(f"{svc.base_url}/page/b.html", cfg, client)
         assert [s.text for s in first + second] == ["page a", "page b"]
-        assert wire_counts.sessions == []
+        assert wire_counts.sessions == [client.session]
         assert len(wire_counts.connections) == 2
 
 
