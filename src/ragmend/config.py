@@ -26,8 +26,6 @@ from .scoring import build_scorer
 from .trigger import Action, Thresholds
 from .websearch import HttpSearchClient, KeywordRewriter, RemoteRewriter
 
-_DEFAULTS = PipelineConfig()
-
 
 def _field_types() -> dict[str, dict[str, object]]:
     """Each section's keys, with the annotation of the field each one sets."""
@@ -95,7 +93,7 @@ def load_file(path: Union[str, Path]) -> dict:
     path = Path(path)
     try:
         text = path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -114,7 +112,7 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
     tree: dict = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
-        if not sep or not key:
+        if not sep:
             raise ConfigError(f"override must look like section.key=value, got {pair!r}")
         parts = key.split(".")
         if len(parts) != 2:
@@ -141,7 +139,7 @@ def build_pipeline_config(data: dict) -> PipelineConfig:
     _validate_tree(data, "config")
     kwargs = {}
     for section, values in data.items():
-        default = getattr(_DEFAULTS, section, None)
+        default = getattr(PipelineConfig, section, None)
         if not dataclasses.is_dataclass(default):
             kwargs.update({f"{section}_{key}": value for key, value in values.items()})
             continue

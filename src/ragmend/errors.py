@@ -51,7 +51,6 @@ class FetchError(RemoteError):
     def __init__(self, url: str, reason: str):
         super().__init__(f"fetch failed for {url}: {reason}")
         self.url = url
-        self.reason = reason
 
 
 class GenerationError(RemoteError):

@@ -54,17 +54,23 @@ def read_jsonl(
 ) -> Iterator[tuple[int, object]]:
     """Yield (line number, value) for each non-blank line of a JSONL file.
 
-    A missing file or a line that is not JSON raises `error`; the message
-    names the file as `what`, or the line number.
+    A missing or unreadable file, or a line that is not UTF-8 JSON, raises
+    `error`; the message names the file as `what`, or the line number.
     """
-    path = Path(path)
-    if not path.exists():
-        raise error(f"{what} not found: {path}")
-    with path.open(encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                # surrogateescape keeps each byte that is not UTF-8; decoding the
+                # line's bytes again raises the error that names it.
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
                 payload = json.loads(line)
             except ValueError as exc:
                 raise error(f"line {line_no}: invalid JSON: {exc}") from exc
@@ -256,9 +262,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment over a dataset and aggregate the report.
 
-    degradation is an optional (p, seed) pair applied before dispatch.
-    Generation failures are recorded per instance and counted incorrect;
-    scorer failures abort the whole experiment.
+    degradation is an optional (p, seed) pair applied before dispatch. A
+    generation failure is recorded and counted incorrect; a scorer failure
+    aborts the experiment, with one worker before the next instance starts.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; choose from {MODES}")

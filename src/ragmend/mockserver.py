@@ -212,8 +212,7 @@ class MockService:
     def __init__(self, fixtures_dir: Path, host: str = "127.0.0.1", port: int = 0):
         self._server = _Server((host, port), _Handler)
         self._server.fixtures = _Fixtures(fixtures_dir)
-        self._server.base_url = ""
-        host_out, port_out = self._server.server_address[:2]
+        host_out, port_out = self._server.server_address
         self._server.base_url = f"http://{host_out}:{port_out}"
         self._thread: Optional[threading.Thread] = None
 
@@ -230,7 +229,7 @@ class MockService:
         """Stop serving and end the connections clients still hold open."""
         if self._thread is not None:
             self._server.shutdown()
-            self._thread.join(timeout=5)
+            self._thread.join()
             self._thread = None
         self._server.server_close()
         self._server.close_connections()

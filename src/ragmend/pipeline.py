@@ -222,9 +222,9 @@ class RemoteGenerator:
     def __init__(
         self,
         endpoint: str,
-        timeout: float = 30.0,
-        retries: int = 2,
-        max_tokens: int = 256,
+        timeout: float = PipelineConfig.generator_timeout,
+        retries: int = PipelineConfig.generator_retries,
+        max_tokens: int = PipelineConfig.generator_max_tokens,
         session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint

@@ -53,6 +53,8 @@ STOPWORDS = frozenset(
 )
 
 _EDGE_CHARS = string.punctuation + "“”‘’…"
+# Room for the rewriter's reply: one "query:" line of a few keywords.
+REWRITE_MAX_TOKENS = 64
 
 
 @dataclass(frozen=True)
@@ -110,10 +112,7 @@ class KeywordRewriter:
 
         for raw in question.split():
             word = _clean_word(raw)
-            if not word:
-                flush()
-                continue
-            if word.lower() in STOPWORDS:
+            if not word or word.lower() in STOPWORDS:
                 flush()
                 continue
             if word[0].isupper():
@@ -138,16 +137,14 @@ class RemoteRewriter:
         self,
         endpoint: str,
         timeout: float = 10.0,
-        max_tokens: int = 64,
         session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint
         self.timeout = timeout
-        self.max_tokens = max_tokens
         self.session = session or EnvCachedSession()
 
     def rewrite(self, question: str) -> list[str]:
-        payload = {"prompt": render_rewrite_prompt(question), "max_tokens": self.max_tokens}
+        payload = {"prompt": render_rewrite_prompt(question), "max_tokens": REWRITE_MAX_TOKENS}
         # One attempt: on any failure `rewrite` falls back to KeywordRewriter.
         text = request_json(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
@@ -234,8 +231,8 @@ class HttpSearchClient:
     def __init__(
         self,
         endpoint: str,
-        timeout: float = 10.0,
-        retries: int = 2,
+        timeout: float = SearchConfig.timeout,
+        retries: int = SearchConfig.retries,
         session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint

@@ -24,6 +24,7 @@ from ragmend.cli import (
     OfflineGuard,
     _is_local_url,
     _load_docs_jsonl,
+    build_parser,
     default_fixtures_dir,
     main,
 )
@@ -122,6 +123,36 @@ class TestArgParsing:
     def test_bad_mode_rejected(self, tmp_path, capsys):
         dataset = mini_dataset(tmp_path)
         assert main(["run", str(dataset), "--mode", "turbo"]) == 2
+
+    def test_defaults(self):
+        parser = build_parser()
+        run_args = parser.parse_args(["run", "data.jsonl"])
+        assert (run_args.seed, run_args.workers) == (0, 1)
+        assert parser.parse_args(["mock-serve"]).port == 8080
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+    @pytest.mark.parametrize("command", ["run", "judge"])
+    def test_input_file_exits_2(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "input.jsonl"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')
+        if command == "run":
+            args = ["run", str(path), "--report", str(tmp_path / "r.json")]
+        else:
+            args = ["judge", "q?", str(path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert ("line 1: invalid JSON" if kind == "not-utf-8" else "cannot read") in err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"refine": {"top_k": 3}, "note": "\xff"}')
+        assert main(["judge", "q?", str(docs_file(tmp_path)), "--config", str(config)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
 
 
 class TestJudgeCommand:
@@ -250,8 +281,9 @@ class TestRunCommand:
         code = main(["run", str(dataset), "--report", str(report_path)])
         assert code == 0
         assert capsys.readouterr().out.strip() == str(report_path)
-        report = json.loads(report_path.read_text())
-        assert report["mode"] == "crag"
+        text = report_path.read_text()
+        assert text.startswith('{\n  "mode": "crag",\n')
+        report = json.loads(text)
         assert report["accuracy"] == 1.0
         assert report["action_histogram"] == {"Correct": 2}
 
@@ -398,6 +430,17 @@ class TestRunCommand:
         )
         assert code == 2
 
+    def test_offline_without_search_endpoint_has_no_web_knowledge(self, tmp_path, capsys):
+        dataset = mini_dataset(tmp_path)
+        report_path = tmp_path / "r.json"
+        code = main(
+            ["run", str(dataset), "--offline", "--degrade-p", "1", "--report", str(report_path)]
+        )
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["action_histogram"] == {"Incorrect": 2}
+        assert all(r["searched_urls"] == [] for r in report["records"])
+
 
 class TestRunAgainstMockService:
     def test_offline_crag_with_local_endpoints(self, tmp_path, fixtures_dir, capsys):
@@ -473,10 +516,13 @@ class TestMockServeCommand:
         code = main(["mock-serve", "--fixtures", str(tmp_path / "nope")])
         assert code == 2
 
-    @pytest.mark.parametrize("port", ["70000", "-1"])
+    @pytest.mark.parametrize("port", ["70000", "-1", "65536"])
     def test_port_out_of_range_is_usage_error(self, capsys, port):
         assert main(["mock-serve", f"--port={port}"]) == 2
         assert f"port must be in 0-65535, got {port}" in capsys.readouterr().err
+
+    def test_highest_port_parses(self):
+        assert build_parser().parse_args(["mock-serve", "--port", "65535"]).port == 65535
 
     def test_port_in_use(self, capsys):
         blocker = socket.socket()

@@ -334,6 +334,14 @@ class TestValueTypes:
         cfg = load_config(overrides=[f"{key}=86400"])
         assert field_value(cfg, *key.split(".")) == MAX_TIMEOUT_S == 86400
 
+    @pytest.mark.parametrize("key", TIMEOUT_KEYS)
+    def test_timeout_under_a_second_loads(self, key):
+        cfg = load_config(overrides=[f"{key}=0.5"])
+        assert field_value(cfg, *key.split(".")) == 0.5
+
+    def test_one_generator_token_loads(self):
+        assert load_config(overrides=["generator.max_tokens=1"]).generator_max_tokens == 1
+
     def test_timeout_at_bound_reaches_the_socket(self, closed_port):
         cfg = load_config(
             overrides=[

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from ragmend.harness import (
     csv_row,
     degrade,
     load_dataset,
+    read_jsonl,
     removal_draw,
     run_experiment,
 )
@@ -88,6 +90,29 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="not found"):
             load_dataset(tmp_path / "nope.jsonl")
+
+    def test_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(valid_line().encode("utf-8") + b"\n\xff\n")
+        with pytest.raises(DatasetError, match="^line 2: invalid JSON: 'utf-8' codec"):
+            load_dataset(path)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(['{"a": 1}', "[2]", '"é"', "", " "]),
+                st.sampled_from(["\n", "\r\n", "\r", "\r\r", "\n\r"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_lines_are_numbered_as_text_mode_numbers_them(self, parts):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_bytes("".join(text + end for text, end in parts).encode("utf-8"))
+            with path.open(encoding="utf-8") as fh:
+                expected = [(n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip()]
+            assert list(read_jsonl(path, DatasetError, "dataset")) == expected
 
     def test_invalid_json_names_line(self, tmp_path):
         path = write_jsonl(tmp_path, [valid_line("q1"), "{not json"])
@@ -387,6 +412,7 @@ class TestRunExperiment:
 
     def test_crag_accuracy_and_histogram(self, lexical):
         report = run_experiment(INSTANCES, PipelineConfig(), "crag", scorer=lexical)
+        assert report.degradation_level == 0.0
         assert report.accuracy == pytest.approx(0.75)
         assert report.action_histogram == {"Correct": 2, "Ambiguous": 1, "Incorrect": 1}
         assert [r.instance_id for r in report.records] == ["i1", "i2", "i3", "i4"]
@@ -540,6 +566,21 @@ class TestRunExperiment:
 
         with pytest.raises(ScorerUnavailableError):
             run_experiment(INSTANCES[:1], PipelineConfig(), "crag", scorer=Unavailable())
+
+    def test_one_worker_stops_before_the_next_instance(self):
+        # A pool, even of one thread, would start the next instance while the
+        # first one's failure is raised, doubling the wait on a dead scorer.
+        questions = []
+
+        class SlowUnavailable:
+            def score_batch(self, query, docs):
+                questions.append(query.text)
+                time.sleep(0.05)
+                raise ScorerUnavailableError("down")
+
+        with pytest.raises(ScorerUnavailableError):
+            run_experiment(INSTANCES, PipelineConfig(), "crag", scorer=SlowUnavailable())
+        assert questions == [INSTANCES[0].question]
 
     def test_report_round_trips_through_json(self, lexical):
         report = run_experiment(INSTANCES, PipelineConfig(), "crag", scorer=lexical)

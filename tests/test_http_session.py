@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FakeResponse, FakeSession
 from ragmend.errors import RemoteError, RewriteError
@@ -56,6 +56,8 @@ def _clean_environment(mp: pytest.MonkeyPatch) -> None:
 
 
 class TestMergeEnvironmentSettings:
+    # No deadline: under a line tracer one example can take longer than 200 ms.
+    @settings(deadline=None)
     @given(
         env=ENVIRONMENTS,
         urls=st.lists(URLS, min_size=1, max_size=6),
@@ -206,6 +208,30 @@ class TestRequestJson:
             assert result.startswith(expected)
         else:
             assert result == expected
+
+    def test_warnings_number_the_attempts_and_errors_cut_the_body(self, caplog, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        body = "a" * 200 + "b" * 100
+        session = FakeSession(
+            [
+                requests.ConnectionError("down"),
+                FakeResponse(status_code=503),
+                FakeResponse(status_code=404, text=body),
+            ]
+        )
+        with caplog.at_level("WARNING"), pytest.raises(Refused) as info:
+            request_json(
+                lambda: session.get("http://localhost:9/x"),
+                "value",
+                what="thing",
+                error=Refused,
+                retries=2,
+            )
+        assert [r.getMessage() for r in caplog.records] == [
+            "thing request failed (attempt 1): down",
+            "thing returned 503 (attempt 2)",
+        ]
+        assert str(info.value) == "thing returned 404: " + "a" * 200
 
 
 def _scorer(session):

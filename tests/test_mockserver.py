@@ -151,6 +151,11 @@ class TestRewritePrompt:
         )
         assert resp.json() == {"text": "query: Henry Feilden, occupation"}
 
+    def test_rewrite_head_without_tail_is_no_rewrite(self, service):
+        prompt = mockserver._REWRITE_HEAD + "What is Henry Feilden's occupation?"
+        resp = requests.post(f"{service.base_url}/generate", json={"prompt": prompt}, timeout=5)
+        assert resp.json() == {"text": "UNKNOWN"}
+
     @given(QUESTIONS)
     def test_remote_rewriter_matches_keyword_rewriter(self, remote_rewriter, question):
         try:
@@ -270,8 +275,11 @@ class TestKeepAlive:
     def test_invalid_json_keeps_connection(self, service, accepted):
         with EnvCachedSession() as session:
             bad = session.post(f"{service.base_url}/score", data="{broken")
+            # requests sends an empty body with Content-Length: 0.
+            empty = session.post(f"{service.base_url}/score")
             good = session.post(f"{service.base_url}/score", json={"query": "a", "document": "a"})
-        assert bad.status_code == 400
+        assert bad.status_code == empty.status_code == 400
+        assert empty.json() == {"error": "invalid JSON"}
         assert good.json() == {"score": 1.0}
         assert len(accepted) == 1
 

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import time
 
 import pytest
 import requests
@@ -79,6 +80,9 @@ class TestResolveAction:
     def test_disable_ambiguous_single_threshold(self):
         flags = AblationFlags(disable_action=Action.AMBIGUOUS)
         assert resolve_action(make_judgment(0.6, Action.CORRECT), TH, flags) is Action.CORRECT
+        # Strictly above the upper bound, as in `judge`.
+        at_upper = make_judgment(TH.upper, Action.AMBIGUOUS)
+        assert resolve_action(at_upper, TH, flags) is Action.INCORRECT
         assert resolve_action(make_judgment(0.0, Action.AMBIGUOUS), TH, flags) is Action.INCORRECT
         assert resolve_action(make_judgment(-1.0, Action.INCORRECT), TH, flags) is Action.INCORRECT
 
@@ -279,9 +283,13 @@ class TestRunBranches:
             run(QUESTION, docs, web_cfg(tmp_path), lexical)
 
     def test_timings_recorded(self, tmp_path, lexical):
+        start = time.perf_counter()
         record = run(QUESTION, [RELEVANT], web_cfg(tmp_path), lexical)
-        assert set(record.timings) == {"score", "knowledge", "generate", "total"}
-        assert all(v >= 0 for v in record.timings.values())
+        wall = time.perf_counter() - start
+        timings = record.timings
+        assert set(timings) == {"score", "knowledge", "generate", "total"}
+        assert all(0 <= v <= wall for v in timings.values())
+        assert timings["score"] + timings["knowledge"] + timings["generate"] <= timings["total"]
 
 
 class TestRunDegradedPaths:
@@ -567,7 +575,7 @@ class TestExternalKnowledgeSessions:
 class TestHelpers:
     def test_raw_internal_strips_skip_empty_docs(self):
         docs = [Document(id="a", text="  "), Document(id="b", text="real text")]
-        assert [s.doc_id for s in raw_internal_strips(docs)] == ["b"]
+        assert [(s.doc_id, s.index) for s in raw_internal_strips(docs)] == [("b", 0)]
 
     def test_raw_internal_strips_keep_scores(self):
         docs = [Document(id="a", text="x"), Document(id="b", text="y")]

@@ -65,11 +65,14 @@ class TestSegment:
     def test_one_sentence_single_strip(self):
         doc = Document(id="d", text="Only sentence here.")
         strips = segment(doc, self.CFG)
-        assert [s.text for s in strips] == ["Only sentence here."]
+        assert [(s.index, s.text) for s in strips] == [(0, "Only sentence here.")]
 
     def test_two_sentences_single_strip(self):
         doc = Document(id="d", text="First. Second.")
         assert [s.text for s in segment(doc, self.CFG)] == ["First. Second."]
+        # Also when the window is one sentence: the two-sentence rule comes first.
+        one = RefineConfig(strip_sentences=1)
+        assert [(s.index, s.text) for s in segment(doc, one)] == [(0, "First. Second.")]
 
     def test_four_sentences_two_strips(self):
         doc = Document(id="d", text="A. B. C. D.")

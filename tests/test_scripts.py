@@ -9,6 +9,13 @@ from pathlib import Path
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_degradation_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     script = SCRIPTS / "run_degradation_sweep.py"
@@ -32,11 +39,34 @@ def test_degradation_sweep(tmp_path):
 
 
 def test_uncovered_allowlist_matches_src():
-    spec = importlib.util.spec_from_file_location("uncovered", SCRIPTS / "uncovered.py")
-    uncovered = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(uncovered)
+    uncovered = load_script("uncovered")
     assert 0 < len(uncovered.ALLOWLIST) <= 4
     for (module, text), reason in uncovered.ALLOWLIST.items():
         source = (uncovered.PACKAGE / module).read_text("utf-8").splitlines()
         assert text in {line.strip() for line in source}, (module, text)
         assert reason.strip()
+
+
+def test_mutants_allowlist_matches_src():
+    mutants = load_script("mutants")
+    assert 0 < len(mutants.ALLOWLIST) <= 8
+    for (module, text), reason in mutants.ALLOWLIST.items():
+        source = (mutants.PACKAGE / module).read_text("utf-8").splitlines()
+        assert text in {line.strip() for line in source}, (module, text)
+        assert reason.strip()
+    assert set(mutants.TESTS) == {p.name for p in mutants.PACKAGE.glob("*.py")} - {"__init__.py"}
+
+
+def test_build_fixture_reproduces_the_bundled_fixture(tmp_path):
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "build_fixture.py"), str(tmp_path)],
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    bundled = SCRIPTS.parent / "src" / "ragmend" / "fixtures"
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert files(tmp_path) == files(bundled)

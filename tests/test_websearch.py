@@ -121,6 +121,7 @@ class TestRemoteRewriter:
         r = RemoteRewriter("http://localhost:9/generate", session=session)
         r.rewrite("What is the capital city of France?")
         assert "What is the capital city of France?" in session.calls[0][2]["prompt"]
+        assert session.calls[0][2]["max_tokens"] == 64
 
 
 class TestRewriteOp:
