@@ -61,13 +61,13 @@ ALLOWLIST = {
         "always passes; websearch cannot import pipeline (circular), so one source for it "
         "waits on the nested GeneratorConfig (ROADMAP item 5)"
     ),
-    ("http_session.py", "MAX_CACHED_HOSTS = 256"): (
-        "the size bound on the per-host environment cache; a test that fills 256 hosts "
-        "would check a capacity, not a behaviour the program documents"
+    ("http_session.py", "MAX_CACHED = 256"): (
+        "the size bound on the per-host environment and per-URL request caches; a test "
+        "that fills 256 entries would check a capacity, not a behaviour the program documents"
     ),
-    ("http_session.py", "if len(self._env_settings) >= self.MAX_CACHED_HOSTS:"): (
-        "clearing at MAX_CACHED_HOSTS or one entry later keeps every result equal; "
-        "only the cache's size differs"
+    ("http_session.py", "if len(cache) >= self.MAX_CACHED:"): (
+        "clearing at MAX_CACHED or one entry later keeps every result equal; "
+        "only a cache's size differs"
     ),
     ("scoring.py", "@functools.lru_cache(maxsize=32)"): (
         "the memo's size changes no score, only how many questions stay cached"

@@ -152,9 +152,13 @@ def cmd_judge(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config, args.overrides)
     if args.offline:
         _check_offline(cfg)
+    try:
+        question = Query(args.question)
+    except ValueError as exc:
+        raise InputError(f"question: {exc}") from None
     docs = _load_docs_jsonl(args.docs_file)
     scorer = build_scorer(cfg.scorer)
-    scores = scorer.score_batch(Query(args.question), docs)
+    scores = scorer.score_batch(question, docs)
     judgment = judge(scores, cfg.thresholds)
     print(
         json.dumps(

@@ -6,11 +6,17 @@ three scorer methods and patches stage functions by module-level name.
 `measure.py` calls `pipeline.run` with seven positional arguments. A rename
 or a signature change in the program would only fail the benchmark run;
 this fails here. No request is sent.
+
+`tracing.py` also counts HTTP requests by patching `requests.Session.request`
+on the class, so the role session must not override the methods that reach
+it: an override would bypass the patch and read as zero requests.
 """
 
 import inspect
 import sys
 from pathlib import Path
+
+import requests
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
@@ -19,6 +25,7 @@ import tracing  # noqa: E402
 
 from ragmend import build_roles, pipeline  # noqa: E402
 from ragmend.config import load_config  # noqa: E402
+from ragmend.http_session import EnvCachedSession  # noqa: E402
 
 BASE = "http://127.0.0.1:9"
 
@@ -61,6 +68,18 @@ def test_tracer_proxies_every_role_and_patches_every_stage():
     finally:
         tracer.uninstall()
     assert pipeline.refine is original
+
+
+def test_role_session_keeps_the_traced_request_method():
+    assert {"request", "get", "post"}.isdisjoint(vars(EnvCachedSession))
+    roles = measure.build_roles(remote_config())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = requests.Session.request
+        assert all(type(role.session).request is patched for role in roles.values())
+    finally:
+        tracer.uninstall()
 
 
 def test_run_takes_the_benchmark_positional_call():

@@ -190,6 +190,13 @@ class TestJudgeCommand:
         assert main(["judge", "q?", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("question", ["   ", "caf\udce9?"], ids=["blank", "lone-surrogate"])
+    def test_bad_question_is_input_error(self, question, tmp_path, capsys):
+        assert main(["judge", question, str(docs_file(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: question: query text must be")
+        assert "Traceback" not in err
+
     def test_missing_docs_file(self, tmp_path, capsys):
         assert main(["judge", "q?", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -1,9 +1,13 @@
-"""EnvCachedSession: environment resolved once per host, same settings as requests.
+"""EnvCachedSession: environment resolved once per host and requests prepared
+once per URL, with the same results as requests.
 
 request_json: one retry-and-parse policy for every remote role.
 """
 
+import sys
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FakeResponse, FakeSession
 from ragmend.errors import RemoteError, RewriteError
 from ragmend.http_session import EnvCachedSession, request_json
+from ragmend.mockserver import MockService
 from ragmend.pipeline import RemoteGenerator
 from ragmend.scoring import RemoteScorer, ScorerConfig
 from ragmend.websearch import HttpSearchClient, RemoteRewriter
@@ -128,11 +133,273 @@ class TestMergeEnvironmentSettings:
         assert got["proxies"]["http"] == "http://proxy:3128"
 
     def test_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(EnvCachedSession, "MAX_CACHED_HOSTS", 3)
+        monkeypatch.setattr(EnvCachedSession, "MAX_CACHED", 3)
         session = EnvCachedSession()
         for i in range(10):
             session.merge_environment_settings(f"http://h{i}.example/", {}, None, None, None)
+            session.prepare_request(requests.Request("GET", f"http://h{i}.example/"))
         assert len(session._env_settings) <= 3
+        assert len(session._prepared) <= 3
+
+
+def _hook(response, *args, **kwargs):
+    return response
+
+
+VALID_URLS = st.builds(
+    "{}://{}{}/{}{}{}".format,
+    st.sampled_from(["http", "https"]),
+    st.sampled_from(["localhost", "127.0.0.1", "[::1]", "example.com", "bücher.example"]),
+    st.sampled_from(["", ":8080", ":65535"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["", "?a=1&b=%20c", "?q=ä ö"]),
+    st.sampled_from(["", "#top", "#ü"]),
+)
+INVALID_URLS = st.sampled_from(
+    ["", "example.com/x", "http://", "http://[::1/x", "http://exa mple.com/"]
+)
+
+JSON_BODIES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=4,
+)
+
+# Each of these sends a request down the stock path.
+STOCK_EXTRAS = [
+    {"params": {"q": "x y"}},
+    {"cookies": {"c": "1"}},
+    {"auth": ("u", "p")},
+    {"data": {"f": "1"}},
+    {"files": {"f": b"x"}},
+    {"hooks": {"response": [_hook]}},
+]
+
+REQUEST_HEADERS = st.dictionaries(
+    st.sampled_from(["Accept", "X-Trace", "Content-Type", "User-Agent"]),
+    st.sampled_from([None, "a", "text/plain", " leading space", ["a"]]),
+    max_size=3,
+)
+
+# Indexes into small pools of URLs and header sets, so that keys repeat.
+STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(["GET", "POST"]),
+        st.integers(0, 1),
+        st.none() | JSON_BODIES,
+        # Files get a random multipart boundary, so bodies with them never compare equal.
+        st.sampled_from([{}] * 5 + [extra for extra in STOCK_EXTRAS if "files" not in extra]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+NETRC_FILES = {
+    "matching": "machine example.com login alice password s3cret\n"
+    "machine localhost login bob password pw\n",
+    "default": "default login carol password x\n",
+    "other": "machine elsewhere.example login dave password y\n",
+}
+
+
+@pytest.fixture(scope="module")
+def netrc_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("netrc")
+    paths = {"missing": str(root / "missing")}
+    for name, text in NETRC_FILES.items():
+        path = root / name
+        path.write_text(text, encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+def _prepared(session, method, url, **kwargs):
+    """What `session` would send for the request, or the class of the error preparing it."""
+    try:
+        p = session.prepare_request(requests.Request(method, url, **kwargs))
+    except Exception as exc:
+        return type(exc)
+    return p.method, p.url, list(p.headers.items()), p.body, p.hooks
+
+
+def _same_as_stock(cached, method, url, **kwargs):
+    """Assert that `cached` prepares what a plain session with its settings prepares."""
+    plain = requests.Session()
+    plain.headers = cached.headers.copy()
+    plain.cookies.update(cached.cookies)
+    plain.trust_env = cached.trust_env
+    expected = _prepared(plain, method, url, **kwargs)
+    assert _prepared(cached, method, url, **kwargs) == expected
+    return expected
+
+
+def _count_stock_prepares():
+    """Patch the stock `prepare_request`; the mock's calls record each request."""
+    return mock.patch.object(
+        requests.Session,
+        "prepare_request",
+        autospec=True,
+        side_effect=requests.Session.prepare_request,
+    )
+
+
+class TestPrepareRequest:
+    @settings(deadline=None)
+    @given(
+        urls=st.lists(VALID_URLS, min_size=1, max_size=2),
+        invalid_url=INVALID_URLS,
+        header_sets=st.lists(REQUEST_HEADERS, min_size=1, max_size=2),
+        steps=STEPS,
+        session_headers=st.dictionaries(
+            st.sampled_from(["Accept", "X-Session", "Authorization"]),
+            st.sampled_from(["s", "Bearer t"]),
+            max_size=2,
+        ),
+        netrc=st.sampled_from(["missing", *NETRC_FILES]),
+        trust_env=st.booleans(),
+    )
+    def test_equals_plain_session(
+        self, netrc_paths, urls, invalid_url, header_sets, steps, session_headers, netrc, trust_env
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("NETRC", netrc_paths[netrc])
+            cached = EnvCachedSession()
+            cached.headers.update(session_headers)
+            cached.trust_env = trust_env
+            # The second round repeats every request, so most are served from the store.
+            pool = urls + [invalid_url]
+            for url_index, method, headers_index, body, extra in steps + steps:
+                url = pool[url_index % len(pool)]
+                headers = header_sets[headers_index % len(header_sets)]
+                _same_as_stock(cached, method, url, headers=headers, json=body, **extra)
+
+    def test_netrc_credentials_are_sent(self, netrc_paths, monkeypatch):
+        monkeypatch.setenv("NETRC", netrc_paths["matching"])
+        session = EnvCachedSession()
+        url = "http://example.com/score"
+        for _ in range(2):
+            got = _same_as_stock(session, "POST", url, json={"a": 1})
+            assert ("Authorization", "Basic YWxpY2U6czNjcmV0") in got[2]
+        session.trust_env = False
+        got = _same_as_stock(session, "POST", url, json={"a": 1})
+        assert "Authorization" not in dict(got[2])
+
+    def test_session_holding_a_cookie_sends_it(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/score"
+        _same_as_stock(session, "POST", url, json={"a": 1})
+        session.cookies.set("sid", "1")
+        for body in ({"a": 2}, {"a": 3}):
+            got = _same_as_stock(session, "POST", url, json=body)
+            assert ("Cookie", "sid=1") in got[2]
+
+    def test_changed_session_headers_are_sent(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/generate"
+        _same_as_stock(session, "POST", url, json={"a": 1})
+        session.headers["X-Session"] = "2"
+        del session.headers["User-Agent"]
+        got = _same_as_stock(session, "POST", url, json={"a": 2})
+        assert ("X-Session", "2") in got[2]
+        assert "User-Agent" not in dict(got[2])
+
+    def test_method_and_body_presence_pick_the_stored_request(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/generate"
+        for method, body in [("POST", {"a": 1}), ("POST", None), ("GET", None), ("GET", [2])] * 2:
+            _same_as_stock(session, method, url, json=body)
+
+    def test_invalid_input_raises_the_stock_error_on_a_stored_url(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/score"
+        _same_as_stock(session, "POST", url, json={"a": 1})
+        assert _same_as_stock(session, "POST", url, json={"a": float("nan")}) is (
+            requests.exceptions.InvalidJSONError
+        )
+        assert _same_as_stock(session, "POST", url, headers={"X": ["a"]}, json={"a": 1}) is (
+            requests.exceptions.InvalidHeader
+        )
+
+    def test_each_request_gets_its_own_copy(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/score"
+        first = session.prepare_request(requests.Request("POST", url, json={"a": 1}))
+        first.headers["X-Changed"] = "1"
+        first.hooks["response"].append(_hook)
+        first.prepare_cookies({"c": "1"})
+        _same_as_stock(session, "POST", url, json={"a": 1})
+
+    @pytest.mark.parametrize("extra", STOCK_EXTRAS, ids=lambda extra: next(iter(extra)))
+    def test_request_extras_take_the_stock_path(self, extra):
+        session = EnvCachedSession()
+        with _count_stock_prepares() as stock:
+            for _ in range(3):
+                session.prepare_request(
+                    requests.Request("POST", "http://localhost:9/x", json={"a": 1}, **extra)
+                )
+        assert stock.call_count == 3
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("params", {"q": "x"}),
+            ("auth", ("u", "p")),
+            ("hooks", {"response": [_hook]}),
+        ],
+    )
+    def test_session_settings_take_the_stock_path(self, setting, value):
+        session = EnvCachedSession()
+        setattr(session, setting, value)
+        with _count_stock_prepares() as stock:
+            for _ in range(3):
+                session.prepare_request(requests.Request("GET", "http://localhost:9/x"))
+        assert stock.call_count == 3
+
+    def test_hot_traffic_is_prepared_once_per_url(self, fixtures_dir):
+        with MockService(fixtures_dir) as svc, _count_stock_prepares() as stock:
+            base = svc.base_url
+            scorer = RemoteScorer(ScorerConfig(kind="remote", endpoint=f"{base}/score"))
+            generator = RemoteGenerator(f"{base}/generate")
+            client = HttpSearchClient(f"{base}/search")
+            for i in range(50):
+                scorer.score_text("What is the capital of France?", f"document {i}")
+            for i in range(5):
+                generator.generate(f"Question: q{i}\nAnswer:")
+            for i in range(5):
+                client.search(f"query {i}")
+                client.fetch(f"{base}/page/q02.html", timeout=5.0)
+        urls = Counter(call.args[1].url.split("?")[0] for call in stock.call_args_list)
+        assert urls == {
+            f"{base}/score": 1,
+            f"{base}/generate": 1,
+            f"{base}/search": 5,
+            f"{base}/page/q02.html": 1,
+        }
+
+    def test_threads_filling_one_session_get_stock_results(self, monkeypatch):
+        # A small bound makes the threads clear the store while others read it.
+        monkeypatch.setattr(EnvCachedSession, "MAX_CACHED", 3)
+        session = EnvCachedSession()
+        urls = [f"http://localhost:9/{i}" for i in range(8)]
+        expected = {url: _prepared(requests.Session(), "POST", url, json=url) for url in urls}
+
+        def work(offset):
+            wrong = []
+            for n in range(200):
+                url = urls[(offset + n) % len(urls)]
+                if _prepared(session, "POST", url, json=url) != expected[url]:
+                    wrong.append(url)
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                wrong = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [[]] * 8
 
 
 class TestRoleDefaults:

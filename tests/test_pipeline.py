@@ -33,7 +33,13 @@ from ragmend.pipeline import (
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
 from ragmend.scoring import Document, LexicalScorer, Query
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
-from ragmend.websearch import HttpSearchClient, RemoteRewriter, SearchConfig
+from ragmend.websearch import (
+    HttpSearchClient,
+    KeywordRewriter,
+    RemoteRewriter,
+    SearchConfig,
+    rewrite,
+)
 
 
 def make_judgment(max_score, action):
@@ -478,6 +484,25 @@ class TestRunRobustness:
         assert record.error is None
         assert record.action is (only_action or record.judgment.action)
         assert record.answer
+
+    @given(
+        mode=st.sampled_from(MODES),
+        question=st.text(min_size=1, max_size=40).filter(str.strip),
+        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5).filter(
+            lambda texts: any(t.strip() for t in texts)
+        ),
+        pages=st.lists(st.text(max_size=80), max_size=3),
+    )
+    def test_timings_are_nonnegative_and_stages_fit_in_total(self, mode, question, texts, pages):
+        docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
+        urls = [f"mock://web/p{i}" for i in range(len(pages))]
+        query = rewrite(Query(question), KeywordRewriter())
+        web = FakeWeb({query: urls}, {url: f"<p>{page}</p>" for url, page in zip(urls, pages)})
+        with tempfile.TemporaryDirectory() as cache:
+            cfg = PipelineConfig(search=SearchConfig(cache_dir=cache))
+            timings = run(question, docs, cfg, LexicalScorer(), web, mode=mode).timings
+        assert all(value >= 0 for value in timings.values())
+        assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
 
     @given(st.text(min_size=1, max_size=40).filter(str.strip))
     def test_prompt_round_trips_any_question(self, text):
