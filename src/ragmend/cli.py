@@ -22,7 +22,7 @@ from .errors import ConfigError, InputError, OfflineViolationError, RemoteError
 from .mockserver import MockService
 from .pipeline import PipelineConfig
 from .scoring import Document, Query, build_scorer
-from .trigger import Action, judge
+from .trigger import judge
 
 logger = logging.getLogger(__name__)
 
@@ -57,15 +57,10 @@ class OfflineGuard:
 
 def _check_offline(cfg: PipelineConfig) -> None:
     """Reject any configured non-local endpoint before network activity."""
-    endpoints = {
-        "scorer.endpoint": cfg.scorer.endpoint,
-        "search.endpoint": cfg.search.endpoint,
-        "generator.endpoint": cfg.generator_endpoint,
-        "rewriter.endpoint": cfg.rewriter_endpoint,
-    }
-    for name, url in endpoints.items():
+    for section, values in config_mod.config_snapshot(cfg).items():
+        url = values.get("endpoint")
         if url and not _is_local_url(url):
-            raise ConfigError(f"--offline forbids non-local endpoint {name}={url}")
+            raise ConfigError(f"--offline forbids non-local endpoint {section}.endpoint={url}")
 
 
 def port(text: str) -> int:
@@ -75,7 +70,7 @@ def port(text: str) -> int:
     return value
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
+def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON config file")
     parser.add_argument(
         "--set",
@@ -84,9 +79,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="SECTION.KEY=VALUE",
         help="config override, highest precedence (repeatable)",
-    )
-    parser.add_argument(
-        "--log-level", choices=sorted(_LOG_LEVELS), default="warn", help="log verbosity"
     )
     parser.add_argument(
         "--offline",
@@ -106,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_judge = sub.add_parser("judge", help="score documents and print the action")
     p_judge.add_argument("question", help="the question text")
     p_judge.add_argument("docs_file", type=Path, help="JSONL file of documents")
-    _add_common_options(p_judge)
+    _add_config_options(p_judge)
 
     p_run = sub.add_parser("run", help="run an experiment over a dataset")
     p_run.add_argument("dataset", type=Path, help="JSONL dataset file")
-    _add_common_options(p_run)
+    _add_config_options(p_run)
     p_run.add_argument("--mode", choices=harness.MODES, default="crag")
     p_run.add_argument(
         "--degrade-p", type=float, default=None, help="relevant-doc removal probability"
@@ -119,22 +111,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--report", type=Path, default=Path("report.json"))
     p_run.add_argument("--csv", type=Path, default=None, help="append a summary row")
     p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument(
-        "--disable-action", choices=[a.value for a in Action], default=None
-    )
-    p_run.add_argument("--only-action", choices=[a.value for a in Action], default=None)
-    p_run.add_argument("--no-refinement", action="store_true")
-    p_run.add_argument("--no-rewriting", action="store_true")
-    p_run.add_argument("--no-selection", action="store_true")
 
     p_mock = sub.add_parser("mock-serve", help="serve fixture-backed mock endpoints")
-    _add_common_options(p_mock)
     p_mock.add_argument("--host", default="127.0.0.1")
     p_mock.add_argument("--port", type=port, default=8080)
     p_mock.add_argument(
         "--fixtures", type=Path, default=None, help="fixtures directory (default: bundled)"
     )
 
+    for p in (p_judge, p_run, p_mock):
+        p.add_argument(
+            "--log-level", choices=sorted(_LOG_LEVELS), default="warn", help="log verbosity"
+        )
     return parser
 
 
@@ -162,31 +150,14 @@ def cmd_judge(args: argparse.Namespace) -> int:
     judgment = judge(scores, cfg.thresholds)
     print(
         json.dumps(
-            {
-                "action": judgment.action.value,
-                "max_score": judgment.max_score,
-                "scores": list(judgment.scores),
-            }
+            {"action": judgment.action.value, "max_score": judgment.max_score, "scores": scores}
         )
     )
     return 0
 
 
-def _ablation_overrides(args: argparse.Namespace) -> list[str]:
-    pairs = []
-    if args.disable_action:
-        pairs.append(f"ablations.disable_action={args.disable_action}")
-    if args.only_action:
-        pairs.append(f"ablations.only_action={args.only_action}")
-    for flag in ("no_refinement", "no_rewriting", "no_selection"):
-        if getattr(args, flag):
-            pairs.append(f"ablations.{flag}=true")
-    return pairs
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    overrides = list(args.overrides) + _ablation_overrides(args)
-    cfg = config_mod.load_config(args.config, overrides)
+    cfg = config_mod.load_config(args.config, args.overrides)
     if args.offline:
         _check_offline(cfg)
 

@@ -9,6 +9,8 @@ is only a bool).
 The keys come from `PipelineConfig`: each nested dataclass field is a section
 of its fields, and each flat field `<section>_<key>` is key `<key>` of
 `<section>`. `thresholds.preset` names a preset; explicit bounds win over it.
+`config_snapshot` writes a config back out as such a tree, which a report
+carries as its `config`.
 """
 
 from __future__ import annotations
@@ -148,6 +150,25 @@ def build_pipeline_config(data: dict) -> PipelineConfig:
             default = Thresholds.preset(values.pop("preset"))
         kwargs[section] = dataclasses.replace(default, **values)
     return PipelineConfig(**kwargs)
+
+
+def config_snapshot(cfg: PipelineConfig) -> dict:
+    """The config tree `build_pipeline_config` turns back into `cfg`.
+
+    It holds every `SCHEMA` key but `thresholds.preset`, as JSON values: an
+    enum as its value and a path as a string.
+    """
+    tree: dict = {}
+    for section, keys in _FIELD_TYPES.items():
+        nested = getattr(cfg, section, None)
+        tree[section] = {
+            key: getattr(nested, key)
+            if dataclasses.is_dataclass(nested)
+            else getattr(cfg, f"{section}_{key}")
+            for key in keys
+            if (section, key) != ("thresholds", "preset")
+        }
+    return json.loads(json.dumps(tree, default=str))
 
 
 def load_config(

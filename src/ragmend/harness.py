@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import pipeline
+from .config import config_snapshot
 from .errors import DatasetError, InputError
 from .pipeline import MODES, PipelineConfig, RunRecord
 from .scoring import Document, Scorer
@@ -202,7 +203,13 @@ class InstanceRecord:
 
 @dataclass
 class ExperimentReport:
-    """Aggregated experiment outcome plus everything needed to rerun it."""
+    """Aggregated experiment outcome plus the settings that produced it.
+
+    `config` is `config_snapshot` of the run's config: the tree a `--config`
+    file holds, so `ragmend run --config` loads it back unchanged. `mode` and
+    `degradation_level` are the run's other settings; the degradation seed is
+    not recorded.
+    """
 
     mode: str
     degradation_level: float
@@ -241,11 +248,6 @@ def _record_dict(record: InstanceRecord) -> dict:
         "timings": dict(run.timings),
         "error": run.error,
     }
-
-
-def config_snapshot(cfg: PipelineConfig) -> dict:
-    """JSON-safe copy of the pipeline config for report reproducibility."""
-    return json.loads(json.dumps(dataclasses.asdict(cfg), default=str))
 
 
 def run_experiment(

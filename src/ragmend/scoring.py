@@ -171,8 +171,8 @@ class RemoteScorer(Scorer):
         return float(max(-1.0, min(1.0, value)))
 
 
-def build_scorer(config: ScorerConfig, session: Optional[requests.Session] = None) -> Scorer:
+def build_scorer(config: ScorerConfig) -> Scorer:
     """Construct the scorer named by config.kind."""
     if config.kind == "lexical":
         return LexicalScorer()
-    return RemoteScorer(config, session=session)
+    return RemoteScorer(config)

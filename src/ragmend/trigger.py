@@ -56,11 +56,10 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class ActionJudgment:
-    """The chosen action plus the scores that produced it."""
+    """The chosen action and the best score that chose it."""
 
     action: Action
     max_score: float
-    scores: tuple[float, ...]
 
 
 def judge(scores: Sequence[float], thresholds: Thresholds) -> ActionJudgment:
@@ -74,4 +73,4 @@ def judge(scores: Sequence[float], thresholds: Thresholds) -> ActionJudgment:
         action = Action.INCORRECT
     else:
         action = Action.AMBIGUOUS
-    return ActionJudgment(action=action, max_score=best, scores=tuple(scores))
+    return ActionJudgment(action=action, max_score=best)

@@ -28,6 +28,7 @@ from ragmend.cli import (
     default_fixtures_dir,
     main,
 )
+from ragmend.config import SCHEMA
 from ragmend.errors import InputError, OfflineViolationError
 from ragmend.mockserver import MockService
 
@@ -37,6 +38,9 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
+
+
+ENDPOINT_SECTIONS = sorted(section for section, keys in SCHEMA.items() if "endpoint" in keys)
 
 
 def write_lines(path, lines):
@@ -130,6 +134,25 @@ class TestArgParsing:
         assert (run_args.seed, run_args.workers) == (0, 1)
         assert parser.parse_args(["mock-serve"]).port == 8080
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--disable-action", "Incorrect"],
+            ["--only-action", "Incorrect"],
+            ["--no-refinement"],
+            ["--no-rewriting"],
+            ["--no-selection"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_ablations_have_no_flags(self, tmp_path, capsys, option):
+        # An ablation is set like every other key: --set ablations.<key>=...
+        report = tmp_path / "r.json"
+        code = main(["run", str(mini_dataset(tmp_path)), "--report", str(report)] + option)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestUnreadableInputs:
     @pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
@@ -161,10 +184,10 @@ class TestJudgeCommand:
             ["judge", "What is the capital city of France?", str(docs_file(tmp_path))]
         )
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["action"] == "Correct"
-        assert payload["max_score"] == pytest.approx(5 / 7)
-        assert len(payload["scores"]) == 2
+        assert capsys.readouterr().out == (
+            '{"action": "Correct", "max_score": 0.7142857142857142, '
+            '"scores": [0.7142857142857142, -1.0]}\n'
+        )
 
     def test_thresholds_change_action(self, tmp_path, capsys):
         code = main(
@@ -207,21 +230,17 @@ class TestJudgeCommand:
         assert code == 2
         assert "unknown config section" in capsys.readouterr().err
 
-    def test_offline_rejects_remote_endpoint(self, tmp_path, capsys):
-        code = main(
-            [
-                "judge",
-                "q?",
-                str(docs_file(tmp_path)),
-                "--offline",
-                "--set",
-                "scorer.kind=remote",
-                "--set",
-                "scorer.endpoint=http://example.com/score",
-            ]
-        )
+    def test_every_endpoint_section_is_checked_offline(self):
+        assert set(ENDPOINT_SECTIONS) == {"search", "scorer", "generator", "rewriter"}
+
+    @pytest.mark.parametrize("section", ENDPOINT_SECTIONS)
+    def test_offline_rejects_remote_endpoint(self, tmp_path, capsys, section):
+        url = f"http://example.com/{section}"
+        docs = str(docs_file(tmp_path))
+        code = main(["judge", "q?", docs, "--offline", "--set", f"{section}.endpoint={url}"])
         assert code == 2
-        assert "scorer.endpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--offline forbids non-local endpoint {section}.endpoint={url}" in err
 
     def test_offline_allows_lexical(self, tmp_path, capsys):
         code = main(
@@ -344,8 +363,8 @@ class TestRunCommand:
             [
                 "run",
                 str(dataset),
-                "--only-action",
-                "Incorrect",
+                "--set",
+                "ablations.only_action=Incorrect",
                 "--report",
                 str(report_path),
             ]
@@ -355,24 +374,32 @@ class TestRunCommand:
         assert report["action_histogram"] == {"Incorrect": 2}
         assert report["accuracy"] == 0.0
 
-    def test_ablation_flags_reach_config(self, tmp_path, capsys):
+    def test_report_config_reruns_the_report(self, tmp_path, capsys):
         dataset = mini_dataset(tmp_path)
-        report_path = tmp_path / "report.json"
+        first, rerun = tmp_path / "first.json", tmp_path / "rerun.json"
         code = main(
             [
                 "run",
                 str(dataset),
-                "--no-refinement",
-                "--disable-action",
-                "Incorrect",
+                "--set",
+                "ablations.no_refinement=true",
+                "--set",
+                "ablations.disable_action=Incorrect",
                 "--report",
-                str(report_path),
+                str(first),
             ]
         )
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = json.loads(first.read_text())
         assert report["config"]["ablations"]["no_refinement"] is True
         assert report["config"]["ablations"]["disable_action"] == "Incorrect"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(report["config"]), encoding="utf-8")
+        assert main(["run", str(dataset), "--config", str(config), "--report", str(rerun)]) == 0
+        reports = [report, json.loads(rerun.read_text())]
+        for record in reports[0]["records"] + reports[1]["records"]:
+            del record["timings"]
+        assert reports[1] == reports[0]
 
     def test_non_object_config_section_exits_2(self, tmp_path, capsys):
         # config._validate_tree: "section ... must be an object"
@@ -522,6 +549,18 @@ class TestMockServeCommand:
     def test_missing_fixtures_dir(self, tmp_path, capsys):
         code = main(["mock-serve", "--fixtures", str(tmp_path / "nope")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--config", "missing.json"], ["--set", "scorer.kind=bogus"], ["--offline"]],
+        ids=lambda option: option[0],
+    )
+    def test_config_options_are_usage_errors(self, tmp_path, capsys, option):
+        # The mock serves fixtures and reads no config; a missing fixtures
+        # directory keeps a parser that took the option from serving.
+        code = main(["mock-serve", "--fixtures", str(tmp_path / "nope")] + option)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("port", ["70000", "-1", "65536"])
     def test_port_out_of_range_is_usage_error(self, capsys, port):

@@ -26,7 +26,14 @@ from ragmend import (
     build_roles,
     run_experiment,
 )
-from ragmend.config import SCHEMA, build_pipeline_config, load_config, merge, parse_overrides
+from ragmend.config import (
+    SCHEMA,
+    build_pipeline_config,
+    config_snapshot,
+    load_config,
+    merge,
+    parse_overrides,
+)
 from ragmend.errors import ConfigError, ScorerUnavailableError
 from ragmend.http_session import MAX_TIMEOUT_S
 from ragmend.trigger import Action
@@ -249,6 +256,7 @@ class TestDerivedSchema:
         assert field_value(PipelineConfig(), section, key) != expected
         cfg = load_config(overrides=[f"{dotted}={raw}"] + COMPANIONS.get(dotted, []))
         assert field_value(cfg, section, key) == expected
+        assert build_pipeline_config(config_snapshot(cfg)) == cfg
 
 
 def has_declared_type(dotted, value):
@@ -440,6 +448,16 @@ class TestBuildPipelineConfig:
             return
         assert isinstance(cfg, PipelineConfig)
 
+    @given(config_trees())
+    def test_snapshot_rebuilds_the_config(self, tree):
+        try:
+            cfg = build_pipeline_config(tree)
+        except ConfigError:
+            return
+        snapshot = config_snapshot(cfg)
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        assert build_pipeline_config(snapshot) == cfg
+
 
 class TestReadme:
     def test_config_block_is_the_schema_and_the_defaults(self):
@@ -448,6 +466,8 @@ class TestReadme:
         block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
         assert {name: set(keys) for name, keys in block.items()} == SCHEMA
         assert build_pipeline_config(block) == PipelineConfig()
+        del block["thresholds"]["preset"]
+        assert config_snapshot(PipelineConfig()) == block
 
 
 class TestBuildRoles:

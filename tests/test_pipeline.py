@@ -43,7 +43,7 @@ from ragmend.websearch import (
 
 
 def make_judgment(max_score, action):
-    return ActionJudgment(action=action, max_score=max_score, scores=(max_score,))
+    return ActionJudgment(action=action, max_score=max_score)
 
 
 TH = Thresholds(upper=0.59, lower=-0.99)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ragmend.errors import ConfigError, NoDocumentsError
-from ragmend.trigger import THRESHOLD_PRESETS, Action, Thresholds, judge
+from ragmend.trigger import THRESHOLD_PRESETS, Action, ActionJudgment, Thresholds, judge
 
 
 def brute_force_action(scores, upper, lower):
@@ -68,10 +68,8 @@ class TestJudge:
         assert judge([-0.99], self.TH).action is Action.AMBIGUOUS
 
     def test_judgment_records_inputs(self):
-        j = judge([0.1, 0.7, -0.2], self.TH)
-        assert j.max_score == 0.7
-        assert j.scores == (0.1, 0.7, -0.2)
-        assert j.action is Action.CORRECT
+        # The scores themselves stay on RunRecord.doc_scores, not on the judgment.
+        assert judge([0.1, 0.7, -0.2], self.TH) == ActionJudgment(Action.CORRECT, 0.7)
 
     def test_only_max_matters(self):
         scores = [-1.0, -0.5, 0.61]
