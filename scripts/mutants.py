@@ -69,9 +69,6 @@ ALLOWLIST = {
         "clearing at MAX_CACHED or one entry later keeps every result equal; "
         "only a cache's size differs"
     ),
-    ("scoring.py", "@functools.lru_cache(maxsize=32)"): (
-        "the memo's size changes no score, only how many questions stay cached"
-    ),
     ("websearch.py", "EXTRACTOR_VERSION = 1"): (
         "any value marks the cache format; the tests write and read files with the same value"
     ),

@@ -146,7 +146,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
         raise InputError(f"question: {exc}") from None
     docs = _load_docs_jsonl(args.docs_file)
     scorer = build_scorer(cfg.scorer)
-    scores = scorer.score_batch(question, docs)
+    scores = scorer.score_batch(question.text, [doc.text for doc in docs])
     judgment = judge(scores, cfg.thresholds)
     print(
         json.dumps(

@@ -206,9 +206,9 @@ class ExperimentReport:
     """Aggregated experiment outcome plus the settings that produced it.
 
     `config` is `config_snapshot` of the run's config: the tree a `--config`
-    file holds, so `ragmend run --config` loads it back unchanged. `mode` and
-    `degradation_level` are the run's other settings; the degradation seed is
-    not recorded.
+    file holds, so `ragmend run --config` loads it back unchanged. `mode`,
+    `degradation_level` and `degradation_seed` (None without degradation) are
+    the run's other settings.
     """
 
     mode: str
@@ -217,11 +217,13 @@ class ExperimentReport:
     action_histogram: dict
     config: dict
     records: list[InstanceRecord]
+    degradation_seed: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
             "degradation_level": self.degradation_level,
+            "degradation_seed": self.degradation_seed,
             "accuracy": self.accuracy,
             "action_histogram": dict(self.action_histogram),
             "config": self.config,
@@ -273,11 +275,10 @@ def run_experiment(
     if workers < 1:
         raise InputError("workers must be >= 1")
 
-    level = 0.0
+    level, seed = 0.0, None
     if degradation is not None:
-        p, seed = degradation
-        instances = degrade(instances, p, seed)
-        level = p
+        level, seed = degradation
+        instances = degrade(instances, level, seed)
 
     def run_one(instance: DatasetInstance) -> InstanceRecord:
         record = pipeline.run(
@@ -311,6 +312,7 @@ def run_experiment(
     return ExperimentReport(
         mode=mode,
         degradation_level=level,
+        degradation_seed=seed,
         accuracy=correct_count / len(records) if records else 0.0,
         action_histogram=dict(histogram),
         config=config_snapshot(cfg),

@@ -283,7 +283,7 @@ def run(
     scores: Sequence[float] = ()
     judgment = action = None
     if mode == "crag":
-        scores = scorer.score_batch(question, docs)
+        scores = scorer.score_batch(question.text, [doc.text for doc in docs])
         timings["score"] = time.perf_counter() - t_total
         judgment = judge(scores, cfg.thresholds)
         action = resolve_action(judgment, cfg.thresholds, cfg.ablations)

@@ -8,7 +8,6 @@ web-search strips, into one knowledge bundle.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 from .errors import ConfigError, EmptyDocumentError, NoDocumentsError
 from .scoring import Document, Query, Scorer
 
-_SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
+_SENTENCE_BREAK = re.compile(r"([.!?])\s+")
 
 STRIP_SEPARATOR = "\n"
 
@@ -28,7 +27,7 @@ class BundleKind(str, Enum):
     COMBINED = "Combined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeStrip:
     """A scored fragment of a document (or web page)."""
 
@@ -86,7 +85,9 @@ def split_sentences(text: str) -> list[str]:
     stripped = text.strip()
     if not stripped:
         return []
-    return _SENTENCE_BREAK.split(stripped)
+    # The split keeps each break's punctuation apart; put it back on its sentence.
+    parts = _SENTENCE_BREAK.split(stripped)
+    return [s + p for s, p in zip(parts[::2], parts[1::2])] + [parts[-1]]
 
 
 def segment(doc: Document, config: RefineConfig) -> list[KnowledgeStrip]:
@@ -128,7 +129,7 @@ def filter_strips(
     """
     if not strips:
         raise ValueError("filter_strips requires at least one strip")
-    scores = [scorer.score_text(query.text, strip.text) for strip in strips]
+    scores = scorer.score_batch(query.text, [strip.text for strip in strips])
 
     def rank(pos: int) -> tuple[float, int]:
         return -scores[pos], pos
@@ -138,7 +139,11 @@ def filter_strips(
         kept = sorted(sorted(passing, key=rank)[: config.top_k])
     else:
         kept = [min(range(len(scores)), key=rank)]
-    return [dataclasses.replace(strips[pos], score=scores[pos]) for pos in kept]
+    result = []
+    for pos in kept:
+        strip = strips[pos]
+        result.append(KnowledgeStrip(strip.doc_id, strip.index, strip.text, scores[pos]))
+    return result
 
 
 def refine(

@@ -8,7 +8,6 @@ overlap at all, 1 means every unique query token appears in the document.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import string
@@ -33,13 +32,6 @@ def tokenize(text: str) -> list[str]:
 # this table keeps those bytes and turns every other byte into a space.
 _WORD_BYTES = (string.ascii_lowercase + string.digits).encode("ascii")
 _ASCII_WORD_BYTES = bytes(c if c in _WORD_BYTES else 0x20 for c in range(256))
-
-
-@functools.lru_cache(maxsize=32)
-def _query_tokens(text: str) -> tuple[frozenset[str], frozenset[bytes]]:
-    """A question's unique tokens, and its ASCII ones as bytes, kept for the texts it scores."""
-    unique = frozenset(tokenize(text))
-    return unique, frozenset(t.encode("ascii") for t in unique if t.isascii())
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,11 @@ class ScorerConfig:
 
 
 class Scorer:
-    """Interface: map a query-document pair to a relevance score in [-1, 1]."""
+    """Interface: map a query-document pair to a relevance score in [-1, 1].
+
+    `score_batch` is the one call per scoring stage (documents, strips, page
+    paragraphs); by default it scores each text with `score_text`.
+    """
 
     def score_text(self, query: str, document: str) -> float:
         raise NotImplementedError
@@ -113,25 +109,33 @@ class Scorer:
     def score(self, query: Query, doc: Document) -> float:
         return self.score_text(query.text, doc.text)
 
-    def score_batch(self, query: Query, docs: Sequence[Document]) -> list[float]:
-        return [self.score(query, doc) for doc in docs]
+    def score_batch(self, query: str, texts: Sequence[str]) -> list[float]:
+        return [self.score_text(query, text) for text in texts]
 
 
 class LexicalScorer(Scorer):
     """Token-overlap scorer: 2 * (matched unique query tokens / unique query tokens) - 1."""
 
     def score_text(self, query: str, document: str) -> float:
-        unique, ascii_unique = _query_tokens(query)
+        return self.score_batch(query, (document,))[0]
+
+    def score_batch(self, query: str, texts: Sequence[str]) -> list[float]:
+        unique = frozenset(tokenize(query))
         if not unique:
-            return -1.0
-        lowered = document.lower()
-        if lowered.isascii():
-            # A non-ASCII question token cannot occur in ASCII text.
-            words = lowered.encode("ascii").translate(_ASCII_WORD_BYTES).split()
-            hits = len(ascii_unique.intersection(words))
-        else:
-            hits = len(unique.intersection(_TOKEN.findall(lowered)))
-        return 2.0 * hits / len(unique) - 1.0
+            return [-1.0] * len(texts)
+        ascii_unique = frozenset(t.encode("ascii") for t in unique if t.isascii())
+        count = len(unique)
+        scores = []
+        for text in texts:
+            lowered = text.lower()
+            if lowered.isascii():
+                # A non-ASCII question token cannot occur in ASCII text.
+                words = lowered.encode("ascii").translate(_ASCII_WORD_BYTES).split()
+                hits = len(ascii_unique.intersection(words))
+            else:
+                hits = len(unique.intersection(_TOKEN.findall(lowered)))
+            scores.append(2.0 * hits / count - 1.0)
+        return scores
 
 
 class RemoteScorer(Scorer):

@@ -401,6 +401,39 @@ class TestRunCommand:
             del record["timings"]
         assert reports[1] == reports[0]
 
+    def test_degraded_report_reruns_from_its_own_fields(self, tmp_path, fixtures_dir, capsys):
+        dataset = str(fixtures_dir / "dataset_20.jsonl")
+        paths = {name: tmp_path / f"{name}.json" for name in ("first", "rerun", "seed0", "intact")}
+        degraded = ["--degrade-p", "0.5", "--seed", "7"]
+        assert main(["run", dataset, *degraded, "--report", str(paths["first"])]) == 0
+        report = json.loads(paths["first"].read_text())
+        assert (report["degradation_level"], report["degradation_seed"]) == (0.5, 7)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(report["config"]), encoding="utf-8")
+        rerun = [
+            "--config",
+            str(config),
+            "--mode",
+            report["mode"],
+            "--degrade-p",
+            str(report["degradation_level"]),
+            "--seed",
+            str(report["degradation_seed"]),
+        ]
+        assert main(["run", dataset, *rerun, "--report", str(paths["rerun"])]) == 0
+        seed0 = ["--degrade-p", "0.5"]
+        assert main(["run", dataset, *seed0, "--report", str(paths["seed0"])]) == 0
+        assert main(["run", dataset, "--report", str(paths["intact"])]) == 0
+        reports = {name: json.loads(path.read_text()) for name, path in paths.items()}
+        for name in reports:
+            for record in reports[name]["records"]:
+                del record["timings"]
+        assert reports["rerun"] == reports["first"]
+        # The seed decides which documents go, so a rerun needs it.
+        assert reports["seed0"]["degradation_seed"] == 0
+        assert reports["seed0"]["records"] != reports["first"]["records"]
+        assert reports["intact"]["degradation_seed"] is None
+
     def test_non_object_config_section_exits_2(self, tmp_path, capsys):
         # config._validate_tree: "section ... must be an object"
         dataset = mini_dataset(tmp_path)

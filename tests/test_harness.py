@@ -392,7 +392,7 @@ class BoomScorer:
     def score(self, query, doc):
         raise AssertionError("scorer used")
 
-    def score_batch(self, query, docs):
+    def score_batch(self, query, texts):
         raise AssertionError("scorer used")
 
 
@@ -561,7 +561,7 @@ class TestRunExperiment:
 
     def test_scorer_failure_aborts(self):
         class Unavailable:
-            def score_batch(self, query, docs):
+            def score_batch(self, query, texts):
                 raise ScorerUnavailableError("down")
 
         with pytest.raises(ScorerUnavailableError):
@@ -573,8 +573,8 @@ class TestRunExperiment:
         questions = []
 
         class SlowUnavailable:
-            def score_batch(self, query, docs):
-                questions.append(query.text)
+            def score_batch(self, query, texts):
+                questions.append(query)
                 time.sleep(0.05)
                 raise ScorerUnavailableError("down")
 

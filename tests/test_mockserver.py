@@ -11,9 +11,12 @@ import pytest
 import requests
 from hypothesis import assume, given, strategies as st
 
-from ragmend import mockserver
+from ragmend import build_roles, mockserver
+from ragmend.config import load_config
+from ragmend.harness import degrade
 from ragmend.http_session import EnvCachedSession
 from ragmend.mockserver import MockService
+from ragmend.pipeline import run
 from ragmend.prompts import render_rewrite_prompt
 from ragmend.scoring import LexicalScorer, Query, RemoteScorer, ScorerConfig
 from ragmend.websearch import KeywordRewriter, RemoteRewriter, rewrite
@@ -282,6 +285,111 @@ class TestKeepAlive:
         assert empty.json() == {"error": "invalid JSON"}
         assert good.json() == {"score": 1.0}
         assert len(accepted) == 1
+
+
+@pytest.fixture
+def scored(monkeypatch):
+    """The (query, document) of each `/score` request the mock server answers."""
+    seen = []
+    score = mockserver._Handler._score
+
+    def counting_score(body, fixtures):
+        seen.append((body["query"], body["document"]))
+        return score(body, fixtures)
+
+    monkeypatch.setattr(mockserver._Handler, "_score", staticmethod(counting_score))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def remote_scorer(service):
+    scorer = RemoteScorer(ScorerConfig(kind="remote", endpoint=f"{service.base_url}/score"))
+    yield scorer
+    scorer.session.close()
+
+
+class BatchCountingScorer(RemoteScorer):
+    """A remote scorer that records the number of texts in each `score_batch` call."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.batches = []
+
+    def score_batch(self, query, texts):
+        self.batches.append(len(texts))
+        return super().score_batch(query, texts)
+
+
+# JSON-encodable text: no lone surrogate.
+_WIRE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+class TestPerPairScoreWire:
+    """The remote scorer sends one `/score` request per pair, and `run` makes one
+    `score_batch` call per scoring stage: documents, strips, page paragraphs.
+    The traced benchmark counts one `/score` request per scored pair."""
+
+    @pytest.mark.parametrize(
+        "p, overrides, action, stages",
+        [
+            (0.0, [], "Correct", 2),
+            (1.0, [], "Incorrect", 2),
+            (0.0, ["ablations.only_action=Ambiguous"], "Ambiguous", 3),
+        ],
+    )
+    def test_run_sends_one_request_per_pair(
+        self, service, scored, fixture_dataset, tmp_path, p, overrides, action, stages
+    ):
+        base = service.base_url
+        cfg = load_config(
+            None,
+            [
+                "scorer.kind=remote",
+                f"scorer.endpoint={base}/score",
+                f"search.endpoint={base}/search",
+                f"search.cache_dir={tmp_path}",
+                *overrides,
+            ],
+        )
+        roles = build_roles(cfg)
+        scorer = BatchCountingScorer(cfg.scorer)
+        (instance,) = degrade(fixture_dataset[:1], p, 0)
+        try:
+            record = run(
+                instance.question,
+                instance.docs,
+                cfg,
+                scorer,
+                roles["search_client"],
+                roles["rewriter"],
+                roles["generator"],
+            )
+        finally:
+            scorer.session.close()
+        assert record.action.value == action
+        assert len(scorer.batches) == stages
+        assert scorer.batches[0] == len(instance.docs)
+        assert all(scorer.batches)
+        assert len(scored) == sum(scorer.batches)
+
+    def test_empty_batch_sends_nothing(self, remote_scorer, scored):
+        assert remote_scorer.score_batch("capital of France", []) == []
+        assert scored == []
+        texts = ["Paris is the capital of France", "Lyon"]
+        assert remote_scorer.score_batch("capital of France", texts) == [1.0, -1.0]
+        assert scored == [("capital of France", text) for text in texts]
+
+    @given(
+        st.builds(str.__add__, st.sampled_from(["", "zzz-score-probe "]), _WIRE_TEXT),
+        st.lists(_WIRE_TEXT, max_size=5),
+    )
+    def test_batch_equals_score_text(self, remote_scorer, query, texts):
+        scores = remote_scorer.score_batch(query, texts)
+        assert scores == [remote_scorer.score_text(query, t) for t in texts]
+        if "zzz-score-probe" in query:
+            assert scores == [0.25] * len(texts)
+        else:
+            assert scores == LexicalScorer().score_batch(query, texts)
 
 
 class TestStop:

@@ -1,6 +1,7 @@
 """Refinement: sentence splitting, segmentation, strip filtering, recompose."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,10 +18,32 @@ from ragmend.refinement import (
     segment,
     split_sentences,
 )
-from ragmend.scoring import Document, LexicalScorer, Query
+from ragmend.scoring import Document, Query, Scorer
+
+
+def reference_split(text):
+    """The lookbehind split that the punctuation-capturing split replaced."""
+    stripped = text.strip()
+    return re.split(r"(?<=[.!?])\s+", stripped) if stripped else []
+
+
+# Sentence punctuation, letters, and ASCII and Unicode whitespace: `\x1c`, `\x85`,
+# `\u2028` and the ideographic space are whitespace to `str.strip` and to `\s`.
+_SENTENCE_CHARS = st.sampled_from("ab .!?\n\t\r\x1c\x85\u2028\u3000é")
 
 
 class TestSplitSentences:
+    @given(
+        st.text(st.sampled_from(".!? \u3000"), max_size=4),
+        st.text(_SENTENCE_CHARS, max_size=60),
+    )
+    def test_equals_lookbehind_split(self, lead, text):
+        assert split_sentences(lead + text) == reference_split(lead + text)
+
+    @given(st.text(max_size=60))
+    def test_equals_lookbehind_split_on_any_text(self, text):
+        assert split_sentences(text) == reference_split(text)
+
     def test_periods(self):
         assert split_sentences("One. Two. Three.") == ["One.", "Two.", "Three."]
 
@@ -202,7 +225,7 @@ class TestFilterStrips:
             assert [s.index for s in kept] == expected
 
 
-class FixedScores(LexicalScorer):
+class FixedScores(Scorer):
     """Answers each strip text from a table, so scores need not come from overlap."""
 
     def __init__(self, table):
@@ -286,7 +309,6 @@ class TestRefine:
             return real(text)
 
         monkeypatch.setattr(scoring, "tokenize", counting)
-        scoring._query_tokens.cache_clear()
         question = "river stone calm"
         docs = [
             Document(id=f"d{i}", text=" ".join(random_sentences(random.Random(i), 9)))
@@ -333,7 +355,7 @@ class TestTypes:
 def test_selection_invariants(scores, top_k, threshold):
     """Selection keeps at most top_k strips in original order."""
 
-    class FixedScorer(LexicalScorer):
+    class FixedScorer(Scorer):
         def score_text(self, query, document):
             return scores[int(document)]
 

@@ -131,22 +131,18 @@ class TestLexicalScorer:
         assert lexical.score_text("?!", "anything") == -1.0
 
     def test_batch_empty(self, lexical):
-        assert lexical.score_batch(Query("q"), []) == []
+        assert lexical.score_batch("q", []) == []
 
     def test_batch_identical_docs(self, lexical):
-        docs = [Document(id=str(i), text="same text here") for i in range(3)]
-        scores = lexical.score_batch(Query("same question"), docs)
+        scores = lexical.score_batch("same question", ["same text here"] * 3)
         assert len(set(scores)) == 1
 
     def test_batch_equals_sequential_on_random_pairs(self, lexical):
         rng = random.Random(1234)
         vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-        query = Query(" ".join(rng.choices(vocab, k=4)))
-        docs = [
-            Document(id=str(i), text=" ".join(rng.choices(vocab, k=rng.randint(1, 8))))
-            for i in range(50)
-        ]
-        assert lexical.score_batch(query, docs) == [lexical.score(query, d) for d in docs]
+        query = " ".join(rng.choices(vocab, k=4))
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 8))) for _ in range(50)]
+        assert lexical.score_batch(query, texts) == [lexical.score_text(query, t) for t in texts]
 
     def test_title_not_scored(self, lexical):
         doc = Document(id="d", text="nothing related", title="genre of Cyberpunk")
@@ -168,12 +164,8 @@ class TestLexicalScorer:
     )
     def test_batch_sequential_equivalence(self, qtext, doc_texts):
         scorer = LexicalScorer()
-        try:
-            query = Query(qtext)
-        except ValueError:
-            return
-        docs = [Document(id=str(i), text=t) for i, t in enumerate(doc_texts)]
-        assert scorer.score_batch(query, docs) == [scorer.score(query, d) for d in docs]
+        expected = [scorer.score_text(qtext, t) for t in doc_texts]
+        assert scorer.score_batch(qtext, doc_texts) == expected
 
 
 # Every ASCII character (digits, "_", punctuation, control characters), plus the
@@ -204,6 +196,34 @@ class TestAsciiPath:
     def test_examples(self, lexical, query, document, score):
         assert math.isclose(lexical.score_text(query, document), score)
         assert lexical.score_text(query, document) == reference_score(query, document)
+
+
+class TestScoreBatch:
+    """One `score_batch` call scores each text as `score_text` does, on both paths."""
+
+    @given(
+        st.text(max_size=30),
+        st.lists(st.text(_ASCII_AFTER_LOWER, max_size=60), max_size=6),
+    )
+    def test_byte_path(self, query, texts):
+        scorer = LexicalScorer()
+        scores = scorer.score_batch(query, texts)
+        assert scores == [scorer.score_text(query, t) for t in texts]
+        assert scores == [reference_score(query, t) for t in texts]
+
+    @given(
+        st.text(max_size=30),
+        st.lists(
+            st.builds(str.__add__, st.text(max_size=60), st.sampled_from("éß東٣İ")),
+            max_size=6,
+        ),
+    )
+    def test_regex_path(self, query, texts):
+        assert not any(t.lower().isascii() for t in texts)
+        scorer = LexicalScorer()
+        scores = scorer.score_batch(query, texts)
+        assert scores == [scorer.score_text(query, t) for t in texts]
+        assert scores == [reference_score(query, t) for t in texts]
 
 
 class TestScorerConfig:
