@@ -267,30 +267,6 @@ def build(out_dir: Path):
         json.dumps(search_map, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         "utf-8",
     )
-    (out_dir / "generate.json").write_text(
-        json.dumps(
-            {"replies": [{"contains": "zzz-fixture-probe", "text": "fixture reply"}]},
-            indent=2,
-        )
-        + "\n",
-        "utf-8",
-    )
-    (out_dir / "score.json").write_text(
-        json.dumps(
-            {
-                "pairs": [
-                    {
-                        "query_contains": "zzz-score-probe",
-                        "document_contains": "",
-                        "score": 0.25,
-                    }
-                ]
-            },
-            indent=2,
-        )
-        + "\n",
-        "utf-8",
-    )
     print(f"wrote fixture for {len(ITEMS)} questions to {out_dir}")
 
 

@@ -56,11 +56,6 @@ TESTS = {
 
 # (module file, stripped source line) -> why no test can kill its mutants.
 ALLOWLIST = {
-    ("websearch.py", "timeout: float = 10.0,"): (
-        "RemoteRewriter's default repeats PipelineConfig.generator_timeout, which build_roles "
-        "always passes; websearch cannot import pipeline (circular), so one source for it "
-        "waits on the nested GeneratorConfig (ROADMAP item 5)"
-    ),
     ("http_session.py", "MAX_CACHED = 256"): (
         "the size bound on the per-host environment and per-URL request caches; a test "
         "that fills 256 entries would check a capacity, not a behaviour the program documents"

@@ -162,6 +162,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         _check_offline(cfg)
 
     instances = harness.load_dataset(args.dataset)
+    # Refuse an output file that cannot be written before any instance runs.
+    for path in filter(None, (args.report, args.csv)):
+        if path.is_dir():
+            raise InputError(f"cannot write {path}: it is a directory")
+        _writing(path, path.parent.mkdir, parents=True, exist_ok=True)
     roles = config_mod.build_roles(cfg)
     if args.offline and roles["search_client"] is not None:
         roles["search_client"] = OfflineGuard(roles["search_client"])
@@ -171,10 +176,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         instances, cfg, args.mode, degradation, **roles, workers=args.workers
     )
 
-    args.report.parent.mkdir(parents=True, exist_ok=True)
-    args.report.write_text(json.dumps(report.to_dict(), indent=2) + "\n", "utf-8")
+    report_text = json.dumps(report.to_dict(), indent=2) + "\n"
+    _writing(args.report, args.report.write_text, report_text, "utf-8")
     if args.csv is not None:
-        _append_csv(args.csv, harness.csv_row(report))
+        _writing(args.csv, _append_csv, args.csv, harness.csv_row(report))
     logger.info(
         "mode=%s p=%.2f accuracy=%.3f actions=%s",
         report.mode,
@@ -186,8 +191,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _writing(path: Path, write, *args, **kwargs) -> None:
+    """Call `write`; an OSError becomes an InputError that names `path`."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _append_csv(path: Path, row: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     new_file = not path.exists()
     with path.open("a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(row))

@@ -2,13 +2,13 @@
 
 Routes:
   GET  /search?q=...   -> {"results": [{"url", "title"}, ...]} from search.json
-  POST /score          -> {"score": ...} from score.json or the lexical formula
-  POST /generate       -> {"text": ...} from generate.json or the stub generator;
-                          "query: " and KeywordRewriter's keywords for a rewrite prompt
+  POST /score          -> {"score": ...} by LexicalScorer
+  POST /generate       -> {"text": ...}: "query: " and KeywordRewriter's keywords
+                          for a rewrite prompt, the stub generator's answer otherwise
   GET  /page/<name>    -> HTML file from the pages/ directory
 
-URLs in search.json may contain the literal "{base}", replaced with this
-server's own base URL so fixtures stay port-agnostic.
+search.json is loaded and checked once; its URLs may hold the literal "{base}",
+replaced with this server's own base URL so fixtures stay port-agnostic.
 
 The server speaks HTTP/1.1 with keep-alive: a client session sends all its
 requests over one connection, served by one thread.
@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
+from .errors import InputError
 from .pipeline import StubGenerator
 from .prompts import REWRITE_PROMPT
 from .scoring import LexicalScorer
@@ -35,22 +36,22 @@ logger = logging.getLogger(__name__)
 _REWRITE_HEAD, _REWRITE_TAIL = REWRITE_PROMPT.split("[question]")
 
 
-class _Fixtures:
-    """A fixtures directory: its JSON files are loaded when this is built, and
-    its pages are read on each request."""
-
-    def __init__(self, root: Path):
-        self.root = Path(root)
-        self.search = self._load_json("search.json") or {}
-        self.generate = self._load_json("generate.json")
-        self.score = self._load_json("score.json")
-        self.pages_dir = self.root / "pages"
-
-    def _load_json(self, name: str) -> Optional[dict]:
-        path = self.root / name
-        if not path.exists():
-            return None
-        return json.loads(path.read_text("utf-8"))
+def _load_search(path: Path) -> dict:
+    """Read search.json, which must be UTF-8 JSON mapping each query to a list of
+    objects with a string "url". A missing file serves no results."""
+    if not path.exists():
+        return {}
+    try:
+        table = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path} is not readable UTF-8 JSON: {exc}") from None
+    if not isinstance(table, dict) or not all(
+        isinstance(items, list)
+        and all(isinstance(item, dict) and isinstance(item.get("url"), str) for item in items)
+        for items in table.values()
+    ):
+        raise InputError(f"{path} must map each query to a list of objects with a string url")
+    return table
 
 
 class _BodyError(ValueError):
@@ -58,7 +59,7 @@ class _BodyError(ValueError):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    # self.server carries .fixtures and .base_url, set by MockService.
+    # self.server carries .search, .pages_dir and .base_url, set by MockService.
 
     protocol_version = "HTTP/1.1"
     # Headers and body go out as two writes; without TCP_NODELAY, Nagle plus
@@ -103,23 +104,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         parsed = urlparse(self.path)
-        fixtures = self.server.fixtures
         if parsed.path == "/search":
             query = parse_qs(parsed.query).get("q", [""])[0]
-            results = fixtures.search.get(query, [])
-            base = self.server.base_url
-            out = [
-                {
-                    "url": item["url"].replace("{base}", base),
-                    "title": item.get("title"),
-                }
-                for item in results
-            ]
-            self._send_json({"results": out})
+            self._send_json({"results": self.server.search.get(query, [])})
             return
         if parsed.path.startswith("/page/"):
             name = parsed.path[len("/page/") :]
-            page = fixtures.pages_dir / name
+            page = self.server.pages_dir / name
             if "/" in name or not page.is_file():
                 self._send_json({"error": "not found"}, status=404)
                 return
@@ -128,7 +119,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": "not found"}, status=404)
 
     def do_POST(self):
-        fixtures = self.server.fixtures
         try:
             body = self._read_json_body()
         except _BodyError as exc:
@@ -139,37 +129,24 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json({"error": "invalid JSON"}, status=400)
             return
         if self.path == "/score":
-            self._send_json({"score": self._score(body, fixtures)})
+            self._send_json({"score": self._score(body)})
             return
         if self.path == "/generate":
-            self._send_json({"text": self._generate(body, fixtures)})
+            self._send_json({"text": self._generate(body)})
             return
         self._send_json({"error": "not found"}, status=404)
 
     @staticmethod
-    def _score(body: dict, fixtures: _Fixtures) -> float:
+    def _score(body: dict) -> float:
         query = str(body.get("query", ""))
-        document = str(body.get("document", ""))
-        if fixtures.score:
-            for pair in fixtures.score.get("pairs", []):
-                if pair.get("query_contains", "") in query and (
-                    pair.get("document_contains", "") in document
-                ):
-                    return pair["score"]
-        return LexicalScorer().score_text(query, document)
+        return LexicalScorer().score_text(query, str(body.get("document", "")))
 
     @staticmethod
-    def _generate(body: dict, fixtures: _Fixtures) -> str:
+    def _generate(body: dict) -> str:
         prompt = str(body.get("prompt", ""))
         if prompt.startswith(_REWRITE_HEAD) and prompt.endswith(_REWRITE_TAIL):
             question = prompt[len(_REWRITE_HEAD) : len(prompt) - len(_REWRITE_TAIL)]
             return "query: " + ", ".join(KeywordRewriter().rewrite(question))
-        if fixtures.generate:
-            for reply in fixtures.generate.get("replies", []):
-                if reply.get("contains", "") in prompt:
-                    return reply["text"]
-            if "default" in fixtures.generate:
-                return fixtures.generate["default"]
         return StubGenerator().generate(prompt)
 
 
@@ -207,13 +184,22 @@ _POLL_INTERVAL_S = 0.05
 
 
 class MockService:
-    """Owns the threaded HTTP server and its lifecycle."""
+    """Owns the threaded HTTP server and its lifecycle. A refused search.json
+    raises InputError before any socket is bound."""
 
     def __init__(self, fixtures_dir: Path, host: str = "127.0.0.1", port: int = 0):
+        search = _load_search(Path(fixtures_dir) / "search.json")
         self._server = _Server((host, port), _Handler)
-        self._server.fixtures = _Fixtures(fixtures_dir)
         host_out, port_out = self._server.server_address
-        self._server.base_url = f"http://{host_out}:{port_out}"
+        base = self._server.base_url = f"http://{host_out}:{port_out}"
+        self._server.search = {
+            query: [
+                {"url": item["url"].replace("{base}", base), "title": item.get("title")}
+                for item in items
+            ]
+            for query, items in search.items()
+        }
+        self._server.pages_dir = Path(fixtures_dir) / "pages"
         self._thread: Optional[threading.Thread] = None
 
     @property

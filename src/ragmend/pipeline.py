@@ -33,7 +33,7 @@ from .refinement import (
     RefineConfig,
     refine,
 )
-from .scoring import Document, Query, Scorer, ScorerConfig, tokenize
+from .scoring import Document, LexicalScorer, Query, Scorer, ScorerConfig
 from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
     KeywordRewriter,
@@ -199,9 +199,9 @@ _PROMPT_RE = re.compile(
 class StubGenerator:
     """Deterministic offline generator for tests and desk-scale runs.
 
-    Parses the standard prompt and answers with the knowledge line sharing
-    the most unique tokens with the question (first line wins ties), or
-    "UNKNOWN" when there is no knowledge.
+    Parses the standard prompt and answers with the knowledge line its own
+    `LexicalScorer` (never the run's scorer) ranks highest against the
+    question, first line on ties, or "UNKNOWN" when there is no knowledge.
     """
 
     def generate(self, prompt: str) -> str:
@@ -212,8 +212,8 @@ class StubGenerator:
         lines = [line for line in knowledge.split("\n") if line.strip()]
         if not lines:
             return "UNKNOWN"
-        question_tokens = set(tokenize(match.group("question")))
-        return max(lines, key=lambda line: len(question_tokens & set(tokenize(line))))
+        scores = LexicalScorer().score_batch(match.group("question"), lines)
+        return lines[scores.index(max(scores))]
 
 
 class RemoteGenerator:

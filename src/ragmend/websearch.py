@@ -136,7 +136,8 @@ class RemoteRewriter:
     def __init__(
         self,
         endpoint: str,
-        timeout: float = 10.0,
+        *,
+        timeout: float,
         session: Optional[requests.Session] = None,
     ):
         self.endpoint = endpoint

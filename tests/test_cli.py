@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 
 from conftest import FakeWeb
 import ragmend
-from ragmend import cli
+from ragmend import cli, harness
 from ragmend.cli import (
     OfflineGuard,
     _is_local_url,
@@ -509,6 +509,67 @@ class TestRunCommand:
         assert all(r["searched_urls"] == [] for r in report["records"])
 
 
+def _destinations(tmp_path, option, path):
+    """`run` arguments writing the report and the CSV, with `option`'s file at `path`."""
+    paths = {"--report": tmp_path / "r.json", "--csv": tmp_path / "s.csv", option: path}
+    return paths, [arg for pair in paths.items() for arg in map(str, pair)]
+
+
+class TestRunDestinations:
+    """`--report` and `--csv` are checked before the first instance runs."""
+
+    def test_report_directory_sends_no_request(self, tmp_path, fixtures_dir, wire_counts, capsys):
+        with MockService(fixtures_dir) as svc:
+            code = main(
+                [
+                    "run",
+                    str(fixtures_dir / "dataset_20.jsonl"),
+                    "--set",
+                    "scorer.kind=remote",
+                    "--set",
+                    f"scorer.endpoint={svc.base_url}/score",
+                    "--report",
+                    str(tmp_path),
+                ]
+            )
+        assert code == 2
+        assert f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+        assert wire_counts.connections == []
+
+    @pytest.mark.parametrize("option", ["--report", "--csv"])
+    @pytest.mark.parametrize("shape", ["directory", "parent-is-a-file"])
+    def test_unwritable_destination_exits_2_before_the_run(self, tmp_path, capsys, option, shape):
+        blocker = tmp_path / "blocker"
+        if shape == "directory":
+            blocker.mkdir()
+            target = blocker
+        else:
+            blocker.write_text("", encoding="utf-8")
+            target = blocker / "out"
+        paths, args = _destinations(tmp_path, option, target)
+        code = main(["run", str(mini_dataset(tmp_path)), *args])
+        assert code == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+        assert not any(path.is_file() for path in paths.values() if path != target)
+
+    @pytest.mark.parametrize("option", ["--report", "--csv"])
+    def test_write_failure_after_the_run_is_input_error(
+        self, tmp_path, capsys, monkeypatch, option
+    ):
+        paths, args = _destinations(tmp_path, option, tmp_path / "out")
+        run_experiment = harness.run_experiment
+
+        def run_then_block(*a, **kw):
+            report = run_experiment(*a, **kw)
+            paths[option].mkdir()  # the destination becomes a directory during the run
+            return report
+
+        monkeypatch.setattr(harness, "run_experiment", run_then_block)
+        code = main(["run", str(mini_dataset(tmp_path)), *args])
+        assert code == 2
+        assert f"error: cannot write {paths[option]}: " in capsys.readouterr().err
+
+
 class TestRunAgainstMockService:
     def test_offline_crag_with_local_endpoints(self, tmp_path, fixtures_dir, capsys):
         report_path = tmp_path / "report.json"
@@ -582,6 +643,11 @@ class TestMockServeCommand:
     def test_missing_fixtures_dir(self, tmp_path, capsys):
         code = main(["mock-serve", "--fixtures", str(tmp_path / "nope")])
         assert code == 2
+
+    def test_refused_search_json_exits_2(self, tmp_path, capsys):
+        (tmp_path / "search.json").write_text("{bad", encoding="utf-8")
+        assert main(["mock-serve", "--fixtures", str(tmp_path), "--port", "0"]) == 2
+        assert f"error: {tmp_path / 'search.json'} is not readable" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "option",

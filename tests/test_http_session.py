@@ -408,7 +408,7 @@ class TestRoleDefaults:
         [
             lambda: RemoteScorer(ScorerConfig(kind="remote", endpoint="http://localhost:9/s")),
             lambda: RemoteGenerator("http://localhost:9/g"),
-            lambda: RemoteRewriter("http://localhost:9/g"),
+            lambda: RemoteRewriter("http://localhost:9/g", timeout=5),
             lambda: HttpSearchClient("http://localhost:9/search"),
         ],
         ids=["scorer", "generator", "rewriter", "search"],
@@ -532,7 +532,7 @@ class TestRetryPolicyPerRole:
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
         session = FakeSession([failure, FakeResponse(payload={"text": "query: x"})])
-        rewriter = RemoteRewriter("http://localhost:9/generate", session=session)
+        rewriter = RemoteRewriter("http://localhost:9/generate", timeout=5, session=session)
         with pytest.raises(RewriteError):
             rewriter.rewrite("q")
         assert len(session.calls) == 1

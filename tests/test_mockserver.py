@@ -1,10 +1,12 @@
 """Live HTTP tests against the bundled mock service."""
 
+import importlib.util
 import json
 import logging
 import socket
 import threading
 import time
+from pathlib import Path
 from urllib.parse import urlparse
 
 import pytest
@@ -13,10 +15,11 @@ from hypothesis import assume, given, strategies as st
 
 from ragmend import build_roles, mockserver
 from ragmend.config import load_config
+from ragmend.errors import InputError
 from ragmend.harness import degrade
 from ragmend.http_session import EnvCachedSession
 from ragmend.mockserver import MockService
-from ragmend.pipeline import run
+from ragmend.pipeline import StubGenerator, run
 from ragmend.prompts import render_rewrite_prompt
 from ragmend.scoring import LexicalScorer, Query, RemoteScorer, ScorerConfig
 from ragmend.websearch import KeywordRewriter, RemoteRewriter, rewrite
@@ -72,24 +75,15 @@ class TestPageRoute:
 
 
 class TestScoreRoute:
-    def test_fixture_pair_wins(self, service):
-        resp = requests.post(
-            f"{service.base_url}/score",
-            json={"query": "zzz-score-probe anything", "document": "whatever"},
-            timeout=5,
-        )
-        assert resp.json() == {"score": 0.25}
-
     def test_falls_back_to_lexical(self, service):
-        query = "capital of France"
         document = "The capital of France is Paris."
-        resp = requests.post(
-            f"{service.base_url}/score",
-            json={"query": query, "document": document},
-            timeout=5,
-        )
-        expected = LexicalScorer().score_text(query, document)
-        assert resp.json()["score"] == pytest.approx(expected)
+        for query in ("capital of France", "zzz-score-probe capital"):
+            resp = requests.post(
+                f"{service.base_url}/score",
+                json={"query": query, "document": document},
+                timeout=5,
+            )
+            assert resp.json() == {"score": LexicalScorer().score_text(query, document)}
 
     def test_invalid_body_400(self, service):
         resp = requests.post(
@@ -107,22 +101,23 @@ class TestScoreRoute:
 
 
 class TestGenerateRoute:
-    def test_fixture_reply_wins(self, service):
-        resp = requests.post(
-            f"{service.base_url}/generate",
-            json={"prompt": "say zzz-fixture-probe now", "max_tokens": 16},
-            timeout=5,
-        )
-        assert resp.json() == {"text": "fixture reply"}
-
     def test_falls_back_to_stub(self, service):
-        prompt = "Paris is the capital.\n\nQuestion: capital of France\nAnswer:"
-        resp = requests.post(
-            f"{service.base_url}/generate",
-            json={"prompt": prompt, "max_tokens": 16},
-            timeout=5,
-        )
-        assert resp.json() == {"text": "Paris is the capital."}
+        replies = {
+            "Paris is the capital.\n\nQuestion: capital of France\nAnswer:": (
+                "Paris is the capital."
+            ),
+            "Lyon.\nzzz-fixture-probe here.\n\nQuestion: zzz-fixture-probe\nAnswer:": (
+                "zzz-fixture-probe here."
+            ),
+            "say zzz-fixture-probe now": "UNKNOWN",
+        }
+        for prompt, text in replies.items():
+            resp = requests.post(
+                f"{service.base_url}/generate",
+                json={"prompt": prompt, "max_tokens": 16},
+                timeout=5,
+            )
+            assert resp.json() == {"text": text} == {"text": StubGenerator().generate(prompt)}
 
 
 @pytest.fixture(scope="module")
@@ -200,15 +195,73 @@ class TestFixtureFallbacks:
             )
             assert resp.json() == {"text": "UNKNOWN"}
 
-    def test_generate_default_key(self, tmp_path):
-        (tmp_path / "generate.json").write_text(
-            json.dumps({"replies": [], "default": "canned"}), encoding="utf-8"
-        )
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+class TestSearchFixture:
+    """search.json is checked once, when the service is built."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"{bad",
+            b"\xff{}",
+            b'["x"]',
+            b'{"q": "x"}',
+            b'{"q": ["x"]}',
+            b'{"q": [{"title": "t"}]}',
+            b'{"q": [{"url": 5}]}',
+            b'{"ok": [{"url": "u"}], "q": [{"url": "u"}, null]}',
+        ],
+        ids=[
+            "not-json",
+            "not-utf-8",
+            "not-an-object",
+            "results-not-a-list",
+            "result-not-an-object",
+            "no-url",
+            "url-not-a-string",
+            "one-bad-result",
+        ],
+    )
+    def test_refused_before_any_socket_listens(self, tmp_path, closed_port, raw):
+        (tmp_path / "search.json").write_bytes(raw)
+        with pytest.raises(InputError, match="search.json"):
+            MockService(tmp_path, port=closed_port)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", closed_port), timeout=5).close()
+
+    def test_unreadable_file_refused(self, tmp_path):
+        (tmp_path / "search.json").mkdir()
+        with pytest.raises(InputError, match="search.json"):
+            MockService(tmp_path)
+
+    def test_title_passes_through(self, tmp_path):
+        table = {"q": [{"url": "{base}/a", "title": 3}, {"url": "http://x/{base}"}]}
+        (tmp_path / "search.json").write_text(json.dumps(table), "utf-8")
         with MockService(tmp_path) as svc:
-            resp = requests.post(
-                f"{svc.base_url}/generate", json={"prompt": "anything"}, timeout=5
-            )
-            assert resp.json() == {"text": "canned"}
+            resp = requests.get(f"{svc.base_url}/search", params={"q": "q"}, timeout=5)
+        assert resp.json() == {
+            "results": [
+                {"url": f"{svc.base_url}/a", "title": 3},
+                {"url": f"http://x/{svc.base_url}", "title": None},
+            ]
+        }
+
+    @pytest.mark.parametrize("workload", ["web-fallback", "remote-mixed"])
+    def test_benchmark_fixtures_load(self, tmp_path, workload):
+        spec = importlib.util.spec_from_file_location("workloads", _WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        workloads.generate(workload, 1, tmp_path)
+        table = json.loads((tmp_path / "fixtures" / "search.json").read_text("utf-8"))
+        query, items = next(iter(table.items()))
+        with MockService(tmp_path / "fixtures") as svc:
+            resp = requests.get(f"{svc.base_url}/search", params={"q": query}, timeout=5)
+            urls = [item["url"] for item in resp.json()["results"]]
+            assert urls == [item["url"].replace("{base}", svc.base_url) for item in items]
+            assert requests.get(urls[0], timeout=5).status_code == 200
 
 
 @pytest.fixture
@@ -293,9 +346,9 @@ def scored(monkeypatch):
     seen = []
     score = mockserver._Handler._score
 
-    def counting_score(body, fixtures):
+    def counting_score(body):
         seen.append((body["query"], body["document"]))
-        return score(body, fixtures)
+        return score(body)
 
     monkeypatch.setattr(mockserver._Handler, "_score", staticmethod(counting_score))
     return seen
@@ -386,10 +439,7 @@ class TestPerPairScoreWire:
     def test_batch_equals_score_text(self, remote_scorer, query, texts):
         scores = remote_scorer.score_batch(query, texts)
         assert scores == [remote_scorer.score_text(query, t) for t in texts]
-        if "zzz-score-probe" in query:
-            assert scores == [0.25] * len(texts)
-        else:
-            assert scores == LexicalScorer().score_batch(query, texts)
+        assert scores == [LexicalScorer().score_text(query, t) for t in texts]
 
 
 class TestStop:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import FakeResponse, FakeSession, FakeWeb
 from ragmend import pipeline
@@ -31,7 +31,7 @@ from ragmend.pipeline import (
     run,
 )
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
-from ragmend.scoring import Document, LexicalScorer, Query
+from ragmend.scoring import Document, LexicalScorer, Query, tokenize
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
@@ -138,6 +138,20 @@ class TestAssemblePrompt:
         assert (match.group("knowledge") or "") == (knowledge if bundle else "")
 
 
+# Words that tie, share tokens only in part, or hold no token at all, in ASCII
+# and other scripts; plus random text without a line break.
+_STUB_WORDS = [
+    "Paris", "paris,", "the", "of", "is", "What", "capital", "France?", "city-state",
+    "Straße", "STRASSE", "Café", "café", "Ελλάδα", "naïve", "\u212a", "k", "1912",
+    "?", "...", "-", "_", "'s",
+]
+_STUB_TEXT = st.lists(
+    st.sampled_from(_STUB_WORDS)
+    | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=6),
+    max_size=8,
+).map(" ".join)
+
+
 class TestStubGenerator:
     def test_picks_best_overlap_line(self):
         prompt = "Paris is the capital of France.\n\nQuestion: capital of France\nAnswer:"
@@ -152,6 +166,22 @@ class TestStubGenerator:
 
     def test_unparseable_prompt(self):
         assert StubGenerator().generate("free-form text") == "UNKNOWN"
+
+    @given(_STUB_TEXT, st.lists(_STUB_TEXT, max_size=6))
+    def test_ranks_lines_by_question_token_overlap(self, question, texts):
+        try:
+            query = Query(question)
+        except ValueError:
+            assume(False)
+        strips = [KnowledgeStrip("d", i, text) for i, text in enumerate(texts) if text.strip()]
+        bundle = KnowledgeBundle.from_strips(BundleKind.INTERNAL, strips)
+        # The reference rule: most unique question tokens shared, first line on ties.
+        tokens = set(tokenize(query.text))
+        lines = [strip.text for strip in strips]
+        expected = "UNKNOWN"
+        if lines:
+            expected = max(lines, key=lambda line: len(tokens & set(tokenize(line))))
+        assert StubGenerator().generate(assemble_prompt(query, bundle)) == expected
 
 
 class TestRemoteGenerator:
@@ -375,7 +405,9 @@ class TestRunDegradedPaths:
         search_map = {"capital city France": [{"url": "{base}/page/france.html"}]}
         (fixtures / "search.json").write_text(json.dumps(search_map), "utf-8")
         reply = FakeResponse(payload={"text": "query: Zorblax \ud800"})
-        rewriter = RemoteRewriter("http://localhost:9/generate", session=FakeSession([reply]))
+        rewriter = RemoteRewriter(
+            "http://localhost:9/generate", timeout=5, session=FakeSession([reply])
+        )
         with MockService(fixtures) as svc, caplog.at_level("WARNING"):
             client = HttpSearchClient(f"{svc.base_url}/search", retries=0)
             record = run(

@@ -89,7 +89,7 @@ class TestCleanWord:
 class TestRemoteRewriter:
     def _rewriter(self, replies):
         return RemoteRewriter(
-            "http://localhost:9/generate", session=FakeSession(replies)
+            "http://localhost:9/generate", timeout=5, session=FakeSession(replies)
         )
 
     def test_parses_query_line(self):
@@ -118,7 +118,7 @@ class TestRemoteRewriter:
 
     def test_prompt_includes_question(self):
         session = FakeSession([FakeResponse(payload={"text": "query: x"})])
-        r = RemoteRewriter("http://localhost:9/generate", session=session)
+        r = RemoteRewriter("http://localhost:9/generate", timeout=5, session=session)
         r.rewrite("What is the capital city of France?")
         assert "What is the capital city of France?" in session.calls[0][2]["prompt"]
         assert session.calls[0][2]["max_tokens"] == 64
@@ -127,7 +127,9 @@ class TestRemoteRewriter:
 class TestRewriteOp:
     def test_fallback_on_remote_failure(self, caplog):
         failing = RemoteRewriter(
-            "http://localhost:9/g", session=FakeSession([requests.ConnectionError("x")])
+            "http://localhost:9/g",
+            timeout=5,
+            session=FakeSession([requests.ConnectionError("x")]),
         )
         with caplog.at_level("WARNING"):
             q = rewrite(Query("What is Henry Feilden's occupation?"), failing)
@@ -137,7 +139,9 @@ class TestRewriteOp:
     def test_non_string_remote_text_falls_back(self, caplog):
         # websearch.RemoteRewriter: "rewriter reply text is not a string"
         remote = RemoteRewriter(
-            "http://localhost:9/g", session=FakeSession([FakeResponse(payload={"text": 5})])
+            "http://localhost:9/g",
+            timeout=5,
+            session=FakeSession([FakeResponse(payload={"text": 5})]),
         )
         with caplog.at_level("WARNING"):
             q = rewrite(Query("What is Henry Feilden's occupation?"), remote)
