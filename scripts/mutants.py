@@ -12,10 +12,11 @@ repository, and there makes one mutant at a time with `ast`:
 - 1 added to a numeric constant.
 
 Only the mutated expression's source text changes; every other line keeps
-its text. Each mutant first runs against its module's test files (`TESTS`)
-with `-x`; a mutant those pass then runs against all of `tests/`. A run
-that takes longer than its timeout (three times the unmutated run, plus
-10 s) counts as a kill, since a mutant that hangs the tests is seen.
+its text. Each mutant of `<module>.py` first runs against
+`tests/test_<module>.py` with `-x`; a mutant that file passes then runs
+against all of `tests/`. A module with mutants but no such file is an error.
+A run that takes longer than its timeout (three times the unmutated run,
+plus 10 s) counts as a kill, since a mutant that hangs the tests is seen.
 
 Each survivor whose (module, stripped source line) is not on `ALLOWLIST` is
 printed as `path:line: source  [mutation]`, and a summary line goes to
@@ -37,22 +38,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ragmend"
-
-# Module -> the test files that run first against its mutants.
-TESTS = {
-    "cli.py": ["test_cli.py"],
-    "config.py": ["test_config.py"],
-    "errors.py": ["test_cli.py"],
-    "harness.py": ["test_harness.py"],
-    "http_session.py": ["test_http_session.py"],
-    "mockserver.py": ["test_mockserver.py"],
-    "pipeline.py": ["test_pipeline.py"],
-    "prompts.py": ["test_scoring.py", "test_mockserver.py"],
-    "refinement.py": ["test_refinement.py"],
-    "scoring.py": ["test_scoring.py"],
-    "trigger.py": ["test_trigger.py"],
-    "websearch.py": ["test_websearch.py"],
-}
 
 # (module file, stripped source line) -> why no test can kill its mutants.
 ALLOWLIST = {
@@ -215,12 +200,21 @@ def _timeout(seconds: float) -> float:
     return 3 * seconds + 10
 
 
+def _first_tests(module: str) -> str:
+    """The test file each mutant of `module` runs against first."""
+    return f"tests/test_{Path(module).stem}.py"
+
+
 def main() -> int:
-    modules = sys.argv[1:] or sorted(TESTS)
-    unknown = sorted(set(modules) - set(TESTS))
-    unmapped = sorted({p.name for p in PACKAGE.glob("*.py")} - set(TESTS) - {"__init__.py"})
-    if unknown or unmapped:
-        print(f"error: modules without a TESTS entry: {unknown + unmapped}", file=sys.stderr)
+    modules = sys.argv[1:] or sorted(p.name for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    unknown = sorted(m for m in modules if not (PACKAGE / m).is_file())
+    if unknown:
+        print(f"error: no such modules in src/ragmend: {unknown}", file=sys.stderr)
+        return 1
+    cases = {m: list(mutants((PACKAGE / m).read_text("utf-8"))) for m in modules}
+    untested = sorted(m for m in modules if cases[m] and not (ROOT / _first_tests(m)).is_file())
+    if untested:
+        print(f"error: no tests/test_<module>.py for the mutants of {untested}", file=sys.stderr)
         return 1
     found = []
     total = allowlisted = 0
@@ -230,14 +224,14 @@ def main() -> int:
         if not ok:
             print("error: the unmutated test suite fails", file=sys.stderr)
             return 1
-        for module in modules:
+        for module in (m for m in modules if cases[m]):
             path = box.root / "src" / "ragmend" / module
             source = path.read_text("utf-8")
-            tests = [f"tests/{name}" for name in TESTS[module]]
+            tests = [_first_tests(module)]
             _, module_s = box.passes(tests, timeout=600)
             lines = source.splitlines()
             try:
-                for line_no, what, mutated in mutants(source):
+                for line_no, what, mutated in cases[module]:
                     total += 1
                     path.write_text(mutated, "utf-8")
                     if not box.passes(tests, _timeout(module_s))[0]:

@@ -22,7 +22,7 @@ from . import pipeline
 from .config import config_snapshot
 from .errors import DatasetError, InputError
 from .pipeline import MODES, PipelineConfig, RunRecord
-from .scoring import Document, Scorer
+from .scoring import Document, Query, Scorer
 
 PLACEHOLDER_DOC_ID = "placeholder"
 PLACEHOLDER_TEXT = "no information available"
@@ -81,17 +81,14 @@ def read_jsonl(
 def parse_document(
     raw, default_id: str, where: str, bad: Callable[[str], Exception]
 ) -> Document:
-    """A Document from a JSON object with a string 'text' and a string or null 'title'.
+    """A Document from a JSON object's string 'text' and optional 'id'; others are ignored.
 
     `where` starts the error message and `bad` builds the error raised.
     """
     text = raw.get("text") if isinstance(raw, dict) else None
     if not isinstance(text, str):
         raise bad(f"{where} needs a string 'text' field")
-    title = raw.get("title")
-    if title is not None and not isinstance(title, str):
-        raise bad(f"{where} has a 'title' that is neither a string nor null")
-    return Document(str(raw.get("id", default_id)), text, title)
+    return Document(str(raw.get("id", default_id)), text)
 
 
 def _parse_instance(payload, line_no: int) -> DatasetInstance:
@@ -104,12 +101,12 @@ def _parse_instance(payload, line_no: int) -> DatasetInstance:
         if field_name not in payload:
             raise bad(f"missing field {field_name!r}")
     question = payload["question"]
-    if not isinstance(question, str) or not question.strip():
-        raise bad("'question' must be a non-blank string")
+    if not isinstance(question, str):
+        raise bad("'question' must be a string")
     try:
-        question.encode("utf-8")
-    except UnicodeEncodeError:
-        raise bad("'question' must be valid UTF-8 (it holds a lone surrogate)") from None
+        Query(question)
+    except ValueError as exc:
+        raise bad(f"'question': {exc}") from None
     answers = payload["answers"]
     if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
         raise bad("'answers' must be a list of strings")

@@ -12,8 +12,8 @@ x86-64 host, preparing a scorer POST took 0.20-0.31 ms in full and 0.02-0.03
 ms as a copy of a stored one, and a loopback `/score` round trip had a p50 of
 1.23 ms with full preparation and 0.95 ms with copies.
 
-`request_json` is the one retry-and-parse loop of the scorer, generator,
-search client and rewriter.
+`request` is the one request loop of all five remote reads: the scorer,
+generator, search, page fetch and rewriter.
 """
 
 from __future__ import annotations
@@ -41,21 +41,22 @@ def check_timeout(key: str, value: float) -> None:
         raise ConfigError(f"{key} must be > 0 and at most {MAX_TIMEOUT_S:g} s, got {value!r}")
 
 
-def request_json(
+def request(
     send: Callable[[], requests.Response],
-    key: str,
+    read: Callable[[requests.Response], object],
     *,
     what: str,
     error: Callable[[str], Exception],
     retries: int,
 ):
-    """Send a request, retrying failures, and return `resp.json()[key]`.
+    """Send a request, retrying failures, and return `read` of the 200 reply.
 
     `send` makes one attempt. A transport error or a 5xx reply is retried,
     after a 0.1 * 2**k s sleep before retry k+1, with one warning logged per
     failed attempt; after `retries + 1` failed attempts `error` is raised. Any
-    other non-200 reply, and a body that is not JSON or lacks `key`, raise
-    `error` at once. The caller checks the type of the returned value.
+    other non-200 reply, and a `read` that raises ValueError, KeyError or
+    TypeError (a body that is not JSON, or lacks a key), raise `error` at once.
+    The caller checks the type of the returned value.
     """
     last_error: object = None
     for attempt in range(retries + 1):
@@ -74,7 +75,7 @@ def request_json(
         if resp.status_code != 200:
             raise error(f"{what} returned {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()[key]
+            return read(resp)
         except (ValueError, KeyError, TypeError) as exc:
             raise error(f"malformed {what} reply: {exc}") from exc
     raise error(f"{what} unreachable after {retries + 1} attempts: {last_error}")

@@ -25,7 +25,7 @@ from .errors import (
     NoDocumentsError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession, check_timeout, request_json
+from .http_session import EnvCachedSession, check_timeout, request
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -235,9 +235,9 @@ class RemoteGenerator:
 
     def generate(self, prompt: str) -> str:
         payload = {"prompt": prompt, "max_tokens": self.max_tokens}
-        text = request_json(
+        text = request(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            "text",
+            lambda resp: resp.json()["text"],
             what="generator",
             error=GenerationError,
             retries=self.retries,

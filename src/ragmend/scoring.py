@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import requests
 
 from .errors import ConfigError, ScorerUnavailableError
-from .http_session import EnvCachedSession, check_timeout, request_json
+from .http_session import EnvCachedSession, check_timeout, request
 from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
 
 _TOKEN = re.compile(r"[^\W_]+")
@@ -60,11 +60,10 @@ class Query:
 
 @dataclass(frozen=True)
 class Document:
-    """A retrieved passage with a stable id. Titles are carried but not scored."""
+    """A retrieved passage with a stable id."""
 
     id: str
     text: str
-    title: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ class RemoteScorer(Scorer):
     Posts {"query": ..., "document": ...} (plus "prompt" when configured) and
     expects {"score": <number>}. Out-of-range finite replies are clamped; NaN
     and +/-Infinity (which JSON parsing accepts) have no place on the scale and
-    raise ScorerUnavailableError. Failures follow `request_json`'s policy
+    raise ScorerUnavailableError. Failures follow `request`'s policy
     with `config.retries` retries and raise ScorerUnavailableError.
     """
 
@@ -158,11 +157,11 @@ class RemoteScorer(Scorer):
         payload = {"query": query, "document": document}
         if self.config.prompt is not None:
             payload["prompt"] = render_relevance_prompt(self.config.prompt, query, document)
-        value = request_json(
+        value = request(
             lambda: self.session.post(
                 self.config.endpoint, json=payload, timeout=self.config.timeout
             ),
-            "score",
+            lambda resp: resp.json()["score"],
             what="scorer",
             error=ScorerUnavailableError,
             retries=self.config.retries,

@@ -25,7 +25,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession, check_timeout, request_json
+from .http_session import EnvCachedSession, check_timeout, request
 from .prompts import render_rewrite_prompt
 from .refinement import KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
@@ -147,9 +147,9 @@ class RemoteRewriter:
     def rewrite(self, question: str) -> list[str]:
         payload = {"prompt": render_rewrite_prompt(question), "max_tokens": REWRITE_MAX_TOKENS}
         # One attempt: on any failure `rewrite` falls back to KeywordRewriter.
-        text = request_json(
+        text = request(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            "text",
+            lambda resp: resp.json()["text"],
             what="rewriter",
             error=RewriteError,
             retries=0,
@@ -254,11 +254,11 @@ class HttpSearchClient:
         self.session = session or EnvCachedSession()
 
     def search(self, query: str) -> list:
-        items = request_json(
+        items = request(
             lambda: self.session.get(
                 self.endpoint, params={"q": query}, headers=self.headers, timeout=self.timeout
             ),
-            "results",
+            lambda resp: resp.json()["results"],
             what="search",
             error=SearchUnavailableError,
             retries=self.retries,
@@ -269,14 +269,14 @@ class HttpSearchClient:
             raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
     def fetch(self, url: str, timeout: float) -> str:
-        """One page body as text; a failed request or a non-200 reply raises FetchError."""
-        try:
-            resp = self.session.get(url, timeout=timeout)
-        except requests.RequestException as exc:
-            raise FetchError(url, str(exc)) from exc
-        if resp.status_code != 200:
-            raise FetchError(url, f"status {resp.status_code}")
-        return resp.text
+        """One page body as text, in one attempt of `request`; a failure raises FetchError."""
+        return request(
+            lambda: self.session.get(url, timeout=timeout),
+            lambda resp: resp.text,
+            what="page",
+            error=lambda reason: FetchError(url, reason),
+            retries=0,
+        )
 
 
 _TAG_RE = re.compile(r"<(?:!DOCTYPE|/?[a-zA-Z][a-zA-Z0-9:-]*)(?:\s[^>]*)?/?>", re.IGNORECASE)
@@ -394,14 +394,17 @@ def fetch_and_extract(url: str, cfg: SearchConfig, client) -> list[KnowledgeStri
     A cache hit performs no network call; a miss is fetched by the search
     client's `fetch`, extracted, and written to the cache atomically so
     concurrent writers cannot corrupt it, or warns and stays uncached if the
-    cache cannot be written.
+    cache cannot be written. Markup the parser rejects raises FetchError.
     """
     path = _cache_path(cfg, url)
     cached = _cache_read(path, url)
     if cached is not None:
         return cached
     body = client.fetch(url, cfg.fetch_timeout)
-    paragraphs = extract_paragraphs(body)
+    try:
+        paragraphs = extract_paragraphs(body)
+    except AssertionError as exc:  # how the standard library's parser rejects markup
+        raise FetchError(url, f"page markup cannot be parsed: {exc}") from exc
     try:
         _cache_write(path, url, paragraphs)
     except OSError as exc:

@@ -6,26 +6,52 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import strategies as st
 
 from ragmend import mockserver
 from ragmend.cli import default_fixtures_dir
 from ragmend.errors import FetchError
 from ragmend.harness import load_dataset
-from ragmend.scoring import LexicalScorer
+from ragmend.scoring import LexicalScorer, Scorer
+
+# Any value a JSON document can hold, NaN and the infinities aside.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TableScorer(Scorer):
+    """Scores a text by table lookup, so scores need not come from token overlap."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def score_text(self, query, document):
+        return self.table[document]
+
+
+def selection_oracle(scores, threshold, top_k):
+    """Positions `filter_strips` keeps: above threshold, top-k by score, earlier wins
+    ties, re-sorted; with none above threshold, the single best."""
+    passing = [i for i, s in enumerate(scores) if s > threshold]
+    if not passing:
+        return [min(range(len(scores)), key=lambda i: (-scores[i], i))]
+    ranked = sorted(passing, key=lambda i: (-scores[i], i))[:top_k]
+    return sorted(ranked)
 
 
 class FakeResponse:
-    """A canned requests-style response."""
+    """A canned requests-style response; `json()` parses the text, as in `requests`."""
 
     def __init__(self, status_code=200, payload=None, text=""):
         self.status_code = status_code
-        self._payload = payload
         self.text = text or (json.dumps(payload) if payload is not None else "")
 
     def json(self):
-        if self._payload is None:
-            raise ValueError("no JSON body")
-        return self._payload
+        return json.loads(self.text)
 
 
 class FakeSession:

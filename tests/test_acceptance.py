@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from conftest import FakeWeb
+from conftest import FakeWeb, TableScorer, selection_oracle
 from ragmend import pipeline
 from ragmend.config import load_config
 from ragmend.harness import (
@@ -20,7 +20,7 @@ from ragmend.harness import (
 from ragmend.mockserver import MockService
 from ragmend.pipeline import AblationFlags, PipelineConfig, StubGenerator
 from ragmend.refinement import KnowledgeStrip, RefineConfig, filter_strips, segment
-from ragmend.scoring import Document, LexicalScorer, Query, Scorer
+from ragmend.scoring import Document, LexicalScorer, Query
 from ragmend.trigger import THRESHOLD_PRESETS, Action, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
@@ -56,25 +56,6 @@ def test_criterion_1_trigger_matches_oracle():
         assert judgment.action is expected
         assert judge([best], thresholds).action is expected
     assert time.perf_counter() - start < 5.0
-
-
-class TableScorer(Scorer):
-    """Scores a text by table lookup, for driving selection deterministically."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def score_text(self, query_text: str, doc_text: str) -> float:
-        return self.table[doc_text]
-
-
-def selection_oracle(scores, threshold, top_k):
-    """Reference selection: threshold, top-k by (score, position), re-sort."""
-    passing = [i for i, s in enumerate(scores) if s > threshold]
-    if not passing:
-        return [min(range(len(scores)), key=lambda i: (-scores[i], i))]
-    ranked = sorted(passing, key=lambda i: (-scores[i], i))[:top_k]
-    return sorted(ranked)
 
 
 def test_criterion_2_selection_matches_oracle():
@@ -269,7 +250,7 @@ def dataset_snapshot(instances):
         [
             {
                 "id": inst.id,
-                "docs": [[d.id, d.text, d.title] for d in inst.docs],
+                "docs": [[d.id, d.text] for d in inst.docs],
             }
             for inst in instances
         ],

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FakeWeb
+from conftest import JSON_VALUES, FakeWeb
 from ragmend.errors import DatasetError, InputError, ScorerUnavailableError
 from ragmend.harness import (
     PLACEHOLDER_DOC_ID,
@@ -32,13 +32,6 @@ from ragmend.scoring import Document, LexicalScorer
 from ragmend.trigger import Action
 from ragmend.websearch import HttpSearchClient, SearchConfig
 
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6,
-)
 
 DOCS = st.fixed_dictionaries(
     {},
@@ -81,7 +74,7 @@ class TestLoadDataset:
         assert instances[0].relevant_doc_ids == ("d1",)
         assert instances[1].relevant_doc_ids is None
         assert [d.id for d in instances[1].docs] == ["doc0", "doc1"]
-        assert instances[1].docs[1].title == "T"
+        assert instances[1].docs[1] == Document("doc1", "b")
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write_jsonl(tmp_path, [valid_line("q1"), "", valid_line("q2")])
@@ -158,7 +151,6 @@ class TestLoadDataset:
             ("answers", ["Paris", 5]),
             ("docs", 5),
             ("docs", [{"id": "d1", "text": 5}]),
-            ("docs", [{"id": "d1", "text": "x", "title": 5}]),
             ("relevant_doc_ids", "d1"),
             ("relevant_doc_ids", 5),
         ],
@@ -170,8 +162,25 @@ class TestLoadDataset:
 
     def test_lone_surrogate_question_rejected(self, tmp_path):
         path = write_jsonl(tmp_path, [valid_line("q1", question="Who is Zorblax \ud800 here?")])
-        with pytest.raises(DatasetError, match="line 1.*'question' must be valid UTF-8"):
+        with pytest.raises(DatasetError, match="line 1: 'question': .* valid UTF-8"):
             load_dataset(path)
+
+    # Every line separator of `str.splitlines`, other whitespace, and a lone surrogate.
+    @given(st.text(st.sampled_from("a \t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029\u3000\ud800")))
+    def test_question_loads_iff_nonblank_and_utf8(self, question):
+        try:
+            question.encode("utf-8")
+            expected = bool(question.strip())
+        except UnicodeEncodeError:
+            expected = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_jsonl(Path(tmp), [valid_line("q1", question=question)])
+            try:
+                load_dataset(path)
+            except DatasetError as exc:
+                assert not expected, exc
+            else:
+                assert expected
 
     @pytest.mark.parametrize("line", ["5", '"id question answers docs"'])
     def test_non_object_line_rejected(self, tmp_path, line):
@@ -204,7 +213,6 @@ class TestLoadDataset:
         assert isinstance(instance.question, str) and instance.question.strip()
         assert all(isinstance(answer, str) for answer in instance.answers)
         assert all(isinstance(doc.text, str) for doc in instance.docs)
-        assert all(doc.title is None or isinstance(doc.title, str) for doc in instance.docs)
 
 
 class TestRemovalDraw:

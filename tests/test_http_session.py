@@ -1,7 +1,7 @@
 """EnvCachedSession: environment resolved once per host and requests prepared
 once per URL, with the same results as requests.
 
-request_json: one retry-and-parse policy for every remote role.
+request: one retry-and-read policy for every remote read.
 """
 
 import sys
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FakeResponse, FakeSession
 from ragmend.errors import RemoteError, RewriteError
-from ragmend.http_session import EnvCachedSession, request_json
+from ragmend.http_session import EnvCachedSession, request
 from ragmend.mockserver import MockService
 from ragmend.pipeline import RemoteGenerator
 from ragmend.scoring import RemoteScorer, ScorerConfig
@@ -458,9 +458,9 @@ class TestRequestJson:
             "ragmend.http_session.logger.warning"
         ) as warning:
             try:
-                result = request_json(
+                result = request(
                     lambda: session.get("http://localhost:9/x"),
-                    "value",
+                    lambda resp: resp.json()["value"],
                     what="thing",
                     error=Refused,
                     retries=retries,
@@ -487,9 +487,9 @@ class TestRequestJson:
             ]
         )
         with caplog.at_level("WARNING"), pytest.raises(Refused) as info:
-            request_json(
+            request(
                 lambda: session.get("http://localhost:9/x"),
-                "value",
+                lambda resp: resp.json()["value"],
                 what="thing",
                 error=Refused,
                 retries=2,

@@ -3,18 +3,20 @@
 import json
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 import requests
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import FakeResponse, FakeSession, FakeWeb
+from conftest import JSON_VALUES, FakeResponse, FakeSession, FakeWeb
 from ragmend import pipeline
 from ragmend.errors import (
     ConfigError,
     GenerationError,
     InputError,
     NoDocumentsError,
+    RagmendError,
     SearchUnavailableError,
 )
 from ragmend.mockserver import MockService
@@ -22,6 +24,7 @@ from ragmend.pipeline import (
     AblationFlags,
     PipelineConfig,
     RemoteGenerator,
+    RunRecord,
     StubGenerator,
     MODES,
     assemble_prompt,
@@ -31,7 +34,7 @@ from ragmend.pipeline import (
     run,
 )
 from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
-from ragmend.scoring import Document, LexicalScorer, Query, tokenize
+from ragmend.scoring import Document, LexicalScorer, Query, RemoteScorer, ScorerConfig, tokenize
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
@@ -363,6 +366,20 @@ class TestRunDegradedPaths:
         assert "Paris" in record.answer
         assert record.searched_urls == ("mock://web/missing", good)
 
+    def test_page_the_parser_rejects_skips_that_url(self, tmp_path, lexical, caplog):
+        bad, good = "mock://web/bad", "mock://web/good"
+        client = FakeWeb(
+            {"capital city France": [bad, good]}, {bad: "<p>a</p><![ bogus ", good: PAGE_HTML}
+        )
+        with caplog.at_level("WARNING"):
+            record = run(QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client)
+        assert "Paris" in record.answer
+        assert record.searched_urls == (bad, good)
+        assert any(
+            "skipping unfetchable page" in r.getMessage() and bad in r.getMessage()
+            for r in caplog.records
+        )
+
     def test_unwritable_cache_keeps_fetched_page(self, tmp_path, lexical):
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = PipelineConfig(search=SearchConfig(cache_dir=tmp_path / "file" / "cache"))
@@ -550,6 +567,139 @@ SENTENCES = (
     "Granite weathers slowly.",
     "France borders Spain.",
 )
+
+SEARCH_RESULTS = st.sampled_from(["http://localhost:9/page/a", "http://localhost:9/page/b"]).map(
+    lambda url: {"url": url}
+)
+
+# Pieces of page markup nobody controls: the `<![ bogus` declaration the standard
+# library's parser rejects, other declarations, an unclosed <p>, character
+# references and NUL.
+PAGE_FRAGMENTS = (
+    "<![ bogus ",
+    "<![",
+    "<![CDATA[x]]>",
+    "<!",
+    "<!-- note -->",
+    "<!DOCTYPE html>",
+    "<p>",
+    "</p>",
+    "The capital city of France is Paris.",
+    "&amp;",
+    "&#0;",
+    "&#x110000;",
+    "&nosuch;",
+    "\x00",
+)
+
+
+def role_replies(valid):
+    """One role's reply: `valid`, any JSON value, a body that is not JSON, a status
+    in 200-599, or a `requests` transport error."""
+    return valid | st.one_of(
+        JSON_VALUES.map(lambda value: FakeResponse(text=json.dumps(value))),
+        st.just(FakeResponse(text="<html>not JSON")),
+        st.integers(200, 599).map(lambda status: FakeResponse(status_code=status, text="x")),
+        st.sampled_from([requests.ConnectionError("refused"), requests.Timeout("slow")]),
+    )
+
+
+def keyed(key, values):
+    """A 200 reply holding `{key: value}`, the value drawn from `values` or any JSON."""
+    return (values | JSON_VALUES).map(lambda value: FakeResponse(payload={key: value}))
+
+
+ABLATIONS = [
+    AblationFlags(),
+    *(AblationFlags(disable_action=action) for action in Action),
+    *(AblationFlags(only_action=action) for action in Action),
+    AblationFlags(no_refinement=True),
+    AblationFlags(no_rewriting=True),
+    AblationFlags(no_selection=True),
+]
+
+
+class WebSession(FakeSession):
+    """The search client's session: a search GET (it carries params) gets `search`,
+    and every page GET gets `page`."""
+
+    def __init__(self, search, page):
+        super().__init__([])
+        self.search, self.page = search, page
+
+    def get(self, url, params=None, timeout=None, headers=None):
+        self.replies = [self.search if params else self.page]
+        return super().get(url, params, timeout, headers)
+
+
+class TestUntrustedReplies:
+    @settings(max_examples=200)
+    @given(
+        mode=st.sampled_from(MODES),
+        flags=st.sampled_from(ABLATIONS),
+        retries=st.integers(0, 1),
+        docs=st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3),
+        scorer_reply=role_replies(keyed("score", st.floats(-1.0, 1.0))),
+        search_reply=role_replies(keyed("results", st.lists(SEARCH_RESULTS, min_size=1))),
+        page_reply=role_replies(
+            st.lists(st.sampled_from(PAGE_FRAGMENTS), max_size=8).map(
+                lambda parts: FakeResponse(text="".join(parts))
+            )
+        ),
+        generator_reply=role_replies(keyed("text", st.text(max_size=20))),
+        rewriter_reply=role_replies(keyed("text", st.just("query: capital, France"))),
+    )
+    @example(
+        mode="crag",
+        flags=AblationFlags(only_action=Action.INCORRECT),
+        retries=0,
+        docs=[SENTENCES[0]],
+        scorer_reply=FakeResponse(payload={"score": 1.0}),
+        search_reply=FakeResponse(payload={"results": [{"url": "http://localhost:9/page/a"}]}),
+        page_reply=FakeResponse(text="<p>a</p><![ bogus "),
+        generator_reply=FakeResponse(payload={"text": "Paris"}),
+        rewriter_reply=FakeResponse(payload={"text": "query: capital, France"}),
+    )
+    def test_run_gives_a_record_or_a_package_error(
+        self,
+        mode,
+        flags,
+        retries,
+        docs,
+        scorer_reply,
+        search_reply,
+        page_reply,
+        generator_reply,
+        rewriter_reply,
+    ):
+        # Enough replies for every request a run can make; FakeSession fails when it runs out.
+        def replaying(reply):
+            return FakeSession([reply] * 200)
+
+        endpoint = "http://localhost:9"
+        scorer_cfg = ScorerConfig(kind="remote", endpoint=f"{endpoint}/score", retries=retries)
+        scorer = RemoteScorer(scorer_cfg, session=replaying(scorer_reply))
+        client = HttpSearchClient(
+            f"{endpoint}/search", retries=retries, session=WebSession(search_reply, page_reply)
+        )
+        rewriter = RemoteRewriter(
+            f"{endpoint}/generate", timeout=1.0, session=replaying(rewriter_reply)
+        )
+        generator = RemoteGenerator(
+            f"{endpoint}/generate", retries=retries, session=replaying(generator_reply)
+        )
+        documents = [Document(id=f"d{i}", text=text) for i, text in enumerate(docs)]
+        with tempfile.TemporaryDirectory() as cache, mock.patch(
+            "ragmend.http_session.time.sleep"
+        ):
+            cfg = PipelineConfig(search=SearchConfig(cache_dir=cache), ablations=flags)
+            try:
+                record = run(
+                    QUESTION, documents, cfg, scorer, client, rewriter, generator, mode=mode
+                )
+            except RagmendError:
+                return
+        assert isinstance(record, RunRecord)
 
 # The knowledge kind by crag action, or by baseline mode.
 KNOWLEDGE_KIND = {

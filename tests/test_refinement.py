@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import TableScorer, selection_oracle
 from ragmend import scoring
 from ragmend.errors import ConfigError, EmptyDocumentError, NoDocumentsError
 from ragmend.refinement import (
@@ -18,7 +19,7 @@ from ragmend.refinement import (
     segment,
     split_sentences,
 )
-from ragmend.scoring import Document, Query, Scorer
+from ragmend.scoring import Document, Query
 
 
 def reference_split(text):
@@ -158,15 +159,6 @@ def make_strips(texts):
     return [KnowledgeStrip(doc_id="d", index=i, text=t) for i, t in enumerate(texts)]
 
 
-def selection_oracle(scores, threshold, top_k):
-    """Positions kept: above threshold, top-k by score, earlier wins ties, re-sorted."""
-    passing = [i for i, s in enumerate(scores) if s > threshold]
-    if not passing:
-        return [min(range(len(scores)), key=lambda i: (-scores[i], i))]
-    ranked = sorted(passing, key=lambda i: (-scores[i], i))[:top_k]
-    return sorted(ranked)
-
-
 class TestFilterStrips:
     QUERY = Query("alpha beta gamma delta")
 
@@ -225,16 +217,6 @@ class TestFilterStrips:
             assert [s.index for s in kept] == expected
 
 
-class FixedScores(Scorer):
-    """Answers each strip text from a table, so scores need not come from overlap."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def score_text(self, query, document):
-        return self.table[document]
-
-
 class TestFilterStripsKeepsStrips:
     @given(
         st.lists(st.sampled_from([-1.0, -0.75, -0.5, 0.0, 0.25, 1.0]), min_size=1, max_size=12),
@@ -246,7 +228,7 @@ class TestFilterStripsKeepsStrips:
             KnowledgeStrip(doc_id=f"d{pos % 3}", index=pos, text=f"strip {pos}", score=7.0)
             for pos in range(len(values))
         ]
-        scorer = FixedScores({s.text: v for s, v in zip(strips, values)})
+        scorer = TableScorer({s.text: v for s, v in zip(strips, values)})
         cfg = RefineConfig(top_k=top_k, strip_threshold=threshold)
         kept = filter_strips(strips, Query("q"), scorer, cfg)
         positions = [s.index for s in kept]
@@ -355,13 +337,10 @@ class TestTypes:
 def test_selection_invariants(scores, top_k, threshold):
     """Selection keeps at most top_k strips in original order."""
 
-    class FixedScorer(Scorer):
-        def score_text(self, query, document):
-            return scores[int(document)]
-
     strips = [KnowledgeStrip(doc_id="d", index=i, text=str(i)) for i in range(len(scores))]
     cfg = RefineConfig(top_k=top_k, strip_threshold=threshold)
-    kept = filter_strips(strips, Query("q"), FixedScorer(), cfg)
+    scorer = TableScorer({strip.text: score for strip, score in zip(strips, scores)})
+    kept = filter_strips(strips, Query("q"), scorer, cfg)
     indices = [s.index for s in kept]
     assert indices == sorted(indices)
     assert 1 <= len(kept) <= max(top_k, 1)

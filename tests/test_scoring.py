@@ -144,10 +144,6 @@ class TestLexicalScorer:
         texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 8))) for _ in range(50)]
         assert lexical.score_batch(query, texts) == [lexical.score_text(query, t) for t in texts]
 
-    def test_title_not_scored(self, lexical):
-        doc = Document(id="d", text="nothing related", title="genre of Cyberpunk")
-        assert lexical.score(Query("genre of Cyberpunk"), doc) == -1.0
-
     @given(st.text(max_size=60), st.text(max_size=200))
     def test_score_range(self, query, doc):
         score = LexicalScorer().score_text(query, doc)
@@ -341,5 +337,5 @@ class TestRemoteScorer:
 
     def test_score_uses_doc_text(self):
         scorer, session = _remote([FakeResponse(payload={"score": 0.1})])
-        scorer.score(Query("q"), Document(id="d", text="body", title="title"))
+        scorer.score(Query("q"), Document(id="d", text="body"))
         assert session.calls[0][2] == {"query": "q", "document": "body"}

@@ -503,6 +503,16 @@ class TestFetchAndExtract:
             fetch_and_extract("mock://web/missing", cfg, web)
         assert exc_info.value.url == "mock://web/missing"
 
+    @pytest.mark.parametrize("body", ["<p>a</p><![ bogus ", "<p>a</p><![ "])
+    def test_markup_the_parser_rejects_is_an_uncached_fetch_error(self, tmp_path, body):
+        # The standard library's parser raises AssertionError("expected name token ...")
+        cfg = self._cfg(tmp_path)
+        web = FakeWeb(pages={"mock://web/p": body})
+        with pytest.raises(FetchError, match="page markup cannot be parsed") as exc_info:
+            fetch_and_extract("mock://web/p", cfg, web)
+        assert exc_info.value.url == "mock://web/p"
+        assert not cfg.cache_dir.exists()
+
 
 class TestHttpSearchClientFetch:
     def test_page_body(self, fixtures_dir):
@@ -515,9 +525,25 @@ class TestHttpSearchClientFetch:
         with MockService(fixtures_dir) as svc, requests.Session() as session:
             client = HttpSearchClient(f"{svc.base_url}/search", session=session)
             url = f"{svc.base_url}/page/no-such-page.html"
-            with pytest.raises(FetchError, match="status 404") as exc_info:
+            with pytest.raises(FetchError, match="page returned 404") as exc_info:
                 client.fetch(url, timeout=5)
         assert exc_info.value.url == url
+
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [
+            (FakeResponse(status_code=503), "page unreachable after 1 attempts: page returned 503"),
+            (requests.ConnectionError("down"), "page unreachable after 1 attempts: down"),
+        ],
+        ids=["5xx", "transport"],
+    )
+    def test_one_attempt_then_fetch_error(self, reply, reason):
+        session = FakeSession([reply])
+        client = HttpSearchClient("http://localhost:9/search", session=session)
+        with pytest.raises(FetchError) as exc_info:
+            client.fetch("http://localhost:9/page/a", timeout=5)
+        assert str(exc_info.value) == f"fetch failed for http://localhost:9/page/a: {reason}"
+        assert session.calls == [("get", "http://localhost:9/page/a", None, None)]
 
     def test_closed_port_is_fetch_error(self, closed_port):
         url = f"http://127.0.0.1:{closed_port}/page/q01.html"
