@@ -127,13 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_docs_jsonl(path: Path) -> list[Document]:
-    docs = [
+    """The file's documents; `judge` refuses a file with none (NoDocumentsError)."""
+    return [
         harness.parse_document(raw, f"doc{line_no}", f"line {line_no}: document", InputError)
         for line_no, raw in harness.read_jsonl(path, InputError, "docs file")
     ]
-    if not docs:
-        raise InputError(f"no documents in {path}")
-    return docs
 
 
 def cmd_judge(args: argparse.Namespace) -> int:

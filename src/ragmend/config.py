@@ -109,7 +109,8 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
     """Turn "section.key=value" pairs into a validated config tree.
 
     Values are parsed as JSON when possible, otherwise kept as raw strings,
-    so --set thresholds.upper=0.8 and --set scorer.kind=remote both work.
+    so --set thresholds.upper=0.8 and --set scorer.kind=remote both work; a
+    string or path key keeps the text of JSON of another type (cache_dir=2024).
     """
     tree: dict = {}
     for pair in pairs:
@@ -119,9 +120,12 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
         parts = key.split(".")
         if len(parts) != 2:
             raise ConfigError(f"override key must be section.key, got {key!r}")
+        hint = _FIELD_TYPES.get(parts[0], {}).get(parts[1], str)
         try:
             value = json.loads(raw)
         except ValueError:
+            value = raw
+        if not _has_type(value, hint) and _has_type(raw, hint):
             value = raw
         tree.setdefault(parts[0], {})[parts[1]] = value
     _validate_tree(tree, "--set")

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import pipeline
 from .config import config_snapshot
-from .errors import DatasetError, InputError
+from .errors import DatasetError, InputError, NoDocumentsError
 from .pipeline import MODES, PipelineConfig, RunRecord
 from .scoring import Document, Query, Scorer
 
@@ -263,8 +263,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment over a dataset and aggregate the report.
 
-    degradation is an optional (p, seed) pair applied before dispatch. A
-    generation failure is recorded and counted incorrect; a scorer failure
+    degradation is an optional (p, seed) pair applied before dispatch; then
+    `crag` refuses instances without documents, naming them, before any runs.
+    A generation failure is recorded and counted incorrect; a scorer failure
     aborts the experiment, with one worker before the next instance starts.
     """
     if mode not in MODES:
@@ -276,6 +277,9 @@ def run_experiment(
     if degradation is not None:
         level, seed = degradation
         instances = degrade(instances, level, seed)
+    empty = [instance.id for instance in instances if not instance.docs]
+    if mode == "crag" and empty:
+        raise NoDocumentsError(f"crag needs documents; instances without any: {empty}")
 
     def run_one(instance: DatasetInstance) -> InstanceRecord:
         record = pipeline.run(

@@ -51,26 +51,26 @@ def request(
 ):
     """Send a request, retrying failures, and return `read` of the 200 reply.
 
-    `send` makes one attempt. A transport error or a 5xx reply is retried,
-    after a 0.1 * 2**k s sleep before retry k+1, with one warning logged per
-    failed attempt; after `retries + 1` failed attempts `error` is raised. Any
-    other non-200 reply, and a `read` that raises ValueError, KeyError or
-    TypeError (a body that is not JSON, or lacks a key), raise `error` at once.
-    The caller checks the type of the returned value.
+    `send` makes one attempt. A transport error or a 5xx reply is retried
+    after a 0.1 * 2**k s sleep before retry k+1, with one warning per retry;
+    after `retries + 1` failed attempts `error` is raised, unlogged: its catcher
+    logs it. Any other non-200 reply, or a reply `read` rejects with ValueError,
+    KeyError or TypeError (`malformed <what> reply: ...`), raises `error` at once.
     """
     last_error: object = None
     for attempt in range(retries + 1):
         if attempt:
+            logger.warning(retried)
             time.sleep(0.1 * 2 ** (attempt - 1))
         try:
             resp = send()
         except requests.RequestException as exc:
             last_error = exc
-            logger.warning("%s request failed (attempt %d): %s", what, attempt + 1, exc)
+            retried = f"{what} request failed (attempt {attempt + 1}): {exc}"
             continue
         if resp.status_code >= 500:
             last_error = f"{what} returned {resp.status_code}"
-            logger.warning("%s (attempt %d)", last_error, attempt + 1)
+            retried = f"{last_error} (attempt {attempt + 1})"
             continue
         if resp.status_code != 200:
             raise error(f"{what} returned {resp.status_code}: {resp.text[:200]}")
@@ -79,6 +79,14 @@ def request(
         except (ValueError, KeyError, TypeError) as exc:
             raise error(f"malformed {what} reply: {exc}") from exc
     raise error(f"{what} unreachable after {retries + 1} attempts: {last_error}")
+
+
+def read_text(resp: requests.Response) -> str:
+    """The `text` of a `{"text": str}` reply, the generator's and the rewriter's wire."""
+    text = resp.json()["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"text is not a string: {text!r}")
+    return text
 
 
 class EnvCachedSession(requests.Session):

@@ -22,10 +22,9 @@ from .errors import (
     FetchError,
     GenerationError,
     InputError,
-    NoDocumentsError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession, check_timeout, request
+from .http_session import EnvCachedSession, check_timeout, read_text, request
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -235,16 +234,13 @@ class RemoteGenerator:
 
     def generate(self, prompt: str) -> str:
         payload = {"prompt": prompt, "max_tokens": self.max_tokens}
-        text = request(
+        return request(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            lambda resp: resp.json()["text"],
+            read_text,
             what="generator",
             error=GenerationError,
             retries=self.retries,
         )
-        if not isinstance(text, str):
-            raise GenerationError(f"generator reply text is not a string: {text!r}")
-        return text
 
 
 def run(
@@ -272,8 +268,6 @@ def run(
         raise InputError(f"unknown mode {mode!r}; choose from {MODES}")
     if isinstance(question, str):
         question = Query(question)
-    if mode == "crag" and not docs:
-        raise NoDocumentsError("no documents provided")
     ids = [doc.id for doc in docs]
     if len(set(ids)) != len(ids):
         raise InputError(f"duplicate document ids in {ids}")

@@ -137,14 +137,23 @@ class LexicalScorer(Scorer):
         return scores
 
 
+def _read_score(resp: requests.Response) -> float:
+    """A scorer reply's score clamped to [-1, 1]; NaN, +/-Infinity or a non-number raises."""
+    value = resp.json()["score"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"score is not a number: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"score {value!r}")
+    # Clamp before float(): an integer too large for a float still clamps.
+    return float(max(-1.0, min(1.0, value)))
+
+
 class RemoteScorer(Scorer):
     """Scorer backed by an HTTP endpoint.
 
     Posts {"query": ..., "document": ...} (plus "prompt" when configured) and
-    expects {"score": <number>}. Out-of-range finite replies are clamped; NaN
-    and +/-Infinity (which JSON parsing accepts) have no place on the scale and
-    raise ScorerUnavailableError. Failures follow `request`'s policy
-    with `config.retries` retries and raise ScorerUnavailableError.
+    expects {"score": <number>}, read by `_read_score`. Failures follow
+    `request`'s policy with `config.retries` retries and raise ScorerUnavailableError.
     """
 
     def __init__(self, config: ScorerConfig, session: Optional[requests.Session] = None):
@@ -157,21 +166,15 @@ class RemoteScorer(Scorer):
         payload = {"query": query, "document": document}
         if self.config.prompt is not None:
             payload["prompt"] = render_relevance_prompt(self.config.prompt, query, document)
-        value = request(
+        return request(
             lambda: self.session.post(
                 self.config.endpoint, json=payload, timeout=self.config.timeout
             ),
-            lambda resp: resp.json()["score"],
+            _read_score,
             what="scorer",
             error=ScorerUnavailableError,
             retries=self.config.retries,
         )
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScorerUnavailableError(f"scorer reply score is not a number: {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScorerUnavailableError(f"malformed scorer reply: score {value!r}")
-        # Clamp before float(): an integer too large for a float still clamps.
-        return float(max(-1.0, min(1.0, value)))
 
 
 def build_scorer(config: ScorerConfig) -> Scorer:

@@ -49,7 +49,7 @@ class Thresholds:
             upper, lower = THRESHOLD_PRESETS[name]
         except KeyError:
             raise ConfigError(
-                f"unknown threshold preset {name!r}; choose from {sorted(THRESHOLD_PRESETS)}"
+                f"thresholds.preset must be one of {sorted(THRESHOLD_PRESETS)}, got {name!r}"
             ) from None
         return cls(upper=upper, lower=lower)
 

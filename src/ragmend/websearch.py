@@ -25,7 +25,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession, check_timeout, request
+from .http_session import EnvCachedSession, check_timeout, read_text, request
 from .prompts import render_rewrite_prompt
 from .refinement import KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
@@ -149,31 +149,25 @@ class RemoteRewriter:
         # One attempt: on any failure `rewrite` falls back to KeywordRewriter.
         text = request(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            lambda resp: resp.json()["text"],
+            read_text,
             what="rewriter",
             error=RewriteError,
             retries=0,
         )
-        if not isinstance(text, str):
-            raise RewriteError(f"rewriter reply text is not a string: {text!r}")
-        keywords = self._parse_reply(text)
+        for line in text.splitlines():
+            lowered = line.lower()
+            if "query:" in lowered:
+                tail = line[lowered.index("query:") + len("query:") :]
+                keywords = [k for k in (part.strip() for part in tail.split(",")) if k]
+                if keywords:
+                    break
+        else:
+            raise RewriteError("no 'query:' line in rewriter reply")
         try:
             " ".join(keywords).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise RewriteError(f"rewriter keywords are not valid UTF-8: {keywords!r}") from exc
         return keywords
-
-    @staticmethod
-    def _parse_reply(text: str) -> list[str]:
-        for line in text.splitlines():
-            lowered = line.lower()
-            if "query:" in lowered:
-                tail = line[lowered.index("query:") + len("query:") :]
-                keywords = [part.strip() for part in tail.split(",")]
-                keywords = [k for k in keywords if k]
-                if keywords:
-                    return keywords
-        raise RewriteError("no 'query:' line in rewriter reply")
 
 
 def rewrite(question: Query, rewriter) -> str:
@@ -188,40 +182,39 @@ def rewrite(question: Query, rewriter) -> str:
     return " ".join(keywords[:3]) if keywords else question.text
 
 
-def _is_wikipedia(url) -> bool:
-    """Whether a search-reply URL is on Wikipedia; a URL that is not an absolute
-    string encodable as UTF-8 fails the whole reply with SearchUnavailableError."""
-    if not isinstance(url, str):
-        raise SearchUnavailableError(f"malformed search reply: url must be a string, got {url!r}")
-    try:
-        url.encode("utf-8")
-        parsed = urlparse(url)
-    except ValueError as exc:
-        raise SearchUnavailableError(
-            f"malformed search reply: url must be a valid UTF-8 URL, got {url!r}: {exc}"
-        ) from exc
-    if not parsed.scheme or not parsed.netloc:
-        raise SearchUnavailableError(f"malformed search reply: url must be absolute, got {url!r}")
-    host = (parsed.hostname or "").lower()
+def _is_wikipedia(url: str) -> bool:
+    host = urlparse(url).hostname or ""
     return host == "wikipedia.org" or host.endswith(".wikipedia.org")
 
 
 def search(query: str, client, cfg: SearchConfig) -> list[str]:
-    """Run the query and check every URL; order Wikipedia first (stably), then truncate."""
+    """Run the query; order Wikipedia hosts first (stably), then truncate."""
     urls = list(client.search(query))
-    # Checks every URL, also when Wikipedia is not preferred.
-    wikipedia = {url for url in urls if _is_wikipedia(url)}
     if cfg.prefer_wikipedia:
-        urls.sort(key=lambda url: url not in wikipedia)
+        urls.sort(key=lambda url: not _is_wikipedia(url))
     return urls[: cfg.top_k_urls]
+
+
+def _read_urls(resp: requests.Response) -> list[str]:
+    """Each result's `url`, each an absolute URL string that encodes as UTF-8."""
+    urls = [item["url"] for item in resp.json()["results"]]
+    for url in urls:
+        if not isinstance(url, str):
+            raise TypeError(f"url must be a string, got {url!r}")
+        try:
+            url.encode("utf-8")
+            parsed = urlparse(url)
+        except ValueError as exc:
+            raise ValueError(f"url must be a valid UTF-8 URL, got {url!r}: {exc}") from exc
+        if not parsed.scheme or not parsed.netloc:
+            raise ValueError(f"url must be absolute, got {url!r}")
+    return urls
 
 
 class HttpSearchClient:
     """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]},
-    and GET of the pages those results name, both over the client's one session.
-
-    Returns each result's "url" value; a result's "title" is accepted and
-    ignored. `search()` checks the URLs.
+    read by `_read_urls` (a result's "title" is ignored), and GET of the pages
+    those results name, both over the client's one session.
 
     If RAGMEND_SEARCH_API_KEY is set in the environment it is sent to the
     search endpoint, never to page hosts, as an X-API-Key header, which real
@@ -253,20 +246,16 @@ class HttpSearchClient:
             self.headers["X-API-Key"] = api_key
         self.session = session or EnvCachedSession()
 
-    def search(self, query: str) -> list:
-        items = request(
+    def search(self, query: str) -> list[str]:
+        return request(
             lambda: self.session.get(
                 self.endpoint, params={"q": query}, headers=self.headers, timeout=self.timeout
             ),
-            lambda resp: resp.json()["results"],
+            _read_urls,
             what="search",
             error=SearchUnavailableError,
             retries=self.retries,
         )
-        try:
-            return [item["url"] for item in items]
-        except (KeyError, TypeError) as exc:
-            raise SearchUnavailableError(f"malformed search reply: {exc}") from exc
 
     def fetch(self, url: str, timeout: float) -> str:
         """One page body as text, in one attempt of `request`; a failure raises FetchError."""

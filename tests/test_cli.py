@@ -430,6 +430,16 @@ class TestRunCommand:
         assert code == 2
         assert "section 'scorer' must be an object" in capsys.readouterr().err
 
+    def test_crag_instance_without_documents_exits_2_naming_it(self, tmp_path, capsys):
+        lines = mini_dataset(tmp_path).read_text("utf-8").splitlines()
+        second = json.loads(lines[1])
+        dataset = write_lines(tmp_path / "empty.jsonl", [lines[0], json.dumps({**second, "docs": []})])
+        report = tmp_path / "r.json"
+        assert main(["run", str(dataset), "--report", str(report)]) == 2
+        assert "['m2']" in capsys.readouterr().err
+        assert not report.exists()
+        assert main(["run", str(dataset), "--degrade-p", "0", "--report", str(report)]) == 0
+
     def test_missing_dataset(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -166,6 +166,20 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="scorer.max_in_flight"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            "search.cache_dir=2024",
+            "search.cache_dir=5",
+            "generator.endpoint=5",
+            "rewriter.endpoint=true",
+            "scorer.endpoint=[1]",
+        ],
+    )
+    def test_text_keys_keep_json_of_another_type(self, pair):
+        key, raw = pair.split("=")
+        assert str(field_value(load_config(overrides=[pair]), *key.split("."))) == raw
+
     def test_null_clears_endpoint(self, tmp_path):
         path = write_config(tmp_path, {"generator": {"endpoint": "http://localhost:1/g"}})
         cfg = load_config(path, ["generator.endpoint=null"])
@@ -288,8 +302,6 @@ class TestValueTypes:
             "search.retries=true",
             "scorer.timeout=true",
             "scorer.kind=1",
-            "search.cache_dir=5",
-            "generator.endpoint=5",
             "ablations.only_action=5",
             "thresholds.preset=null",
         ],

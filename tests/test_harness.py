@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import JSON_VALUES, FakeWeb
-from ragmend.errors import DatasetError, InputError, ScorerUnavailableError
+from ragmend.errors import DatasetError, InputError, NoDocumentsError, ScorerUnavailableError
 from ragmend.harness import (
     PLACEHOLDER_DOC_ID,
     PLACEHOLDER_TEXT,
@@ -417,6 +417,20 @@ class TestRunExperiment:
         report = run_experiment([], PipelineConfig(), "crag", scorer=lexical)
         assert report.accuracy == 0.0
         assert report.records == []
+
+    def test_crag_refuses_instances_without_documents_before_any_runs(self, lexical):
+        empty = [
+            DatasetInstance(id=tag, question="q?", answers=("a",), docs=(), relevant_doc_ids=())
+            for tag in ("e1", "e2")
+        ]
+        instances = [INSTANCES[0], *empty]
+        with pytest.raises(NoDocumentsError, match=r"\['e1', 'e2'\]"):
+            run_experiment(instances, PipelineConfig(), "crag", scorer=BoomScorer())
+        # Checked after degradation, which gives such an instance a placeholder.
+        report = run_experiment(instances, PipelineConfig(), "crag", (0.0, 0), scorer=lexical)
+        assert len(report.records) == 3
+        report = run_experiment(instances, PipelineConfig(), "plain_rag", scorer=BoomScorer())
+        assert len(report.records) == 3
 
     def test_crag_accuracy_and_histogram(self, lexical):
         report = run_experiment(INSTANCES, PipelineConfig(), "crag", scorer=lexical)

@@ -403,8 +403,8 @@ class TestRunDegradedPaths:
         ids=["relative", "non-string", "lone-surrogate"],
     )
     def test_bad_search_url_degrades(self, tmp_path, lexical, caplog, url):
-        # websearch.search checks each URL: "url must be absolute" / "url must be a
-        # string" / "url must be a valid UTF-8 URL"
+        # HttpSearchClient's read checks each URL: "url must be absolute" / "url must
+        # be a string" / "url must be a valid UTF-8 URL"
         session = FakeSession([FakeResponse(payload={"results": [{"url": url}]})])
         client = HttpSearchClient("http://localhost:9/search", retries=0, session=session)
         with caplog.at_level("WARNING"):
@@ -435,7 +435,7 @@ class TestRunDegradedPaths:
         assert any("not valid UTF-8" in r.getMessage() for r in caplog.records)
 
     def test_non_string_generator_text_recorded(self, tmp_path, lexical):
-        # pipeline.RemoteGenerator: "generator reply text is not a string"
+        # http_session.read_text: "malformed generator reply: text is not a string"
         generator = RemoteGenerator(
             "http://localhost:9/g", session=FakeSession([FakeResponse(payload={"text": 5})])
         )
@@ -451,6 +451,52 @@ class TestRunDegradedPaths:
         record = run(QUESTION, [RELEVANT], web_cfg(tmp_path), lexical, None, None, Exploding())
         assert record.error is not None
         assert record.answer == ""
+
+
+class TestOneWarningPerFailure:
+    """`request` logs only the attempts it retries; the owner of a failure logs it once."""
+
+    def test_failed_page_fetch(self, tmp_path, lexical, caplog):
+        url = "http://localhost:9/page/france"
+        session = FakeSession(
+            [
+                FakeResponse(payload={"results": [{"url": url}]}),
+                requests.ConnectionError("refused"),
+            ]
+        )
+        client = HttpSearchClient("http://localhost:9/search", retries=0, session=session)
+        with caplog.at_level("WARNING"):
+            record = run(QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client)
+        assert record.searched_urls == (url,)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping unfetchable page: fetch failed for {url}: "
+            "page unreachable after 1 attempts: refused"
+        ]
+
+    def test_failed_rewriter(self, tmp_path, lexical, caplog):
+        session = FakeSession([requests.ConnectionError("refused")])
+        rewriter = RemoteRewriter("http://localhost:9/generate", timeout=5, session=session)
+        with caplog.at_level("WARNING"):
+            record = run(
+                QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, web_double(), rewriter
+            )
+        assert "Paris" in record.answer
+        assert [r.getMessage() for r in caplog.records] == [
+            "remote rewrite failed, using keyword fallback: "
+            "rewriter unreachable after 1 attempts: refused"
+        ]
+
+    def test_scorer_logs_only_its_retries(self, monkeypatch, caplog):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        replies = [FakeResponse(status_code=503)] * 2 + [FakeResponse(payload={"score": 0.5})]
+        config = ScorerConfig(kind="remote", endpoint="http://localhost:9/score", retries=2)
+        scorer = RemoteScorer(config, session=FakeSession(replies))
+        with caplog.at_level("WARNING"):
+            assert scorer.score_text("q", "d") == 0.5
+        assert [r.getMessage() for r in caplog.records] == [
+            "scorer returned 503 (attempt 1)",
+            "scorer returned 503 (attempt 2)",
+        ]
 
 
 class TestRunAblations:

@@ -137,7 +137,7 @@ class TestRewriteOp:
         assert any("fallback" in r.message for r in caplog.records)
 
     def test_non_string_remote_text_falls_back(self, caplog):
-        # websearch.RemoteRewriter: "rewriter reply text is not a string"
+        # http_session.read_text: "malformed rewriter reply: text is not a string"
         remote = RemoteRewriter(
             "http://localhost:9/g",
             timeout=5,
@@ -203,6 +203,12 @@ BAD_URLS = st.one_of(
     st.integers(),
     st.lists(st.integers(), max_size=1),
 )
+
+
+def http_search_client(urls):
+    """An HttpSearchClient whose one search reply lists `urls`."""
+    reply = FakeResponse(payload={"results": [{"url": url} for url in urls]})
+    return HttpSearchClient("http://localhost:9/search", session=FakeSession([reply]))
 
 
 class TestSearchOp:
@@ -272,7 +278,7 @@ class TestSearchOp:
         ],
     )
     def test_malformed_url_fails_the_reply(self, url, message):
-        client = FakeWeb({"q": ["http://a.com/1", url]})
+        client = http_search_client(["http://a.com/1", url])
         with pytest.raises(SearchUnavailableError, match=f"malformed search reply: {message}"):
             search("q", client, SearchConfig(top_k_urls=1, prefer_wikipedia=False))
 
@@ -289,7 +295,7 @@ class TestSearchOp:
         st.booleans(),
     )
     def test_wikipedia_first_prefix_or_unavailable(self, drawn, top_k, prefer):
-        client = FakeWeb({"q": [url for _, url in drawn]})
+        client = http_search_client([url for _, url in drawn])
         cfg = SearchConfig(top_k_urls=top_k, prefer_wikipedia=prefer)
         if any(kind == "bad" for kind, _ in drawn):
             with pytest.raises(SearchUnavailableError, match="malformed search reply"):
