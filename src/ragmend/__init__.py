@@ -11,7 +11,6 @@ from .config import build_roles
 from .errors import (
     ConfigError,
     DatasetError,
-    EmptyDocumentError,
     FetchError,
     GenerationError,
     InputError,
@@ -84,7 +83,6 @@ __all__ = [
     "DatasetError",
     "DatasetInstance",
     "Document",
-    "EmptyDocumentError",
     "ExperimentReport",
     "FetchError",
     "GenerationError",

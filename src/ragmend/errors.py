@@ -26,13 +26,6 @@ class NoDocumentsError(InputError):
     """An operation that requires retrieved documents got none."""
 
 
-class EmptyDocumentError(InputError):
-    """A document with whitespace-only text cannot be segmented.
-
-    refine skips blank documents and raises this only when all are blank.
-    """
-
-
 class RemoteError(RagmendError):
     """A remote service failed after retries."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ from .config import config_snapshot
 from .errors import DatasetError, InputError, NoDocumentsError
 from .pipeline import MODES, PipelineConfig, RunRecord
 from .scoring import Document, Query, Scorer
+
+logger = logging.getLogger(__name__)
 
 PLACEHOLDER_DOC_ID = "placeholder"
 PLACEHOLDER_TEXT = "no information available"
@@ -240,8 +243,8 @@ def _record_dict(record: InstanceRecord) -> dict:
         if run.judgment is None
         else {"action": run.judgment.action.value, "max_score": run.judgment.max_score},
         "action": None if run.action is None else run.action.value,
-        "knowledge_kind": None if run.knowledge is None else run.knowledge.kind.value,
-        "knowledge": None if run.knowledge is None else run.knowledge.text,
+        "knowledge_kind": run.knowledge.kind.value,
+        "knowledge": run.knowledge.text,
         "searched_urls": list(run.searched_urls),
         "answer": run.answer,
         "timings": dict(run.timings),
@@ -265,6 +268,7 @@ def run_experiment(
 
     degradation is an optional (p, seed) pair applied before dispatch; then
     `crag` refuses instances without documents, naming them, before any runs.
+    With no search client, a mode that searches logs that once, up front.
     A generation failure is recorded and counted incorrect; a scorer failure
     aborts the experiment, with one worker before the next instance starts.
     """
@@ -280,6 +284,8 @@ def run_experiment(
     empty = [instance.id for instance in instances if not instance.docs]
     if mode == "crag" and empty:
         raise NoDocumentsError(f"crag needs documents; instances without any: {empty}")
+    if search_client is None and mode != "plain_rag":
+        logger.warning("no search client configured; external knowledge is empty")
 
     def run_one(instance: DatasetInstance) -> InstanceRecord:
         record = pipeline.run(

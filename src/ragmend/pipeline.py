@@ -112,7 +112,7 @@ class RunRecord:
     doc_scores: tuple[float, ...]
     judgment: Optional[ActionJudgment]
     action: Optional[Action]
-    knowledge: Optional[KnowledgeBundle]
+    knowledge: KnowledgeBundle
     searched_urls: tuple[str, ...]
     answer: str
     timings: dict = field(default_factory=dict)
@@ -154,13 +154,12 @@ def external_knowledge(
 ) -> tuple[list[KnowledgeStrip], list[str]]:
     """Web-search strips for a question, degrading to none on failure.
 
-    Returns the kept strips plus the URLs that were searched. A missing or
-    failing search client yields no strips with a logged warning; individual
-    fetch failures skip that URL and continue. Pages are fetched through the
-    search client.
+    Returns the kept strips plus the URLs that were searched. No search
+    client yields no strips (`run_experiment` warns once per run); a failing
+    one yields none with a logged warning, and a page that fails to fetch is
+    skipped. Pages are fetched through the search client.
     """
     if search_client is None:
-        logger.warning("no search client configured; external knowledge is empty")
         return [], []
     if cfg.ablations.no_rewriting:
         query = question.text

@@ -3,7 +3,8 @@
 Documents are segmented into strips of consecutive sentences, each strip is
 scored against the query, low scorers are dropped, and the survivors are
 kept in original order. `pipeline.run` recomposes the kept strips, with any
-web-search strips, into one knowledge bundle.
+web-search strips, into one knowledge bundle. A stage with nothing to work
+on (no documents, blank documents, no strips) returns no strips.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .errors import ConfigError, EmptyDocumentError, NoDocumentsError
+from .errors import ConfigError
 from .scoring import Document, Query, Scorer
 
 _SENTENCE_BREAK = re.compile(r"([.!?])\s+")
@@ -91,7 +92,7 @@ def split_sentences(text: str) -> list[str]:
 
 
 def segment(doc: Document, config: RefineConfig) -> list[KnowledgeStrip]:
-    """Cut a document into strips of consecutive sentences.
+    """Cut a document into strips of consecutive sentences (none if blank).
 
     Documents of one or two sentences become a single strip holding the whole
     text; longer ones are windowed into non-overlapping groups of
@@ -99,7 +100,7 @@ def segment(doc: Document, config: RefineConfig) -> list[KnowledgeStrip]:
     """
     sentences = split_sentences(doc.text)
     if not sentences:
-        raise EmptyDocumentError(f"document {doc.id!r} has no sentences")
+        return []
     if len(sentences) <= 2:
         return [KnowledgeStrip(doc_id=doc.id, index=0, text=doc.text.strip())]
     strips = []
@@ -125,10 +126,11 @@ def filter_strips(
 
     Keeps strips scoring strictly above config.strip_threshold, capped at
     config.top_k by score (earlier strip wins a tie), then restores original
-    order. When nothing clears the threshold the single best strip is kept.
+    order. When nothing clears the threshold the single best strip is kept;
+    no strips keep none, and the scorer is not called.
     """
     if not strips:
-        raise ValueError("filter_strips requires at least one strip")
+        return []
     scores = scorer.score_batch(query.text, [strip.text for strip in strips])
 
     def rank(pos: int) -> tuple[float, int]:
@@ -152,17 +154,7 @@ def refine(
     scorer: Scorer,
     config: RefineConfig,
 ) -> list[KnowledgeStrip]:
-    """Segment all documents and filter the pooled strips; return the kept ones.
-
-    Blank documents are skipped; EmptyDocumentError is raised only when every
-    document is blank.
-    """
-    if not docs:
-        raise NoDocumentsError("no documents to refine")
-    pool: list[KnowledgeStrip] = []
-    for doc in docs:
-        if doc.text.strip():
-            pool.extend(segment(doc, config))
-    if not pool:
-        raise EmptyDocumentError("every document to refine is blank")
+    """Segment all documents and filter the pooled strips; return the kept ones
+    (none for no documents or only blank ones)."""
+    pool = [strip for doc in docs for strip in segment(doc, config)]
     return filter_strips(pool, query, scorer, config)

@@ -412,4 +412,4 @@ def select_external(
     Paragraphs are already strip-sized, so they go straight to filtering in
     the order given; no strips keep none.
     """
-    return filter_strips(strips, question, scorer, cfg) if strips else []
+    return filter_strips(strips, question, scorer, cfg)

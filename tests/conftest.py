@@ -33,6 +33,16 @@ class TableScorer(Scorer):
         return self.table[document]
 
 
+class BoomScorer(Scorer):
+    """Fails the test if any scoring happens."""
+
+    def score_text(self, query, document):
+        raise AssertionError("scorer used")
+
+    def score_batch(self, query, texts):
+        raise AssertionError("scorer used")
+
+
 def selection_oracle(scores, threshold, top_k):
     """Positions `filter_strips` keeps: above threshold, top-k by score, earlier wins
     ties, re-sorted; with none above threshold, the single best."""

@@ -440,6 +440,20 @@ class TestRunCommand:
         assert not report.exists()
         assert main(["run", str(dataset), "--degrade-p", "0", "--report", str(report)]) == 0
 
+    @pytest.mark.parametrize(
+        "ablation", ["disable_action=Incorrect", "only_action=Correct", "only_action=Ambiguous"]
+    )
+    def test_blank_document_gives_empty_knowledge(self, tmp_path, ablation):
+        lines = mini_dataset(tmp_path).read_text("utf-8").splitlines()
+        second = json.loads(lines[1])
+        blank = {**second, "docs": [{"id": "m2_blank", "text": "   "}], "relevant_doc_ids": []}
+        dataset = write_lines(tmp_path / "blank.jsonl", [lines[0], json.dumps(blank)])
+        report = tmp_path / "r.json"
+        args = ["run", str(dataset), "--set", f"ablations.{ablation}", "--report", str(report)]
+        assert main(args) == 0
+        record = json.loads(report.read_text())["records"][1]
+        assert (record["knowledge"], record["answer"]) == ("", "UNKNOWN")
+
     def test_missing_dataset(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.jsonl")]) == 2
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import JSON_VALUES, FakeWeb
+from conftest import JSON_VALUES, BoomScorer, FakeWeb
 from ragmend.errors import DatasetError, InputError, NoDocumentsError, ScorerUnavailableError
 from ragmend.harness import (
     PLACEHOLDER_DOC_ID,
@@ -394,16 +394,6 @@ PAGE_URL = "mock://web/france"
 PAGE_HTML = "<p>The capital city of France is Paris.</p>"
 
 
-class BoomScorer:
-    """Fails the test if any scoring happens."""
-
-    def score(self, query, doc):
-        raise AssertionError("scorer used")
-
-    def score_batch(self, query, texts):
-        raise AssertionError("scorer used")
-
-
 class TestRunExperiment:
     def test_unknown_mode(self, lexical):
         with pytest.raises(InputError, match="mode"):
@@ -618,6 +608,16 @@ class TestRunExperiment:
     def test_action_values_are_strings(self, lexical):
         report = run_experiment(INSTANCES[:1], PipelineConfig(), "crag", scorer=lexical)
         assert set(report.action_histogram) == {Action.CORRECT.value}
+
+    @pytest.mark.parametrize("mode, lines", [("crag", 1), ("rag_web", 1), ("plain_rag", 0)])
+    def test_missing_search_client_logged_once(self, lexical, caplog, mode, lines):
+        # At p=1 every crag instance is Incorrect, so each one takes the web path.
+        report = run_experiment(
+            INSTANCES, PipelineConfig(), mode, degradation=(1.0, 42), scorer=lexical
+        )
+        assert all(r.run.searched_urls == () for r in report.records)
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages.count("no search client configured; external knowledge is empty") == lines
 
 
 class TestCsvRow:

@@ -567,25 +567,25 @@ class TestRunRobustness:
 
     @given(
         question=st.text(min_size=1, max_size=40).filter(str.strip),
-        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5).filter(
-            lambda texts: any(t.strip() for t in texts)
-        ),
-        only_action=st.sampled_from([None, *Action]),
+        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5),
+        flag=st.sampled_from(["only_action", "disable_action"]),
+        action=st.sampled_from([None, *Action]),
     )
-    def test_any_instance_with_a_nonblank_doc_gives_record(self, question, texts, only_action):
+    @example(question="q", texts=["   "], flag="disable_action", action=Action.INCORRECT)
+    def test_any_instance_with_documents_gives_record(self, question, texts, flag, action):
         docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
-        cfg = PipelineConfig(ablations=AblationFlags(only_action=only_action))
+        cfg = PipelineConfig(ablations=AblationFlags(**{flag: action}))
         record = run(question, docs, cfg, LexicalScorer())
         assert record.error is None
-        assert record.action is (only_action or record.judgment.action)
+        assert record.action is resolve_action(record.judgment, cfg.thresholds, cfg.ablations)
         assert record.answer
+        if not record.knowledge.text:
+            assert record.answer == "UNKNOWN"
 
     @given(
         mode=st.sampled_from(MODES),
         question=st.text(min_size=1, max_size=40).filter(str.strip),
-        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5).filter(
-            lambda texts: any(t.strip() for t in texts)
-        ),
+        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5),
         pages=st.lists(st.text(max_size=80), max_size=3),
     )
     def test_timings_are_nonnegative_and_stages_fit_in_total(self, mode, question, texts, pages):

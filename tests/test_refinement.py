@@ -6,9 +6,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import TableScorer, selection_oracle
+from conftest import BoomScorer, TableScorer, selection_oracle
 from ragmend import scoring
-from ragmend.errors import ConfigError, EmptyDocumentError, NoDocumentsError
+from ragmend.errors import ConfigError
 from ragmend.refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -116,9 +116,8 @@ class TestSegment:
         cfg = RefineConfig(strip_sentences=1)
         assert [s.text for s in segment(doc, cfg)] == ["A.", "B.", "C."]
 
-    def test_whitespace_doc_rejected(self):
-        with pytest.raises(EmptyDocumentError):
-            segment(Document(id="d", text="  \n "), self.CFG)
+    def test_whitespace_doc_gives_no_strips(self):
+        assert segment(Document(id="d", text="  \n "), self.CFG) == []
 
     def test_doc_id_carried(self):
         doc = Document(id="d42", text="A. B. C. D.")
@@ -194,9 +193,8 @@ class TestFilterStrips:
         )
         assert kept[0].score == 1.0
 
-    def test_empty_input_rejected(self, lexical):
-        with pytest.raises(ValueError):
-            filter_strips([], self.QUERY, lexical, RefineConfig())
+    def test_empty_input_keeps_none_unscored(self):
+        assert filter_strips([], self.QUERY, BoomScorer(), RefineConfig()) == []
 
     def test_matches_oracle_on_random_sets(self, lexical):
         rng = random.Random(2024)
@@ -245,9 +243,8 @@ class TestFilterStripsKeepsStrips:
 
 
 class TestRefine:
-    def test_empty_docs(self, lexical):
-        with pytest.raises(NoDocumentsError):
-            refine(Query("q"), [], lexical, RefineConfig())
+    def test_empty_docs(self):
+        assert refine(Query("q"), [], BoomScorer(), RefineConfig()) == []
 
     def test_pools_across_docs_in_order(self, lexical):
         query = Query("alpha beta gamma delta")
@@ -301,10 +298,9 @@ class TestRefine:
         assert strips == 12 and kept
         assert calls == [question]
 
-    def test_all_blank_docs_rejected(self, lexical):
+    def test_all_blank_docs_keep_none_unscored(self):
         docs = [Document(id="a", text=" "), Document(id="b", text="\n")]
-        with pytest.raises(EmptyDocumentError):
-            refine(Query("alpha"), docs, lexical, RefineConfig())
+        assert refine(Query("alpha"), docs, BoomScorer(), RefineConfig()) == []
 
 
 class TestTypes:
