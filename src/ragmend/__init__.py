@@ -14,7 +14,6 @@ from .errors import (
     FetchError,
     GenerationError,
     InputError,
-    NoDocumentsError,
     OfflineViolationError,
     RagmendError,
     RemoteError,
@@ -93,7 +92,6 @@ __all__ = [
     "KnowledgeBundle",
     "KnowledgeStrip",
     "LexicalScorer",
-    "NoDocumentsError",
     "OfflineViolationError",
     "PipelineConfig",
     "Query",

@@ -22,10 +22,6 @@ class DatasetError(InputError):
     """Dataset file failed schema validation."""
 
 
-class NoDocumentsError(InputError):
-    """An operation that requires retrieved documents got none."""
-
-
 class RemoteError(RagmendError):
     """A remote service failed after retries."""
 

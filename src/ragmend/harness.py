@@ -21,14 +21,11 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import pipeline
 from .config import config_snapshot
-from .errors import DatasetError, InputError, NoDocumentsError
+from .errors import DatasetError, InputError, RemoteError
 from .pipeline import MODES, PipelineConfig, RunRecord
 from .scoring import Document, Query, Scorer
 
 logger = logging.getLogger(__name__)
-
-PLACEHOLDER_DOC_ID = "placeholder"
-PLACEHOLDER_TEXT = "no information available"
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,8 @@ def degrade(
 
     The per-document draw depends only on (seed, instance id, doc id), so the
     removed sets nest as p grows: anything removed at p1 is also removed at
-    any p2 >= p1 under the same seed. Instances left with no documents get a
-    placeholder so the pipeline precondition still holds.
+    any p2 >= p1 under the same seed. An instance may be left with no
+    documents, which `crag` judges Incorrect.
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"degradation probability must be in [0, 1], got {p}")
@@ -177,8 +174,6 @@ def degrade(
             for doc in instance.docs
             if doc.id not in relevant or removal_draw(seed, instance.id, doc.id) >= p
         ]
-        if not kept:
-            kept = [Document(id=PLACEHOLDER_DOC_ID, text=PLACEHOLDER_TEXT)]
         degraded.append(dataclasses.replace(instance, docs=tuple(kept)))
     return degraded
 
@@ -266,11 +261,11 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one experiment over a dataset and aggregate the report.
 
-    degradation is an optional (p, seed) pair applied before dispatch; then
-    `crag` refuses instances without documents, naming them, before any runs.
-    With no search client, a mode that searches logs that once, up front.
-    A generation failure is recorded and counted incorrect; a scorer failure
-    aborts the experiment, with one worker before the next instance starts.
+    degradation is an optional (p, seed) pair applied before dispatch. With
+    no search client, a mode that searches logs that once, up front. A
+    generation failure is recorded and counted incorrect; another RemoteError
+    aborts the experiment, with one worker before the next instance starts,
+    re-raised with the instance id in front of its message.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; choose from {MODES}")
@@ -281,23 +276,24 @@ def run_experiment(
     if degradation is not None:
         level, seed = degradation
         instances = degrade(instances, level, seed)
-    empty = [instance.id for instance in instances if not instance.docs]
-    if mode == "crag" and empty:
-        raise NoDocumentsError(f"crag needs documents; instances without any: {empty}")
     if search_client is None and mode != "plain_rag":
         logger.warning("no search client configured; external knowledge is empty")
 
     def run_one(instance: DatasetInstance) -> InstanceRecord:
-        record = pipeline.run(
-            instance.question,
-            instance.docs,
-            cfg,
-            scorer,
-            search_client,
-            rewriter,
-            generator,
-            mode=mode,
-        )
+        try:
+            record = pipeline.run(
+                instance.question,
+                instance.docs,
+                cfg,
+                scorer,
+                search_client,
+                rewriter,
+                generator,
+                mode=mode,
+            )
+        except RemoteError as exc:
+            exc.args = (f"instance {instance.id!r}: {exc}",)
+            raise
         correct = record.error is None and accuracy(record.answer, instance.answers)
         return InstanceRecord(
             instance_id=instance.id,

@@ -255,7 +255,7 @@ def run(
 ) -> RunRecord:
     """Answer one question over its retrieved documents in one of `MODES`.
 
-    Only `crag` scores and judges the documents, and it needs at least one.
+    Only `crag` scores and judges the documents; with none it judges Incorrect.
     The knowledge bundle is `INTERNAL`, `EXTERNAL` or `COMBINED` by the
     sources used, holds each strip text once and puts internal strips first.
     Scorer failures propagate (no silent default scores). Generation failures

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import ConfigError, NoDocumentsError
+from .errors import ConfigError
 
 
 class Action(str, Enum):
@@ -63,9 +63,9 @@ class ActionJudgment:
 
 
 def judge(scores: Sequence[float], thresholds: Thresholds) -> ActionJudgment:
-    """Pick an action from document scores. Raises NoDocumentsError on empty input."""
+    """Pick an action from document scores; none (no documents) is Incorrect at -1.0."""
     if not scores:
-        raise NoDocumentsError("no documents to judge")
+        return ActionJudgment(action=Action.INCORRECT, max_score=-1.0)
     best = max(scores)
     if best > thresholds.upper:
         action = Action.CORRECT

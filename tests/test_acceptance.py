@@ -12,7 +12,6 @@ from conftest import FakeWeb, TableScorer, selection_oracle
 from ragmend import pipeline
 from ragmend.config import load_config
 from ragmend.harness import (
-    PLACEHOLDER_DOC_ID,
     DatasetInstance,
     degrade,
     run_experiment,
@@ -279,10 +278,7 @@ def test_criterion_7_degradation_is_deterministic_and_nested(fixture_dataset):
     for p in levels:
         degraded = degrade(instances, p, seed=7)
         kept_by_level.append(
-            {
-                inst.id: {d.id for d in inst.docs if d.id != PLACEHOLDER_DOC_ID}
-                for inst in degraded
-            }
+            {inst.id: {d.id for d in inst.docs} for inst in degraded}
         )
     for earlier, later in zip(kept_by_level, kept_by_level[1:]):
         for instance_id, kept in later.items():

@@ -198,8 +198,9 @@ class TestJudgeCommand:
     def test_empty_docs_file(self, tmp_path, capsys):
         path = tmp_path / "docs.jsonl"
         path.write_text("\n", encoding="utf-8")
-        assert main(["judge", "q?", str(path)]) == 2
-        assert "no documents" in capsys.readouterr().err
+        assert main(["judge", "q?", str(path)]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply == {"action": "Incorrect", "max_score": -1.0, "scores": []}
 
     def test_malformed_line_numbered(self, tmp_path, capsys):
         path = write_lines(tmp_path / "docs.jsonl", [json.dumps({"text": "a"}), "{oops"])
@@ -430,15 +431,51 @@ class TestRunCommand:
         assert code == 2
         assert "section 'scorer' must be an object" in capsys.readouterr().err
 
-    def test_crag_instance_without_documents_exits_2_naming_it(self, tmp_path, capsys):
+    def test_instance_without_documents_runs_as_at_p_zero(self, tmp_path):
         lines = mini_dataset(tmp_path).read_text("utf-8").splitlines()
         second = json.loads(lines[1])
         dataset = write_lines(tmp_path / "empty.jsonl", [lines[0], json.dumps({**second, "docs": []})])
         report = tmp_path / "r.json"
-        assert main(["run", str(dataset), "--report", str(report)]) == 2
-        assert "['m2']" in capsys.readouterr().err
-        assert not report.exists()
-        assert main(["run", str(dataset), "--degrade-p", "0", "--report", str(report)]) == 0
+        for mode in harness.MODES:
+            runs = []
+            for extra in ([], ["--degrade-p", "0"]):
+                assert main(["run", str(dataset), "--mode", mode, "--report", str(report), *extra]) == 0
+                data = json.loads(report.read_text())
+                del data["degradation_level"], data["degradation_seed"]
+                for record in data["records"]:
+                    del record["timings"]
+                runs.append(data)
+            assert runs[0] == runs[1]
+            record = runs[0]["records"][1]
+            assert (record["instance_id"], record["doc_scores"]) == ("m2", [])
+            if mode == "crag":
+                assert record["judgment"] == {"action": "Incorrect", "max_score": -1.0}
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_remote_failure_names_its_instance(self, tmp_path, capsys, workers):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        code = main(
+            [
+                "run",
+                str(mini_dataset(tmp_path)),
+                "--set",
+                "scorer.kind=remote",
+                "--set",
+                f"scorer.endpoint=http://127.0.0.1:{port}/score",
+                "--set",
+                "scorer.retries=0",
+                "--workers",
+                workers,
+                "--report",
+                str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: instance 'm1': scorer unreachable after 1 attempts: " in err
+        assert err.count("scorer unreachable") == 1
 
     @pytest.mark.parametrize(
         "ablation", ["disable_action=Incorrect", "only_action=Correct", "only_action=Ambiguous"]

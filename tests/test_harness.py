@@ -11,10 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import JSON_VALUES, BoomScorer, FakeWeb
-from ragmend.errors import DatasetError, InputError, NoDocumentsError, ScorerUnavailableError
+from ragmend.errors import DatasetError, InputError, ScorerUnavailableError
 from ragmend.harness import (
-    PLACEHOLDER_DOC_ID,
-    PLACEHOLDER_TEXT,
     DatasetInstance,
     ExperimentReport,
     accuracy,
@@ -26,10 +24,10 @@ from ragmend.harness import (
     run_experiment,
 )
 from ragmend.mockserver import MockService
-from ragmend.pipeline import PipelineConfig
+from ragmend.pipeline import MODES, AblationFlags, PipelineConfig
 from ragmend.refinement import BundleKind
 from ragmend.scoring import Document, LexicalScorer
-from ragmend.trigger import Action
+from ragmend.trigger import Action, ActionJudgment
 from ragmend.websearch import HttpSearchClient, SearchConfig
 
 
@@ -41,6 +39,44 @@ DOCS = st.fixed_dictionaries(
         "title": JSON_VALUES,
     },
 )
+
+
+# Schema-valid datasets, instances without documents included; every
+# instance has relevant_doc_ids, so each one can be degraded.
+DATASETS = st.lists(
+    st.builds(
+        DatasetInstance,
+        id=st.text(max_size=4),
+        question=st.text(min_size=1, max_size=30).filter(str.strip),
+        answers=st.lists(st.text(min_size=1, max_size=8).filter(str.strip), min_size=1, max_size=2),
+        docs=st.lists(st.text(max_size=40), max_size=4).map(
+            lambda texts: [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+        ),
+        relevant_doc_ids=st.lists(st.sampled_from(["d0", "d1", "d2", "d3"]), max_size=4),
+    ),
+    max_size=4,
+    unique_by=lambda instance: instance.id,
+)
+
+ABLATIONS = st.sampled_from(
+    [
+        AblationFlags(),
+        *(AblationFlags(disable_action=action) for action in Action),
+        *(AblationFlags(only_action=action) for action in Action),
+        AblationFlags(no_refinement=True),
+        AblationFlags(no_rewriting=True),
+        AblationFlags(no_selection=True),
+    ]
+)
+
+
+def comparable(report):
+    """A report's dict without the degradation settings and the timings."""
+    data = report.to_dict()
+    del data["degradation_level"], data["degradation_seed"]
+    for record in data["records"]:
+        del record["timings"]
+    return data
 
 
 def write_jsonl(tmp_path, lines):
@@ -266,12 +302,15 @@ class TestDegrade:
         [out] = degrade([self.simple_instance()], 1.0, seed=1)
         assert [d.id for d in out.docs] == ["irr"]
 
-    def test_placeholder_when_everything_removed(self):
+    def test_everything_removed_leaves_no_documents(self):
         inst = many_docs_instance(5)
         [out] = degrade([inst], 1.0, seed=1)
-        assert len(out.docs) == 1
-        assert out.docs[0].id == PLACEHOLDER_DOC_ID
-        assert out.docs[0].text == PLACEHOLDER_TEXT
+        assert out.docs == ()
+        assert (out.id, out.question, out.answers) == (inst.id, inst.question, inst.answers)
+
+    @given(instances=DATASETS, seed=st.integers(min_value=0, max_value=2**32))
+    def test_p_zero_is_the_identity(self, instances, seed):
+        assert degrade(instances, 0.0, seed) == list(instances)
 
     def test_deterministic(self):
         inst = many_docs_instance(100)
@@ -284,7 +323,7 @@ class TestDegrade:
         kept = {}
         for p in (0.2, 0.5, 0.8):
             [out] = degrade([inst], p, seed=7)
-            kept[p] = {d.id for d in out.docs if d.id != PLACEHOLDER_DOC_ID}
+            kept[p] = {d.id for d in out.docs}
         assert kept[0.8] <= kept[0.5] <= kept[0.2]
 
     def test_matches_per_doc_draws(self):
@@ -298,8 +337,7 @@ class TestDegrade:
     def test_removal_rate_plausible(self):
         inst = many_docs_instance(400)
         [out] = degrade([inst], 0.5, seed=11)
-        kept = [d for d in out.docs if d.id != PLACEHOLDER_DOC_ID]
-        assert 160 <= len(kept) <= 240
+        assert 160 <= len(out.docs) <= 240
 
     def test_irrelevant_docs_immune(self):
         [out] = degrade([self.simple_instance()], 1.0, seed=2)
@@ -408,19 +446,22 @@ class TestRunExperiment:
         assert report.accuracy == 0.0
         assert report.records == []
 
-    def test_crag_refuses_instances_without_documents_before_any_runs(self, lexical):
+    def test_instances_without_documents_run_as_incorrect(self, lexical):
         empty = [
             DatasetInstance(id=tag, question="q?", answers=("a",), docs=(), relevant_doc_ids=())
             for tag in ("e1", "e2")
         ]
         instances = [INSTANCES[0], *empty]
-        with pytest.raises(NoDocumentsError, match=r"\['e1', 'e2'\]"):
-            run_experiment(instances, PipelineConfig(), "crag", scorer=BoomScorer())
-        # Checked after degradation, which gives such an instance a placeholder.
-        report = run_experiment(instances, PipelineConfig(), "crag", (0.0, 0), scorer=lexical)
-        assert len(report.records) == 3
+        report = run_experiment(instances, PipelineConfig(), "crag", scorer=lexical)
+        assert report.action_histogram == {"Correct": 1, "Incorrect": 2}
+        for record in report.records[1:]:
+            assert record.run.doc_scores == ()
+            assert record.run.judgment == ActionJudgment(Action.INCORRECT, max_score=-1.0)
+            assert record.run.answer == "UNKNOWN"
+        degraded = run_experiment(instances, PipelineConfig(), "crag", (0.0, 0), scorer=lexical)
+        assert comparable(degraded) == comparable(report)
         report = run_experiment(instances, PipelineConfig(), "plain_rag", scorer=BoomScorer())
-        assert len(report.records) == 3
+        assert [r.run.answer for r in report.records[1:]] == ["UNKNOWN", "UNKNOWN"]
 
     def test_crag_accuracy_and_histogram(self, lexical):
         report = run_experiment(INSTANCES, PipelineConfig(), "crag", scorer=lexical)
@@ -481,24 +522,7 @@ class TestRunExperiment:
             assert set(timings) == {"knowledge", "generate", "total"}
             assert timings["total"] >= timings["knowledge"]
 
-    @given(
-        instances=st.lists(
-            st.builds(
-                DatasetInstance,
-                id=st.text(max_size=4),
-                question=st.text(min_size=1, max_size=30).filter(str.strip),
-                answers=st.lists(
-                    st.text(min_size=1, max_size=8).filter(str.strip), min_size=1, max_size=2
-                ),
-                docs=st.lists(st.text(max_size=40), max_size=4).map(
-                    lambda texts: [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
-                ),
-            ),
-            max_size=4,
-            unique_by=lambda instance: instance.id,
-        ),
-        mode=st.sampled_from(["plain_rag", "rag_web"]),
-    )
+    @given(instances=DATASETS, mode=st.sampled_from(["plain_rag", "rag_web"]))
     def test_baselines_give_one_record_per_instance(self, instances, mode):
         client = FakeWeb()
         scorer = BoomScorer() if mode == "plain_rag" else LexicalScorer()
@@ -511,6 +535,25 @@ class TestRunExperiment:
             assert record.run.action is None and record.run.judgment is None
             assert record.run.doc_scores == ()
             assert set(record.run.timings) == {"knowledge", "generate", "total"}
+
+    @given(
+        instances=DATASETS,
+        mode=st.sampled_from(MODES),
+        ablations=ABLATIONS,
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_any_dataset_gives_one_record_per_instance_as_at_p_zero(
+        self, instances, mode, ablations, seed
+    ):
+        cfg = PipelineConfig(ablations=ablations)
+        undegraded, degraded = [
+            run_experiment(
+                instances, cfg, mode, degradation, scorer=LexicalScorer(), search_client=FakeWeb()
+            )
+            for degradation in (None, (0.0, seed))
+        ]
+        assert [r.instance_id for r in undegraded.records] == [i.id for i in instances]
+        assert comparable(degraded) == comparable(undegraded)
 
     def test_workers_match_serial(self, lexical):
         def project(report):
@@ -578,6 +621,17 @@ class TestRunExperiment:
 
         with pytest.raises(ScorerUnavailableError):
             run_experiment(INSTANCES[:1], PipelineConfig(), "crag", scorer=Unavailable())
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_remote_failure_names_its_instance(self, workers):
+        class Unavailable:
+            def score_batch(self, query, texts):
+                raise ScorerUnavailableError("down")
+
+        with pytest.raises(ScorerUnavailableError, match=r"^instance 'i1': down$"):
+            run_experiment(
+                INSTANCES, PipelineConfig(), "crag", scorer=Unavailable(), workers=workers
+            )
 
     def test_one_worker_stops_before_the_next_instance(self):
         # A pool, even of one thread, would start the next instance while the

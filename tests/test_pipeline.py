@@ -15,7 +15,6 @@ from ragmend.errors import (
     ConfigError,
     GenerationError,
     InputError,
-    NoDocumentsError,
     RagmendError,
     SearchUnavailableError,
 )
@@ -303,9 +302,19 @@ class TestRunBranches:
         )
         assert judge(record.doc_scores, cfg.thresholds) == record.judgment
 
-    def test_empty_docs_rejected(self, tmp_path, lexical):
-        with pytest.raises(NoDocumentsError):
-            run(QUESTION, [], web_cfg(tmp_path), lexical)
+    def test_empty_docs_judged_incorrect(self, tmp_path, lexical):
+        client = web_double()
+        record = run(QUESTION, [], web_cfg(tmp_path), lexical, client, None, StubGenerator())
+        assert record.doc_scores == ()
+        assert record.judgment == ActionJudgment(Action.INCORRECT, max_score=-1.0)
+        assert record.action is Action.INCORRECT
+        assert record.knowledge.kind is BundleKind.EXTERNAL
+        assert "Paris" in record.answer
+        # No document, no /score request.
+        session = FakeSession([])
+        config = ScorerConfig(kind="remote", endpoint="http://localhost:9/score")
+        record = run(QUESTION, [], web_cfg(tmp_path), RemoteScorer(config, session=session))
+        assert (record.judgment.max_score, session.calls) == (-1.0, [])
 
     def test_unknown_mode_rejected(self, tmp_path, lexical):
         with pytest.raises(InputError, match="bogus"):
@@ -567,12 +576,14 @@ class TestRunRobustness:
 
     @given(
         question=st.text(min_size=1, max_size=40).filter(str.strip),
-        texts=st.lists(st.text(max_size=80), min_size=1, max_size=5),
+        texts=st.lists(st.text(max_size=80), max_size=5),
         flag=st.sampled_from(["only_action", "disable_action"]),
         action=st.sampled_from([None, *Action]),
     )
     @example(question="q", texts=["   "], flag="disable_action", action=Action.INCORRECT)
-    def test_any_instance_with_documents_gives_record(self, question, texts, flag, action):
+    @example(question="q", texts=[], flag="disable_action", action=Action.INCORRECT)
+    @example(question="q", texts=[], flag="disable_action", action=Action.AMBIGUOUS)
+    def test_any_instance_gives_record(self, question, texts, flag, action):
         docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
         cfg = PipelineConfig(ablations=AblationFlags(**{flag: action}))
         record = run(question, docs, cfg, LexicalScorer())

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ragmend.errors import ConfigError, NoDocumentsError
+from ragmend.errors import ConfigError
 from ragmend.trigger import THRESHOLD_PRESETS, Action, ActionJudgment, Thresholds, judge
 
 
@@ -49,8 +49,10 @@ class TestJudge:
     TH = Thresholds(upper=0.59, lower=-0.99)
 
     def test_empty_scores(self):
-        with pytest.raises(NoDocumentsError):
-            judge([], self.TH)
+        # No documents: none is relevant, whatever the thresholds; at
+        # lower=-1.0 a threshold test would call -1.0 Ambiguous.
+        for thresholds in (self.TH, Thresholds(upper=0.5, lower=-1.0), Thresholds(1.0, 0.99)):
+            assert judge([], thresholds) == ActionJudgment(Action.INCORRECT, max_score=-1.0)
 
     def test_above_upper_is_correct(self):
         assert judge([0.6, -1.0], self.TH).action is Action.CORRECT
