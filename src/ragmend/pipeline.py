@@ -32,7 +32,7 @@ from .refinement import (
     RefineConfig,
     refine,
 )
-from .scoring import Document, LexicalScorer, Query, Scorer, ScorerConfig
+from .scoring import Document, LexicalScorer, Query, Scorer, ScorerConfig, one_line
 from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
     KeywordRewriter,
@@ -136,12 +136,13 @@ def raw_internal_strips(
     docs: Sequence[Document], scores: Sequence[float] = ()
 ) -> list[KnowledgeStrip]:
     """Internal knowledge without refinement: each non-blank document is one
-    strip, holding the document's score when `scores` are given."""
+    strip of its `one_line` text, holding the document's score when `scores`
+    are given."""
     scores = scores or [None] * len(docs)
     return [
-        KnowledgeStrip(doc_id=doc.id, index=0, text=doc.text.strip(), score=score)
+        KnowledgeStrip(doc.id, 0, text, score)
         for doc, score in zip(docs, scores)
-        if doc.text.strip()
+        if (text := one_line(doc.text))
     ]
 
 

@@ -9,13 +9,14 @@ on (no documents, blank documents, no strips) returns no strips.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ConfigError
-from .scoring import Document, Query, Scorer
+from .scoring import Document, Query, Scorer, one_line
 
 _SENTENCE_BREAK = re.compile(r"([.!?])\s+")
 
@@ -28,18 +29,14 @@ class BundleKind(str, Enum):
     COMBINED = "Combined"
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeStrip:
-    """A scored fragment of a document (or web page)."""
+class KnowledgeStrip(NamedTuple):
+    """A scored fragment of a document (or web page); its text is non-blank and on
+    one line."""
 
     doc_id: str
     index: int
     text: str
     score: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("strip text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -88,32 +85,26 @@ def split_sentences(text: str) -> list[str]:
         return []
     # The split keeps each break's punctuation apart; put it back on its sentence.
     parts = _SENTENCE_BREAK.split(stripped)
-    return [s + p for s, p in zip(parts[::2], parts[1::2])] + [parts[-1]]
+    return [*map(operator.add, parts[0::2], parts[1::2]), parts[-1]]
 
 
 def segment(doc: Document, config: RefineConfig) -> list[KnowledgeStrip]:
     """Cut a document into strips of consecutive sentences (none if blank).
 
+    The text first goes through `one_line`, so no strip holds a line break.
     Documents of one or two sentences become a single strip holding the whole
     text; longer ones are windowed into non-overlapping groups of
     config.strip_sentences (the tail window may be shorter).
     """
-    sentences = split_sentences(doc.text)
-    if not sentences:
-        return []
+    text = one_line(doc.text)
+    sentences = split_sentences(text)
     if len(sentences) <= 2:
-        return [KnowledgeStrip(doc_id=doc.id, index=0, text=doc.text.strip())]
-    strips = []
-    for start in range(0, len(sentences), config.strip_sentences):
-        window = sentences[start : start + config.strip_sentences]
-        strips.append(
-            KnowledgeStrip(
-                doc_id=doc.id,
-                index=len(strips),
-                text=" ".join(window),
-            )
-        )
-    return strips
+        return [KnowledgeStrip(doc.id, 0, text)] if sentences else []
+    size = config.strip_sentences
+    return [
+        KnowledgeStrip(doc.id, index, " ".join(sentences[start : start + size]))
+        for index, start in enumerate(range(0, len(sentences), size))
+    ]
 
 
 def filter_strips(
@@ -132,20 +123,13 @@ def filter_strips(
     if not strips:
         return []
     scores = scorer.score_batch(query.text, [strip.text for strip in strips])
-
-    def rank(pos: int) -> tuple[float, int]:
-        return -scores[pos], pos
-
     passing = [pos for pos, score in enumerate(scores) if score > config.strip_threshold]
     if passing:
-        kept = sorted(sorted(passing, key=rank)[: config.top_k])
+        # A stable sort keeps the earlier strip ahead of an equal score.
+        kept = sorted(sorted(passing, key=scores.__getitem__, reverse=True)[: config.top_k])
     else:
-        kept = [min(range(len(scores)), key=rank)]
-    result = []
-    for pos in kept:
-        strip = strips[pos]
-        result.append(KnowledgeStrip(strip.doc_id, strip.index, strip.text, scores[pos]))
-    return result
+        kept = [max(range(len(scores)), key=scores.__getitem__)]
+    return [strips[pos]._replace(score=scores[pos]) for pos in kept]
 
 
 def refine(

@@ -28,27 +28,36 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-# After `lower()`, the `[^\W_]` characters of ASCII text are exactly a-z and 0-9:
-# this table keeps those bytes and turns every other byte into a space.
-_WORD_BYTES = (string.ascii_lowercase + string.digits).encode("ascii")
-_ASCII_WORD_BYTES = bytes(c if c in _WORD_BYTES else 0x20 for c in range(256))
+# The `[^\W_]` characters of lowercased ASCII text are exactly a-z and 0-9: this
+# table lowercases A-Z, keeps those bytes and turns every other byte into a space.
+_WORD_CHARS = string.ascii_lowercase + string.digits
+_ASCII_WORD_BYTES = bytes(
+    ord(lower) if (lower := chr(c).lower()) in _WORD_CHARS else 0x20 for c in range(256)
+)
+
+
+def one_line(text: str) -> str:
+    """The text stripped, with each line break (as `str.splitlines` splits) and the
+    whitespace around it turned into one space; other whitespace is kept."""
+    lines = text.splitlines()
+    if len(lines) < 2:
+        return text.strip()
+    return " ".join(filter(None, map(str.strip, lines)))
 
 
 @dataclass(frozen=True)
 class Query:
     """A user question on one line.
 
-    Text is stripped, and each line break (as `str.splitlines` splits) with the
-    whitespace around it becomes one space, so the question stays on the
-    prompt's one "Question:" line. Other whitespace is kept. Text must be
-    non-empty and encodable as UTF-8 (no lone surrogate).
+    Text goes through `one_line`, so the question stays on the prompt's one
+    "Question:" line. Text must be non-empty and encodable as UTF-8 (no lone
+    surrogate).
     """
 
     text: str
 
     def __post_init__(self):
-        lines = (line.strip() for line in self.text.splitlines())
-        normalized = " ".join(line for line in lines if line)
+        normalized = one_line(self.text)
         if not normalized:
             raise ValueError("query text must be non-empty")
         try:
@@ -126,13 +135,12 @@ class LexicalScorer(Scorer):
         count = len(unique)
         scores = []
         for text in texts:
-            lowered = text.lower()
-            if lowered.isascii():
+            if text.isascii():
                 # A non-ASCII question token cannot occur in ASCII text.
-                words = lowered.encode("ascii").translate(_ASCII_WORD_BYTES).split()
+                words = text.encode("ascii").translate(_ASCII_WORD_BYTES).split()
                 hits = len(ascii_unique.intersection(words))
             else:
-                hits = len(unique.intersection(_TOKEN.findall(lowered)))
+                hits = len(unique.intersection(_TOKEN.findall(text.lower())))
             scores.append(2.0 * hits / count - 1.0)
         return scores
 

@@ -351,12 +351,13 @@ def _cache_read(path: Path, url: str) -> Optional[list[KnowledgeStrip]]:
     if payload.get("extractor") != EXTRACTOR_VERSION:
         return None
     paragraphs = payload.get("paragraphs")
-    if not isinstance(paragraphs, list) or not all(isinstance(p, str) for p in paragraphs):
+    # Each paragraph must read as `extract_paragraphs` writes it: non-blank, with its
+    # whitespace collapsed, so on one line.
+    if not isinstance(paragraphs, list) or not all(
+        isinstance(p, str) and p and _collapse_ws(p) == p for p in paragraphs
+    ):
         return None
-    try:
-        return _page_strips(url, paragraphs)
-    except ValueError:
-        return None
+    return _page_strips(url, paragraphs)
 
 
 def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:

@@ -810,6 +810,49 @@ class TestKnowledgeBundle:
         assert from_web == sorted(from_web)
 
 
+# Words the question shares and one it does not, sentence ends, and the line breaks,
+# tabs and spaces a document or page can hold: blank and whitespace-only texts too.
+LINE_PIECES = st.sampled_from(
+    ["capital", "city", "France", "Paris", "granite", ".", " ", "\t", "\n", "\r\n", "\x85", "\u2028"]
+)
+LINE_TEXTS = st.lists(LINE_PIECES, max_size=12).map("".join)
+
+
+class TestKnowledgeLines:
+    @pytest.mark.parametrize("mode", ["plain_rag", "crag"])
+    def test_document_line_break_stays_in_its_strip(self, tmp_path, lexical, mode):
+        doc = Document("d1", "The capital of France\nis Paris.")
+        question = "Which city is the capital of France?"
+        record = run(question, [doc], web_cfg(tmp_path), lexical, mode=mode)
+        assert record.answer == "The capital of France is Paris."
+
+    @given(
+        mode_and_flags=st.sampled_from(
+            [(mode, {}) for mode in MODES]
+            + [("crag", {"no_refinement": True}), ("crag", {"no_selection": True})]
+        ),
+        texts=st.lists(LINE_TEXTS, max_size=4),
+        pages=st.lists(st.tuples(st.booleans(), LINE_TEXTS), max_size=3),
+    )
+    def test_each_strip_is_one_knowledge_line(self, mode_and_flags, texts, pages):
+        mode, flags = mode_and_flags
+        docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
+        urls = [f"mock://web/p{i}" for i in range(len(pages))]
+        bodies = [f"<p>{text}</p>" if html else text for html, text in pages]
+        web = FakeWeb({"capital city France": urls}, dict(zip(urls, bodies)))
+        with tempfile.TemporaryDirectory() as cache:
+            cfg = PipelineConfig(
+                search=SearchConfig(cache_dir=cache), ablations=AblationFlags(**flags)
+            )
+            # The second run reads every page from the cache the first one wrote.
+            records = [run(QUESTION, docs, cfg, LexicalScorer(), web, mode=mode) for _ in "ab"]
+        assert records[0].knowledge == records[1].knowledge
+        knowledge = records[0].knowledge
+        lines = [strip.text for strip in knowledge.strips]
+        assert all(line.strip() and len(line.splitlines()) == 1 for line in lines)
+        assert knowledge.text.split("\n") == lines if lines else knowledge.text == ""
+
+
 class TestExternalKnowledgeSessions:
     def test_search_and_page_misses_share_the_client_session(
         self, tmp_path, lexical, wire_counts

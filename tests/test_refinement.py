@@ -304,10 +304,6 @@ class TestRefine:
 
 
 class TestTypes:
-    def test_strip_rejects_blank_text(self):
-        with pytest.raises(ValueError):
-            KnowledgeStrip(doc_id="d", index=0, text="  ")
-
     def test_bundle_from_strips_joins(self):
         bundle = KnowledgeBundle.from_strips(
             BundleKind.EXTERNAL, make_strips(["a", "b"])

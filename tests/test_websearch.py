@@ -486,6 +486,17 @@ class TestFetchAndExtract:
         assert len(web.fetched) == 2
         assert json.loads(cache_file.read_text("utf-8"))["paragraphs"] == ["fresh"]
 
+    @pytest.mark.parametrize("paragraph", ["", "two\nlines", "two\u2028lines", "two  spaces"])
+    def test_cached_paragraph_extraction_would_not_write_is_a_miss(self, tmp_path, paragraph):
+        cfg = self._cfg(tmp_path)
+        url = "mock://web/p"
+        payload = {"url": url, "extractor": EXTRACTOR_VERSION, "paragraphs": ["ok", paragraph]}
+        websearch._cache_path(cfg, url).parent.mkdir(parents=True)
+        websearch._cache_path(cfg, url).write_text(json.dumps(payload), "utf-8")
+        web = FakeWeb(pages={url: "<p>fresh</p>"})
+        assert fetch_and_extract(url, cfg, web) == _page(url, "fresh")
+        assert web.fetched == [url]
+
     def test_unwritable_cache_dir_fetches_every_time(self, tmp_path, caplog):
         (tmp_path / "file").write_text("not a directory", "utf-8")
         cfg = SearchConfig(cache_dir=tmp_path / "file" / "cache")
