@@ -4,7 +4,9 @@
 Runs `pytest -q tests` under the standard library's line tracer, as
 `python -m trace --count --missing` does, ignoring the standard library and
 site-packages, and writes the tracer's `.cover` files into a temporary
-directory, never into the repository. A `.cover` file marks each executable
+directory, never into the repository. The suite runs with its "traced"
+hypothesis profile, which has no per-example deadline, because the tracer
+slows every example. A `.cover` file marks each executable
 line that did not run with ">>>>>>". Every such line of src/ragmend that is
 not on ALLOWLIST is printed as `path:line: source`.
 
@@ -54,7 +56,8 @@ def run_traced(cover_dir: Path) -> tuple[int, str]:
     # Cache the ignore decision per file, not per basename (see the docstring).
     names = tracer.ignore.names
     tracer.ignore.names = lambda filename, modulename: names(filename, filename)
-    args = ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]
+    # The "traced" profile is registered in tests/conftest.py.
+    args = ["-q", "-p", "no:cacheprovider", "--hypothesis-profile=traced", str(ROOT / "tests")]
     scope = {"pytest": pytest, "args": args}
     output = io.StringIO()
     with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_docs_jsonl(path: Path) -> list[Document]:
     """The file's documents; `judge` judges a file with none Incorrect at -1.0."""
     return [
-        harness.parse_document(raw, f"doc{line_no}", f"line {line_no}: document", InputError)
+        harness.parse_document(raw, line_no, "line {}: document", InputError)
         for line_no, raw in harness.read_jsonl(path, InputError, "docs file")
     ]
 

@@ -70,25 +70,26 @@ def read_jsonl(
                 continue
             try:
                 # surrogateescape keeps each byte that is not UTF-8; decoding the
-                # line's bytes again raises the error that names it.
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                # line's bytes again raises the error that names it. An ASCII
+                # line holds no escaped byte.
+                if not line.isascii():
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
                 payload = json.loads(line)
             except ValueError as exc:
                 raise error(f"line {line_no}: invalid JSON: {exc}") from exc
             yield line_no, payload
 
 
-def parse_document(
-    raw, default_id: str, where: str, bad: Callable[[str], Exception]
-) -> Document:
+def parse_document(raw, n: int, where: str, bad: Callable[[str], Exception]) -> Document:
     """A Document from a JSON object's string 'text' and optional 'id'; others are ignored.
 
-    `where` starts the error message and `bad` builds the error raised.
+    Without an 'id' the document's id is `doc<n>`. A `raw` that is not such an
+    object raises `bad(message)`, where the message starts with `where.format(n)`.
     """
     text = raw.get("text") if isinstance(raw, dict) else None
     if not isinstance(text, str):
-        raise bad(f"{where} needs a string 'text' field")
-    return Document(str(raw.get("id", default_id)), text)
+        raise bad(f"{where.format(n)} needs a string 'text' field")
+    return Document(str(raw["id"]) if "id" in raw else f"doc{n}", text)
 
 
 def _parse_instance(payload, line_no: int) -> DatasetInstance:
@@ -112,9 +113,7 @@ def _parse_instance(payload, line_no: int) -> DatasetInstance:
         raise bad("'answers' must be a list of strings")
     if not isinstance(payload["docs"], list):
         raise bad("'docs' must be a list")
-    docs = [
-        parse_document(raw, f"doc{i}", f"docs[{i}]", bad) for i, raw in enumerate(payload["docs"])
-    ]
+    docs = [parse_document(raw, i, "docs[{}]", bad) for i, raw in enumerate(payload["docs"])]
     relevant = payload.get("relevant_doc_ids")
     if relevant is not None and not isinstance(relevant, list):
         raise bad("'relevant_doc_ids' must be a list")
@@ -158,7 +157,8 @@ def degrade(
     The per-document draw depends only on (seed, instance id, doc id), so the
     removed sets nest as p grows: anything removed at p1 is also removed at
     any p2 >= p1 under the same seed. An instance may be left with no
-    documents, which `crag` judges Incorrect.
+    documents, which `crag` judges Incorrect. An instance that loses no
+    document is returned as it is, not copied.
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"degradation probability must be in [0, 1], got {p}")
@@ -169,12 +169,14 @@ def degrade(
                 f"instance {instance.id!r} has no relevant_doc_ids; cannot degrade"
             )
         relevant = set(instance.relevant_doc_ids)
-        kept = [
+        kept = tuple(
             doc
             for doc in instance.docs
             if doc.id not in relevant or removal_draw(seed, instance.id, doc.id) >= p
-        ]
-        degraded.append(dataclasses.replace(instance, docs=tuple(kept)))
+        )
+        if len(kept) < len(instance.docs):
+            instance = dataclasses.replace(instance, docs=kept)
+        degraded.append(instance)
     return degraded
 
 

@@ -6,13 +6,18 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from ragmend import mockserver
 from ragmend.cli import default_fixtures_dir
 from ragmend.errors import FetchError
 from ragmend.harness import load_dataset
 from ragmend.scoring import LexicalScorer, Scorer
+
+# `scripts/uncovered.py` runs the suite with this profile: its line tracer slows
+# an example several-fold, past hypothesis' default 200 ms deadline. Plain runs
+# keep the default profile and its deadline.
+settings.register_profile("traced", deadline=None)
 
 # Any value a JSON document can hold, NaN and the infinities aside.
 JSON_VALUES = st.recursive(

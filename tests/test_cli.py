@@ -256,6 +256,13 @@ class TestLoadDocsJsonl:
         with pytest.raises(InputError, match="text"):
             _load_docs_jsonl(path)
 
+    def test_bad_document_error_names_its_line(self, tmp_path):
+        lines = [json.dumps({"text": "a"}), "", json.dumps({"id": "c", "text": None})]
+        path = write_lines(tmp_path / "docs.jsonl", lines)
+        with pytest.raises(InputError) as caught:
+            _load_docs_jsonl(path)
+        assert str(caught.value) == "line 3: document needs a string 'text' field"
+
     def test_judge_rejects_non_string_text(self, tmp_path, capsys):
         path = write_lines(tmp_path / "docs.jsonl", [json.dumps({"id": "a", "text": 5})])
         assert main(["judge", "what is it", str(path)]) == 2

@@ -143,6 +143,48 @@ class TestLoadDataset:
                 expected = [(n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip()]
             assert list(read_jsonl(path, DatasetError, "dataset")) == expected
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["ascii", "non-ascii", "stray 0xff", "surrogate", "blank"]),
+                st.sampled_from(["\n", "\r\n", "\r", "\r\r", "\n\r"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_loads_valid_lines_or_names_the_first_line_that_is_not_utf8(self, parts):
+        def line(kind, k):
+            question = "Qu'est-ce que la capitale de la Suisse, Zürich ☃?"
+            payload = json.loads(valid_line(f"q{k}"))
+            if kind == "non-ascii":
+                payload["question"] = question
+            data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+            bad = {"stray 0xff": b"\xff", "surrogate": b"\xed\xa0\x80"}.get(kind)
+            if bad:
+                data = data.replace(b"capital", b"capi" + bad + b"tal")
+            return b"  " if kind == "blank" else data
+
+        data = b"".join(line(kind, k) + end.encode() for k, (kind, end) in enumerate(parts))
+        # bytes.splitlines ends lines at \n, \r and \r\n, as text mode does.
+        expected, error = [], None
+        for line_no, raw in enumerate(data.splitlines(), start=1):
+            if not raw.strip():
+                continue
+            try:
+                expected.append(json.loads(raw.decode("utf-8"))["id"])
+            except UnicodeDecodeError as exc:
+                error = f"line {line_no}: invalid JSON: {exc}"
+                break
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_bytes(data)
+            if error is None:
+                assert [instance.id for instance in load_dataset(path)] == expected
+            else:
+                with pytest.raises(DatasetError) as caught:
+                    load_dataset(path)
+                assert str(caught.value) == error
+
     def test_invalid_json_names_line(self, tmp_path):
         path = write_jsonl(tmp_path, [valid_line("q1"), "{not json"])
         with pytest.raises(DatasetError, match="line 2"):
@@ -160,6 +202,15 @@ class TestLoadDataset:
         path = write_jsonl(tmp_path, [valid_line(docs=[{"id": "d1"}])])
         with pytest.raises(DatasetError, match=r"docs\[0\]"):
             load_dataset(path)
+
+    def test_doc_errors_and_default_ids_name_the_doc_position(self, tmp_path):
+        docs = [{"text": "a"}, {"id": None, "text": "b"}, {"text": "c"}]
+        [instance] = load_dataset(write_jsonl(tmp_path, [valid_line(docs=docs)]))
+        assert [d.id for d in instance.docs] == ["doc0", "None", "doc2"]
+        path = write_jsonl(tmp_path, [valid_line("q1"), valid_line("q2", docs=[*docs, 5])])
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(path)
+        assert str(caught.value) == "line 2: docs[3] needs a string 'text' field"
 
     def test_duplicate_instance_id(self, tmp_path):
         path = write_jsonl(tmp_path, [valid_line("q1"), valid_line("q1")])
@@ -311,6 +362,51 @@ class TestDegrade:
     @given(instances=DATASETS, seed=st.integers(min_value=0, max_value=2**32))
     def test_p_zero_is_the_identity(self, instances, seed):
         assert degrade(instances, 0.0, seed) == list(instances)
+
+    @given(instances=DATASETS, seed=st.integers(min_value=0, max_value=2**32))
+    def test_p_zero_returns_the_instances_it_was_given(self, instances, seed):
+        out = degrade(instances, 0.0, seed)
+        assert len(out) == len(instances)
+        assert all(after is before for before, after in zip(instances, out))
+
+    @given(
+        instances=DATASETS,
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_only_an_instance_that_loses_a_document_is_rebuilt(self, instances, p, seed):
+        out = degrade(instances, p, seed)
+        assert len(out) == len(instances)
+        for before, after in zip(instances, out):
+            kept = tuple(
+                d
+                for d in before.docs
+                if d.id not in before.relevant_doc_ids or removal_draw(seed, before.id, d.id) >= p
+            )
+            if kept == before.docs:
+                assert after is before
+            else:
+                assert after is not before
+                assert after == DatasetInstance(
+                    before.id, before.question, before.answers, kept, before.relevant_doc_ids
+                )
+
+    def test_a_rebuilt_instance_is_validated_again(self, monkeypatch):
+        validated = []
+        post_init = DatasetInstance.__post_init__
+
+        def spy(instance):
+            validated.append(instance.id)
+            post_init(instance)
+
+        inst = self.simple_instance()
+        monkeypatch.setattr(DatasetInstance, "__post_init__", spy)
+        assert degrade([inst], 0.0, seed=2) == [inst]
+        assert validated == []
+        [out] = degrade([inst], 1.0, seed=2)
+        assert validated == ["q1"]
+        assert [d.id for d in out.docs] == ["irr"]
+        assert isinstance(out.docs, tuple)
 
     def test_deterministic(self):
         inst = many_docs_instance(100)

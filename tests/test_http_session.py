@@ -149,7 +149,9 @@ def _hook(response, *args, **kwargs):
 VALID_URLS = st.builds(
     "{}://{}{}/{}{}{}".format,
     st.sampled_from(["http", "https"]),
-    st.sampled_from(["localhost", "127.0.0.1", "[::1]", "example.com", "bücher.example"]),
+    st.sampled_from(
+        ["localhost", "127.0.0.1", "[::1]", "example.com", "bücher.example", "u:p@example.com"]
+    ),
     st.sampled_from(["", ":8080", ":65535"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     st.sampled_from(["", "?a=1&b=%20c", "?q=ä ö"]),
@@ -167,7 +169,6 @@ JSON_BODIES = st.recursive(
 
 # Each of these sends a request down the stock path.
 STOCK_EXTRAS = [
-    {"params": {"q": "x y"}},
     {"cookies": {"c": "1"}},
     {"auth": ("u", "p")},
     {"data": {"f": "1"}},
@@ -181,6 +182,18 @@ REQUEST_HEADERS = st.dictionaries(
     max_size=3,
 )
 
+PARAM_TEXT = st.text(st.sampled_from("a zé&=#?/%+\u2603"), max_size=6)
+# Mappings with text, list and None values, key-value lists, and raw query strings.
+PARAMS = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["q", "k x", "ü&"]),
+        st.none() | PARAM_TEXT | st.lists(st.none() | PARAM_TEXT, max_size=2),
+        max_size=2,
+    ),
+    st.lists(st.tuples(PARAM_TEXT, PARAM_TEXT), max_size=2),
+    PARAM_TEXT,
+)
+
 # Indexes into small pools of URLs and header sets, so that keys repeat.
 STEPS = st.lists(
     st.tuples(
@@ -189,7 +202,8 @@ STEPS = st.lists(
         st.integers(0, 1),
         st.none() | JSON_BODIES,
         # Files get a random multipart boundary, so bodies with them never compare equal.
-        st.sampled_from([{}] * 5 + [extra for extra in STOCK_EXTRAS if "files" not in extra]),
+        st.sampled_from([{}] * 5 + [extra for extra in STOCK_EXTRAS if "files" not in extra])
+        | PARAMS.map(lambda params: {"params": params}),
     ),
     min_size=1,
     max_size=8,
@@ -330,6 +344,15 @@ class TestPrepareRequest:
         first.prepare_cookies({"c": "1"})
         _same_as_stock(session, "POST", url, json={"a": 1})
 
+    def test_params_get_their_own_query_on_a_copy(self):
+        session = EnvCachedSession()
+        url = "http://localhost:9/search?k=1"
+        with _count_stock_prepares() as stock:
+            for params in [{"q": "a b"}, {"q": "c&d"}, None, {"q": ["é", None]}, "x=1", {}]:
+                _same_as_stock(session, "GET", url, params=params)
+        # In full: the cached session once with params and once without, each plain session once.
+        assert stock.call_count == 2 + 6
+
     @pytest.mark.parametrize("extra", STOCK_EXTRAS, ids=lambda extra: next(iter(extra)))
     def test_request_extras_take_the_stock_path(self, extra):
         session = EnvCachedSession()
@@ -373,7 +396,7 @@ class TestPrepareRequest:
         assert urls == {
             f"{base}/score": 1,
             f"{base}/generate": 1,
-            f"{base}/search": 5,
+            f"{base}/search": 1,
             f"{base}/page/q02.html": 1,
         }
 
