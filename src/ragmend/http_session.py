@@ -10,9 +10,15 @@ headers and cookies, and reads the netrc file for credentials.
 credentials, default headers and prepared URL once per URL; a request with
 `params` prepares only its URL again. On a 2-vCPU x86-64 host, preparing a
 scorer POST took 0.20-0.31 ms in full and 0.02-0.03 ms as a copy of a stored
-one, a search GET 0.16-0.23 ms in full and 0.07-0.10 ms as a copy, and a
-loopback `/score` round trip had a p50 of 1.23 ms with full preparation and
-0.95 ms with copies.
+one, and a search GET 0.16-0.23 ms in full and 0.07-0.10 ms as a copy.
+
+Below `requests`, urllib3 spends most of a loopback round trip on its own
+per-request work: the pool lookup and checkout, its retry and timeout
+objects, and its response wrapper. `KeepAliveAdapter`, which
+`EnvCachedSession` mounts for `http://`, sends plain-http requests over
+`http.client` keep-alive connections instead. On the same host a loopback
+`/score` round trip had a p50 of 0.30-0.31 ms with it and 0.47-0.97 ms over
+urllib3.
 
 `request` is the one request loop of all five remote reads: the scorer,
 generator, search, page fetch and rewriter.
@@ -20,13 +26,26 @@ generator, search, page fetch and rewriter.
 
 from __future__ import annotations
 
+import io
 import logging
+import re
+import threading
 import time
+import weakref
+from http.client import HTTPConnection, HTTPException
+from types import SimpleNamespace
 from typing import Callable
 from urllib.parse import urlsplit
 
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
+from requests.cookies import extract_cookies_to_jar
+from requests.exceptions import ChunkedEncodingError, ConnectTimeout, ReadTimeout
 from requests.hooks import default_hooks
+from requests.structures import CaseInsensitiveDict
+from requests.utils import get_encoding_from_headers, select_proxy
+from urllib3 import HTTPResponse
+from urllib3.util import wait_for_read
 
 from .errors import ConfigError
 
@@ -91,6 +110,139 @@ def read_text(resp: requests.Response) -> str:
     return text
 
 
+# A request target that urllib3 sends as it is: unreserved and sub-delimiter
+# characters, ":", "@", "/" (and "?" in the query), and upper-case percent
+# escapes, with no "//" at its start. urllib3 re-encodes any other target.
+_PLAIN_TARGET = re.compile(
+    r"/(?!/)(?:[\w\-.~!$&'()*+,;=:@/]|%[0-9A-F]{2})*"
+    r"(?:\?(?:[\w\-.~!$&'()*+,;=:@/?]|%[0-9A-F]{2})*)?",
+    re.ASCII,
+)
+
+
+class KeepAliveAdapter(HTTPAdapter):
+    """Sends plain-http requests over standard-library keep-alive connections.
+
+    It serves a request to an `http` URL with no proxy, `stream=False`, a
+    positive number or None as timeout, no body or a bytes or str body with its
+    Content-Length, a User-Agent header, and a target urllib3 sends as it is.
+    Anything else (https, proxies, streaming, timeout tuples, file and generator
+    bodies) goes to `HTTPAdapter.send`.
+
+    At most `DEFAULT_POOLSIZE` idle connections are kept per (host, port). One
+    is reused only if a zero-timeout readability check finds it open, as urllib3
+    checks its pool, and no request is sent twice: retries stay with `request`.
+    A failure raises what the stock adapter raises. A reply with a
+    Content-Encoding keeps a urllib3 response over its body as `raw`, so
+    `requests` decodes it, or raises `ContentDecodingError`, as it does there.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._idle: dict[tuple, list[HTTPConnection]] = {}
+        self._lock = threading.Lock()
+        # As urllib3's pools do, close the idle connections of an adapter nobody closed.
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
+
+    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        parts = urlsplit(request.url)
+        target = f"{parts.path or '/'}?{parts.query}" if parts.query else parts.path or "/"
+        body = request.body.encode() if isinstance(request.body, str) else request.body
+        if (
+            stream
+            or parts.scheme != "http"
+            or (proxies and select_proxy(request.url, proxies))
+            or not (timeout is None or type(timeout) in (int, float) and timeout > 0)
+            or not (body is None or type(body) is bytes and "Content-Length" in request.headers)
+            or "User-Agent" not in request.headers
+            or not _PLAIN_TARGET.fullmatch(target)
+        ):
+            return super().send(
+                request, stream=stream, timeout=timeout, verify=verify, cert=cert, proxies=proxies
+            )
+        key = (parts.hostname, parts.port or HTTPConnection.default_port)
+        conn = self._checkout(key) or HTTPConnection(*key, timeout=timeout)
+        # The stock adapter's errors for a timeout and for any other failure, by phase.
+        errors = ConnectTimeout, requests.ConnectionError
+        try:
+            if conn.sock is None:
+                conn.connect()
+            conn.sock.settimeout(timeout)
+            errors = ReadTimeout, requests.ConnectionError
+            conn.request(request.method, target, body, request.headers)
+            reply = conn.getresponse()
+            errors = requests.ConnectionError, ChunkedEncodingError
+            content = reply.read()
+        except TimeoutError as exc:
+            conn.close()
+            raise errors[0](f"{request.url}: {exc!r}", request=request)
+        except (OSError, HTTPException) as exc:
+            conn.close()
+            raise errors[1](f"{request.url}: {exc!r}", request=request)
+        if conn.sock is not None:  # None once the reply ended the connection
+            self._checkin(key, conn)
+        return self._response(request, reply, content)
+
+    def _response(self, request, reply, content):
+        # A repeated field is joined with ", " under its first name, as urllib3 joins it.
+        fields = {}
+        for name, value in reply.msg.items():
+            first = fields.get(name.lower())
+            fields[name.lower()] = (first[0], f"{first[1]}, {value}") if first else (name, value)
+        response = requests.Response()
+        response.status_code, response.reason = reply.status, reply.reason
+        response.headers = CaseInsensitiveDict(fields.values())
+        response.encoding = get_encoding_from_headers(response.headers)
+        response.url, response.request, response.connection = request.url, request, self
+        if "Content-Encoding" in response.headers:
+            response.raw = HTTPResponse(
+                io.BytesIO(content),
+                response.headers,
+                reply.status,
+                reason=reply.reason,
+                preload_content=False,
+                original_response=reply,
+                request_method=request.method,
+            )
+        else:
+            response.raw = SimpleNamespace(_original_response=reply)
+            response._content, response._content_consumed = content, True
+        extract_cookies_to_jar(response.cookies, request, response.raw)
+        return response
+
+    def _checkout(self, key):
+        """An idle connection to `key` that is still open, or None."""
+        while True:
+            with self._lock:
+                if not self._idle.get(key):
+                    return None
+                conn = self._idle[key].pop()
+            if not wait_for_read(conn.sock, timeout=0.0):
+                return conn
+            conn.close()
+
+    def _checkin(self, key, conn):
+        """Keep `conn` idle for `key`, or close it when `DEFAULT_POOLSIZE` already are."""
+        with self._lock:
+            idle = self._idle.setdefault(key, [])
+            if len(idle) < DEFAULT_POOLSIZE:
+                idle.append(conn)
+                return
+        conn.close()
+
+    def close(self):
+        _close_idle(self._idle, self._lock)
+        super().close()
+
+
+def _close_idle(idle: dict, lock: threading.Lock) -> None:
+    with lock:
+        conns = [conn for kept in idle.values() for conn in kept]
+        idle.clear()
+    for conn in conns:
+        conn.close()
+
+
 class EnvCachedSession(requests.Session):
     """A `requests.Session` that reads the environment once per host and
     prepares each URL's request once.
@@ -116,6 +268,10 @@ class EnvCachedSession(requests.Session):
     computes. A proxy or CA-bundle variable changed after the session's first
     request to a host, or a netrc entry changed after its first request to a
     URL, is not seen, as with clients that read their settings when built.
+
+    The session sends plain-http requests through a `KeepAliveAdapter`, which
+    leaves the rest to `requests`' own adapter; `close` closes its idle
+    connections.
     """
 
     # Bounds each cache, for a session that talks to many hosts or URLs.
@@ -123,6 +279,7 @@ class EnvCachedSession(requests.Session):
 
     def __init__(self):
         super().__init__()
+        self.mount("http://", KeepAliveAdapter())
         self._env_settings: dict = {}
         self._prepared: dict = {}
 

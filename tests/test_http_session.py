@@ -4,22 +4,40 @@ once per URL, with the same results as requests.
 request: one retry-and-read policy for every remote read.
 """
 
+import gc
+import gzip
+import io
+import socket
 import sys
+import threading
 import time
+import warnings
+import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
 import pytest
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
+from requests.exceptions import ChunkedEncodingError
 from hypothesis import given, settings, strategies as st
 
 from conftest import FakeResponse, FakeSession
-from ragmend.errors import RemoteError, RewriteError
-from ragmend.http_session import EnvCachedSession, request
+from ragmend.errors import (
+    GenerationError,
+    RemoteError,
+    RewriteError,
+    ScorerUnavailableError,
+    SearchUnavailableError,
+)
+from ragmend.http_session import EnvCachedSession, KeepAliveAdapter, request
 from ragmend.mockserver import MockService
 from ragmend.pipeline import RemoteGenerator
-from ragmend.scoring import RemoteScorer, ScorerConfig
+from ragmend.scoring import LexicalScorer, RemoteScorer, ScorerConfig
 from ragmend.websearch import HttpSearchClient, RemoteRewriter
 
 ENV_NAMES = (
@@ -561,3 +579,469 @@ class TestRetryPolicyPerRole:
             rewriter.rewrite("q")
         assert len(session.calls) == 1
         assert sleeps == []
+
+
+def _raw_reply(status, fields, body=b"", chunked=False):
+    """The bytes of an HTTP/1.1 reply, framed by Content-Length or in 5-byte chunks."""
+    if chunked:
+        fields = [*fields, ("Transfer-Encoding", "chunked")]
+        pieces = [body[i : i + 5] for i in range(0, len(body), 5)]
+        body = b"".join(b"%x\r\n%s\r\n" % (len(p), p) for p in pieces) + b"0\r\n\r\n"
+    else:
+        fields = [*fields, ("Content-Length", str(len(body)))]
+    head = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}"] + [f"{k}: {v}" for k, v in fields]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def _serve(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests.append((self.requestline, list(self.headers.items()), body))
+        raw, self.close_connection = self.server.reply(self.path, len(self.server.requests))
+        self.wfile.write(raw)
+        self.wfile.flush()
+
+    do_GET = do_POST = _serve
+
+
+class _Loopback(ThreadingHTTPServer):
+    """A keep-alive server on a free loopback port. `reply(path, n)` gives the
+    raw reply to the n-th request and whether to close the connection after it;
+    the server records each request line, header list and body it reads, counts
+    the connections it accepts and releases `closed` for each one it closes."""
+
+    daemon_threads = True
+    block_on_close = False
+
+    def __init__(self, reply):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.reply = reply
+        self.requests = []
+        self.connections = 0
+        self.closed = threading.Semaphore(0)
+
+    @property
+    def base_url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@contextmanager
+def _serving(reply):
+    server = _Loopback(reply)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _ok(body=b'{"score": 0.5}'):
+    return _raw_reply(200, [("Content-Type", "application/json")], body), False
+
+
+def _stock_session():
+    """An `EnvCachedSession` that sends plain http through `requests`' own adapter."""
+    session = EnvCachedSession()
+    session.mount("http://", HTTPAdapter())
+    return session
+
+
+# Replies drawn for the differential test; "broken" is a gzip label on bytes that do not inflate.
+REPLIES = st.fixed_dictionaries(
+    {
+        "status": st.sampled_from([200, 301, 302, 404, 503]),
+        "cookies": st.lists(
+            st.sampled_from(["sid=1; Path=/", "theme=dark", "sid=2; Max-Age=60"]), max_size=2
+        ),
+        "type": st.sampled_from([None, "text/plain", "application/json"]),
+        "charset": st.sampled_from([None, "utf-8", "iso-8859-1"]),
+        "coding": st.sampled_from([None, "identity", "gzip", "deflate", "broken"]),
+        "chunked": st.booleans(),
+        "close": st.booleans(),
+        "text": st.text(max_size=30),
+    }
+)
+CODINGS = {
+    None: lambda raw: raw,
+    "identity": lambda raw: raw,
+    "gzip": gzip.compress,
+    "deflate": zlib.compress,
+    "broken": lambda raw: b"not gzip" + raw,
+}
+REQUESTS = st.fixed_dictionaries(
+    {
+        "method": st.sampled_from(["GET", "POST"]),
+        # Characters `requests` sends as they are, and ones it percent-encodes.
+        "path": st.text(st.sampled_from("ab/%2fF[]~:@!$'()*+,;=_-.é |?&"), max_size=8),
+        "body": st.sampled_from([{}, {"json": {"q": "ü"}}, {"data": "a=ü"}]),
+    }
+)
+
+
+def _drawn_reply(reply):
+    fields = [("Set-Cookie", cookie) for cookie in reply["cookies"]]
+    if reply["type"]:
+        charset = f"; charset={reply['charset']}" if reply["charset"] else ""
+        fields.append(("Content-Type", reply["type"] + charset))
+    raw = reply["text"].encode(reply["charset"] or "utf-8", "replace")
+    if reply["coding"]:
+        label = "gzip" if reply["coding"] == "broken" else reply["coding"]
+        fields.append(("Content-Encoding", label))
+    if reply["status"] in (301, 302):
+        fields.append(("Location", "/final"))
+    if reply["close"]:
+        fields.append(("Connection", "close"))
+    body = CODINGS[reply["coding"]](raw)
+
+    def answer(path, n):
+        if path == "/final":
+            return _raw_reply(200, [("Content-Type", "text/plain")], b"final"), False
+        return _raw_reply(reply["status"], fields, body, reply["chunked"]), reply["close"]
+
+    return answer
+
+
+def _outcome(session, url, drawn):
+    """What a caller of `session` sees of one request, or the class of its error."""
+    try:
+        r = session.request(drawn["method"], url, timeout=5, **drawn["body"])
+    except requests.RequestException as exc:
+        return type(exc)
+    history = [(h.status_code, h.url, list(h.headers.items())) for h in r.history]
+    cookies = sorted((c.name, c.value, c.path) for c in session.cookies)
+    return (
+        r.status_code,
+        r.reason,
+        list(r.headers.items()),
+        r.content,
+        r.text,
+        r.encoding,
+        r.url,
+        sorted(r.cookies.items()),
+        history,
+        cookies,
+    )
+
+
+class TestKeepAliveAdapter:
+    @settings(deadline=None, max_examples=60)
+    @given(reply=REPLIES, drawn=REQUESTS)
+    def test_equals_stock_adapter(self, reply, drawn):
+        with _serving(_drawn_reply(reply)) as server:
+            url = server.base_url + "/p" + drawn["path"]
+            seen = []
+            for build in (_stock_session, EnvCachedSession):
+                server.requests.clear()
+                with build() as session:
+                    # The second request goes out on a kept connection, with any cookie set.
+                    outcomes = [_outcome(session, url, drawn) for _ in range(2)]
+                seen.append((outcomes, list(server.requests)))
+        assert seen[1] == seen[0]
+
+    def test_keeps_one_connection(self):
+        with _serving(lambda path, n: _ok()) as server, EnvCachedSession() as session:
+            for _ in range(5):
+                assert session.post(server.base_url + "/score", json={}).json() == {"score": 0.5}
+            assert server.connections == 1
+
+    def test_connection_the_server_closed_is_not_reused(self):
+        # The first reply promises keep-alive, then the server closes the connection.
+        def reply(path, n):
+            return _ok()[0], n == 1
+
+        with _serving(reply) as server, EnvCachedSession() as session:
+            session.post(server.base_url + "/score", json={})
+            assert server.closed.acquire(timeout=5)
+            assert session.post(server.base_url + "/score", json={}).status_code == 200
+            assert len(server.requests) == 2
+            assert server.connections == 2
+
+    def test_idle_connections_are_capped(self):
+        # The server answers only once all the threads' requests are in, so each
+        # thread holds its own connection; the adapter keeps DEFAULT_POOLSIZE of them.
+        threads = DEFAULT_POOLSIZE + 2
+        barrier = threading.Barrier(threads)
+
+        def reply(path, n):
+            barrier.wait(timeout=10)
+            return _ok()
+
+        with _serving(reply) as server, EnvCachedSession() as session:
+            for _ in range(2):
+                with ThreadPoolExecutor(threads) as pool:
+                    replies = list(
+                        pool.map(lambda _: session.post(server.base_url + "/s"), range(threads))
+                    )
+                assert [r.status_code for r in replies] == [200] * threads
+            assert server.connections == threads + 2
+
+    def test_threads_sharing_a_role_session_get_their_own_replies(self, fixtures_dir):
+        question = "alpha beta gamma delta epsilon zeta eta theta"
+        words = question.split()
+        documents = [" ".join(words[: i + 1]) for i in range(8)]
+        expected = [LexicalScorer().score_text(question, d) for d in documents]
+        assert len(set(expected)) == 8
+        with MockService(fixtures_dir) as svc:
+            scorer = RemoteScorer(ScorerConfig(kind="remote", endpoint=f"{svc.base_url}/score"))
+
+            def work(i):
+                return [scorer.score_text(question, documents[i]) for _ in range(30)]
+
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(work, range(8), timeout=60))
+            scorer.session.close()
+        assert got == [[score] * 30 for score in expected]
+
+    @pytest.mark.parametrize("retries", [0, 1, 2])
+    def test_503_then_200_makes_retries_plus_one_attempts(self, retries, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+
+        def reply(path, n):
+            return _ok() if n > retries else (_raw_reply(503, []), False)
+
+        with _serving(reply) as server:
+            endpoint = server.base_url + "/score"
+            scorer = RemoteScorer(ScorerConfig(kind="remote", endpoint=endpoint, retries=retries))
+            assert scorer.score_text("q", "d") == 0.5
+            scorer.session.close()
+            assert len(server.requests) == retries + 1
+
+    def test_close_closes_idle_sockets(self):
+        with _serving(lambda path, n: _ok()) as server:
+            session = EnvCachedSession()
+            for _ in range(3):
+                session.post(server.base_url + "/score", json={})
+            session.close()
+            # The server sees its end of the one connection closed.
+            assert server.closed.acquire(timeout=5)
+            assert server.connections == 1
+
+    def test_no_socket_is_left_to_the_collector(self):
+        with _serving(lambda path, n: _ok()) as server, warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for close in (True, False):
+                session = EnvCachedSession()
+                session.post(server.base_url + "/score", json={})
+                if close:
+                    session.close()
+                del session
+                gc.collect()
+                # Closed by `close`, or by the adapter's finalizer.
+                assert server.closed.acquire(timeout=5)
+            assert caught == []
+            # The same check sees a socket that nothing closed.
+            socket.socket()
+            gc.collect()
+            assert [w.category for w in caught] == [ResourceWarning]
+
+
+def _silent_listener():
+    """A listening socket that never accepts: the kernel completes the
+    handshake, and the request is never answered."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(4)
+    return sock
+
+
+def _hanging_up(raw):
+    """A reply function that sends `raw` and closes the connection."""
+    return lambda path, n: (raw, True)
+
+
+def _score_at(url):
+    return RemoteScorer(ScorerConfig(kind="remote", endpoint=url, retries=1)).score_text("q", "d")
+
+
+def _generate_at(url):
+    return RemoteGenerator(url, retries=1).generate("p")
+
+
+def _search_at(url):
+    return HttpSearchClient(url, retries=1).search("q")
+
+
+class TestKeepAliveAdapterErrors:
+    @pytest.mark.parametrize("build", [_stock_session, EnvCachedSession], ids=["stock", "new"])
+    def test_refused_port_is_a_connection_error(self, build, closed_port):
+        with build() as session, pytest.raises(requests.ConnectionError) as info:
+            session.post(f"http://127.0.0.1:{closed_port}/score", json={}, timeout=5)
+        assert not isinstance(info.value, requests.Timeout)
+
+    @pytest.mark.parametrize("build", [_stock_session, EnvCachedSession], ids=["stock", "new"])
+    def test_silent_listener_is_a_read_timeout(self, build):
+        with _silent_listener() as listener, build() as session:
+            url = "http://127.0.0.1:%d/score" % listener.getsockname()[1]
+            start = time.monotonic()
+            with pytest.raises(requests.ReadTimeout):
+                session.post(url, json={}, timeout=0.3)
+            assert time.monotonic() - start < 1.3
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            # The connection closes before any reply.
+            (b"", requests.ConnectionError),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", ChunkedEncodingError),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", ChunkedEncodingError),
+        ],
+        ids=["no-reply", "short-body", "short-chunk"],
+    )
+    def test_broken_reply_raises_as_stock(self, raw, error):
+        with _serving(_hanging_up(raw)) as server:
+            for build in (_stock_session, EnvCachedSession):
+                with build() as session, pytest.raises(requests.RequestException) as info:
+                    session.get(server.base_url + "/x", timeout=5)
+                assert type(info.value) is error
+
+    def test_stalled_body_is_a_connection_error_as_stock(self):
+        # The reply stops 7 bytes short of its length and the connection stays open.
+        stall = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"
+        with _serving(lambda path, n: (stall, False)) as server:
+            for build in (_stock_session, EnvCachedSession):
+                with build() as session, pytest.raises(requests.RequestException) as info:
+                    session.get(server.base_url + "/x", timeout=0.3)
+                assert type(info.value) is requests.ConnectionError
+
+    def test_connect_timeout(self, monkeypatch):
+        def timing_out(address, timeout=None, source_address=None):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(socket, "create_connection", timing_out)
+        with EnvCachedSession() as session, pytest.raises(requests.ConnectTimeout) as info:
+            session.get("http://127.0.0.1:9/x", timeout=1)
+        assert str(info.value) == "http://127.0.0.1:9/x: TimeoutError('timed out')"
+
+    def test_url_without_port_connects_to_port_80(self, monkeypatch):
+        addresses = []
+
+        def refusing(address, timeout=None, source_address=None):
+            addresses.append(address)
+            raise ConnectionRefusedError(111, "Connection refused")
+
+        monkeypatch.setattr(socket, "create_connection", refusing)
+        with EnvCachedSession() as session, pytest.raises(requests.ConnectionError):
+            session.get("http://localhost/x", timeout=1)
+        assert addresses == [("localhost", 80)]
+
+    @pytest.mark.parametrize(
+        "call, error, what",
+        [
+            (_score_at, ScorerUnavailableError, "scorer"),
+            (_generate_at, GenerationError, "generator"),
+            (_search_at, SearchUnavailableError, "search"),
+        ],
+        ids=["scorer", "generator", "search"],
+    )
+    def test_role_errors_keep_their_type_and_text(
+        self, call, error, what, closed_port, monkeypatch
+    ):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        url = f"http://127.0.0.1:{closed_port}/x"
+        with pytest.raises(error) as info:
+            call(url)
+        assert str(info.value).startswith(f"{what} unreachable after 2 attempts: {url}")
+        assert str(info.value).endswith(": ConnectionRefusedError(111, 'Connection refused')")
+
+
+def _canned(request, *args, **kwargs):
+    response = requests.Response()
+    response.status_code = 200
+    response._content = b"stock"
+    response.request = request
+    return response
+
+
+def _without_length(session, url):
+    prepared = session.prepare_request(requests.Request("POST", url, data=b"abc"))
+    del prepared.headers["Content-Length"]
+    return session.send(prepared)
+
+
+def _without_user_agent(session, url):
+    del session.headers["User-Agent"]
+    return session.get(url)
+
+
+def _sent_to(session, url):
+    prepared = session.prepare_request(requests.Request("GET", "http://127.0.0.1:9/"))
+    prepared.url = url
+    return session.send(prepared)
+
+
+def _https_mounted(session, url):
+    session.mount("https://", KeepAliveAdapter())
+    return session.get(url.replace("http://", "https://"))
+
+
+# Requests the adapter leaves to `HTTPAdapter.send`.
+STOCK_REQUESTS = {
+    "https": lambda session, url: session.get(url.replace("http://", "https://")),
+    "https-mounted": _https_mounted,
+    "stream": lambda session, url: session.get(url, stream=True),
+    "generator-body": lambda session, url: session.post(url, data=(b for b in [b"a"])),
+    "file-body": lambda session, url: session.post(url, data=io.BytesIO(b"abc")),
+    "bytes-without-length": _without_length,
+    "timeout-tuple": lambda session, url: session.get(url, timeout=(1, 2)),
+    "timeout-zero": lambda session, url: session.get(url, timeout=0),
+    "timeout-bool": lambda session, url: session.get(url, timeout=True),
+    "no-user-agent": _without_user_agent,
+    # `requests` itself prepares URLs urllib3 sends as they are; these are set by hand.
+    "bracket-path": lambda session, url: _sent_to(session, url + "/a[b]"),
+    "lower-case-escape": lambda session, url: _sent_to(session, url + "/%2f"),
+    "double-slash-path": lambda session, url: _sent_to(session, url + "//x"),
+}
+
+# Requests the adapter serves itself.
+OWN_REQUESTS = {
+    "json-post": lambda session, url: session.post(url, json={"a": 1}, timeout=5),
+    "str-body": lambda session, url: session.post(url, data="a=ü", timeout=0.5),
+    "get-no-timeout": lambda session, url: session.get(url + "?q=a%20b&r=~"),
+    "https-only-proxy": lambda session, url: session.get(
+        url, proxies={"https": "http://127.0.0.1:9"}
+    ),
+}
+
+
+class TestKeepAliveAdapterFallback:
+    @pytest.mark.parametrize("name", STOCK_REQUESTS)
+    def test_takes_stock_path(self, name, monkeypatch):
+        _clean_environment(monkeypatch)
+        with mock.patch.object(HTTPAdapter, "send", autospec=True, side_effect=_canned) as spy:
+            with EnvCachedSession() as session:
+                assert STOCK_REQUESTS[name](session, "http://127.0.0.1:9").content == b"stock"
+        assert spy.call_count == 1
+
+    def test_proxy_from_environment_takes_stock_path(self, monkeypatch):
+        _clean_environment(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        with mock.patch.object(HTTPAdapter, "send", autospec=True, side_effect=_canned) as spy:
+            with EnvCachedSession() as session:
+                assert session.get("http://example.com/x").content == b"stock"
+        assert spy.call_args.kwargs["proxies"] == {"http": "http://127.0.0.1:9"}
+
+    @pytest.mark.parametrize("name", OWN_REQUESTS)
+    def test_serves_plain_requests_itself(self, name, monkeypatch):
+        _clean_environment(monkeypatch)
+        with _serving(lambda path, n: _ok(b"own")) as server, mock.patch.object(
+            HTTPAdapter, "send", autospec=True, side_effect=_canned
+        ) as spy, EnvCachedSession() as session:
+            assert OWN_REQUESTS[name](session, server.base_url + "/x").content == b"own"
+        assert spy.call_count == 0
