@@ -20,9 +20,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ragmend.refinement import RefineConfig, split_sentences
-from ragmend.scoring import Document, LexicalScorer, tokenize
+from ragmend.scoring import Document, LexicalScorer, Query, tokenize
 from ragmend.trigger import Thresholds
-from ragmend.websearch import KeywordRewriter
+from ragmend.websearch import KeywordRewriter, rewrite
 
 UPPER, LOWER = Thresholds.preset("popqa").upper, Thresholds.preset("popqa").lower
 
@@ -229,7 +229,6 @@ def build(out_dir: Path):
 
     pages_dir = out_dir / "pages"
     pages_dir.mkdir(parents=True, exist_ok=True)
-    rewriter = KeywordRewriter()
 
     dataset_lines = []
     search_map = {}
@@ -254,7 +253,7 @@ def build(out_dir: Path):
             "utf-8",
         )
         entry = [{"url": "{base}/page/" + page_name, "title": f"Reference {tag}"}]
-        search_map[" ".join(rewriter.rewrite(question))] = entry
+        search_map[rewrite(Query(question))] = entry
         search_map[question] = entry
 
     (out_dir / "dataset_20.jsonl").write_text("\n".join(dataset_lines) + "\n", "utf-8")

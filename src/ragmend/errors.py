@@ -47,7 +47,7 @@ class GenerationError(RemoteError):
 
 
 class RewriteError(RemoteError):
-    """The remote query rewriter failed; callers fall back to the offline one."""
+    """A query rewriter failed; `websearch.rewrite` falls back to the keyword one."""
 
 
 class OfflineViolationError(RemoteError):

@@ -35,7 +35,6 @@ from .refinement import (
 from .scoring import Document, LexicalScorer, Query, Scorer, ScorerConfig, one_line
 from .trigger import Action, ActionJudgment, Thresholds, judge
 from .websearch import (
-    KeywordRewriter,
     SearchConfig,
     fetch_and_extract,
     rewrite,
@@ -132,12 +131,10 @@ def resolve_action(
     return judgment.action
 
 
-def raw_internal_strips(
-    docs: Sequence[Document], scores: Sequence[float] = ()
-) -> list[KnowledgeStrip]:
+def raw_internal_strips(docs: Sequence[Document], scores: Sequence[float]) -> list[KnowledgeStrip]:
     """Internal knowledge without refinement: each non-blank document is one
-    strip of its `one_line` text, holding the document's score when `scores`
-    are given."""
+    strip of its `one_line` text, holding the document's score, or None when
+    `scores` is empty (the baselines score nothing)."""
     scores = scores or [None] * len(docs)
     return [
         KnowledgeStrip(doc.id, 0, text, score)
@@ -162,10 +159,7 @@ def external_knowledge(
     """
     if search_client is None:
         return [], []
-    if cfg.ablations.no_rewriting:
-        query = question.text
-    else:
-        query = rewrite(question, rewriter if rewriter is not None else KeywordRewriter())
+    query = question.text if cfg.ablations.no_rewriting else rewrite(question, rewriter)
     try:
         urls = search(query, search_client, cfg.search)
     except SearchUnavailableError as exc:

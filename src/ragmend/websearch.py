@@ -96,9 +96,10 @@ def _clean_word(raw: str) -> str:
 class KeywordRewriter:
     """Deterministic question-to-keywords rewriter.
 
-    Drops stopwords (interrogatives among them), merges consecutive
-    capitalized tokens into one phrase so multi-word proper nouns survive, and
-    keeps the first three keywords in question order.
+    Splits the question at whitespace and commas, drops stopwords
+    (interrogatives among them), and merges consecutive capitalized tokens into
+    one phrase so multi-word proper nouns survive. Returns every keyword in
+    question order, none for a question of stopwords.
     """
 
     def rewrite(self, question: str) -> list[str]:
@@ -110,7 +111,7 @@ class KeywordRewriter:
                 keywords.append(" ".join(run))
                 run.clear()
 
-        for raw in question.split():
+        for raw in question.replace(",", " ").split():
             word = _clean_word(raw)
             if not word or word.lower() in STOPWORDS:
                 flush()
@@ -121,16 +122,17 @@ class KeywordRewriter:
             flush()
             keywords.append(word)
         flush()
-        if not keywords:
-            return [question.strip()]
-        return keywords[:3]
+        return keywords
+
+
+_QUERY_LINE = re.compile("query:(.*)", re.IGNORECASE)
 
 
 class RemoteRewriter:
     """Keyword rewriter backed by a text-generation endpoint.
 
     Sends the keyword-extraction prompt with the question filled in, then
-    parses the reply line containing "query:" as a comma-separated list.
+    returns the comma-separated parts of the first reply line holding "query:".
     """
 
     def __init__(
@@ -155,29 +157,27 @@ class RemoteRewriter:
             retries=0,
         )
         for line in text.splitlines():
-            lowered = line.lower()
-            if "query:" in lowered:
-                tail = line[lowered.index("query:") + len("query:") :]
-                keywords = [k for k in (part.strip() for part in tail.split(",")) if k]
-                if keywords:
-                    break
-        else:
-            raise RewriteError("no 'query:' line in rewriter reply")
-        try:
-            " ".join(keywords).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise RewriteError(f"rewriter keywords are not valid UTF-8: {keywords!r}") from exc
-        return keywords
+            match = _QUERY_LINE.search(line)
+            if match:
+                return match.group(1).split(",")
+        raise RewriteError("no 'query:' line in rewriter reply")
 
 
-def rewrite(question: Query, rewriter) -> str:
-    """The first three stripped non-blank keywords joined by spaces, else the question
-    text; a remote rewriter that fails falls back to KeywordRewriter."""
+def rewrite(question: Query, rewriter=None) -> str:
+    """The search string: the first three stripped non-blank keywords joined by
+    spaces, else the question text.
+
+    The keywords are the rewriter's, or KeywordRewriter's without one. A
+    rewriter that raises RewriteError or gives a keyword that does not encode
+    as UTF-8 falls back to KeywordRewriter, with one warning.
+    """
+    fallback = KeywordRewriter()
     try:
-        keywords = rewriter.rewrite(question.text)
-    except RewriteError as exc:
-        logger.warning("remote rewrite failed, using keyword fallback: %s", exc)
-        keywords = KeywordRewriter().rewrite(question.text)
+        keywords = (rewriter or fallback).rewrite(question.text)
+        " ".join(keywords).encode("utf-8")
+    except (RewriteError, UnicodeEncodeError) as exc:
+        logger.warning("rewrite failed, using keyword fallback: %s", exc)
+        keywords = fallback.rewrite(question.text)
     keywords = [k.strip() for k in keywords if k.strip()]
     return " ".join(keywords[:3]) if keywords else question.text
 

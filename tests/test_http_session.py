@@ -2,6 +2,10 @@
 once per URL, with the same results as requests.
 
 request: one retry-and-read policy for every remote read.
+
+KeepAliveAdapter: plain-http requests over standard-library keep-alive
+connections, with the replies, cookies and errors the stock adapter gives, and
+every other request left to the stock adapter.
 """
 
 import gc

@@ -11,7 +11,7 @@ from urllib.parse import urlparse
 
 import pytest
 import requests
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ragmend import build_roles, mockserver
 from ragmend.config import load_config
@@ -155,21 +155,24 @@ class TestRewritePrompt:
         assert resp.json() == {"text": "UNKNOWN"}
 
     @given(QUESTIONS)
+    @example("What, is, it?")
+    @example("How far is 1,000 km from Oslo?")
     def test_remote_rewriter_matches_keyword_rewriter(self, remote_rewriter, question):
         try:
             query = Query(question)
         except ValueError:
             assume(False)
         expected = KeywordRewriter().rewrite(query.text)
-        assume(all(k and "," not in k for k in expected))
         warnings = _Warnings()
         logger = logging.getLogger("ragmend")
         level = logger.level
         logger.setLevel(logging.WARNING)
         logger.addHandler(warnings)
         try:
-            assert remote_rewriter.rewrite(query.text) == expected
-            assert rewrite(query, remote_rewriter) == rewrite(query, KeywordRewriter())
+            # The mock sends "query: " and the keywords joined by ", ".
+            parts = remote_rewriter.rewrite(query.text)
+            assert [part.strip() for part in parts] == (expected or [""])
+            assert rewrite(query, remote_rewriter) == rewrite(query)
         finally:
             logger.removeHandler(warnings)
             logger.setLevel(level)

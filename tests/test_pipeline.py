@@ -9,7 +9,7 @@ import pytest
 import requests
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import JSON_VALUES, FakeResponse, FakeSession, FakeWeb
+from conftest import JSON_VALUES, FakeResponse, FakeSession, FakeWeb, TableScorer
 from ragmend import pipeline
 from ragmend.errors import (
     ConfigError,
@@ -37,7 +37,6 @@ from ragmend.scoring import Document, LexicalScorer, Query, RemoteScorer, Scorer
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
-    KeywordRewriter,
     RemoteRewriter,
     SearchConfig,
     rewrite,
@@ -423,25 +422,44 @@ class TestRunDegradedPaths:
         assert record.searched_urls == ()
         assert any("search unavailable" in r.getMessage() for r in caplog.records)
 
-    def test_rewriter_keyword_with_lone_surrogate_falls_back(self, tmp_path, lexical, caplog):
-        # websearch.RemoteRewriter: "rewriter keywords are not valid UTF-8"
+    def _run_over_mock(self, tmp_path, lexical, rewriter):
+        """One Incorrect run whose search GET goes to a mock that knows only the
+        local keywords "capital city France"."""
         fixtures = tmp_path / "fixtures"
         (fixtures / "pages").mkdir(parents=True)
         (fixtures / "pages" / "france.html").write_text(PAGE_HTML, "utf-8")
         search_map = {"capital city France": [{"url": "{base}/page/france.html"}]}
         (fixtures / "search.json").write_text(json.dumps(search_map), "utf-8")
-        reply = FakeResponse(payload={"text": "query: Zorblax \ud800"})
-        rewriter = RemoteRewriter(
-            "http://localhost:9/generate", timeout=5, session=FakeSession([reply])
-        )
-        with MockService(fixtures) as svc, caplog.at_level("WARNING"):
+        with MockService(fixtures) as svc:
             client = HttpSearchClient(f"{svc.base_url}/search", retries=0)
             record = run(
                 QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client, rewriter, StubGenerator()
             )
+            assert record.searched_urls == (f"{svc.base_url}/page/france.html",)
         assert record.action is Action.INCORRECT
         assert "Paris" in record.answer
-        assert any("not valid UTF-8" in r.getMessage() for r in caplog.records)
+
+    def test_rewriter_keyword_with_lone_surrogate_falls_back(self, tmp_path, lexical, caplog):
+        # websearch.rewrite: a keyword that does not encode as UTF-8
+        reply = FakeResponse(payload={"text": "query: Zorblax \ud800"})
+        rewriter = RemoteRewriter(
+            "http://localhost:9/generate", timeout=5, session=FakeSession([reply])
+        )
+        with caplog.at_level("WARNING"):
+            self._run_over_mock(tmp_path, lexical, rewriter)
+        assert any("surrogates not allowed" in r.getMessage() for r in caplog.records)
+
+    def test_library_rewriter_keyword_not_utf8_falls_back(self, tmp_path, lexical, caplog):
+        class Broken:
+            def rewrite(self, question):
+                return ["caf\udc80"]
+
+        with caplog.at_level("WARNING"):
+            self._run_over_mock(tmp_path, lexical, Broken())
+        assert [r.getMessage() for r in caplog.records] == [
+            "rewrite failed, using keyword fallback: 'utf-8' codec can't encode character"
+            " '\\udc80' in position 3: surrogates not allowed"
+        ]
 
     def test_non_string_generator_text_recorded(self, tmp_path, lexical):
         # http_session.read_text: "malformed generator reply: text is not a string"
@@ -491,7 +509,7 @@ class TestOneWarningPerFailure:
             )
         assert "Paris" in record.answer
         assert [r.getMessage() for r in caplog.records] == [
-            "remote rewrite failed, using keyword fallback: "
+            "rewrite failed, using keyword fallback: "
             "rewriter unreachable after 1 attempts: refused"
         ]
 
@@ -602,7 +620,7 @@ class TestRunRobustness:
     def test_timings_are_nonnegative_and_stages_fit_in_total(self, mode, question, texts, pages):
         docs = [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
         urls = [f"mock://web/p{i}" for i in range(len(pages))]
-        query = rewrite(Query(question), KeywordRewriter())
+        query = rewrite(Query(question))
         web = FakeWeb({query: urls}, {url: f"<p>{page}</p>" for url, page in zip(urls, pages)})
         with tempfile.TemporaryDirectory() as cache:
             cfg = PipelineConfig(search=SearchConfig(cache_dir=cache))
@@ -810,6 +828,60 @@ class TestKnowledgeBundle:
         assert from_web == sorted(from_web)
 
 
+class DrawnScores(dict):
+    """A `TableScorer` table that draws a text's score on its first lookup and keeps it."""
+
+    def __init__(self, data):
+        super().__init__()
+        self.data = data
+
+    def __missing__(self, text):
+        self[text] = score = self.data.draw(st.floats(-1.0, 1.0), label=text)
+        return score
+
+
+class TestAmbiguousIsCorrectPlusIncorrect:
+    """Under only_action=Ambiguous the knowledge strips are, in order, the
+    only_action=Correct strips and then the only_action=Incorrect strips, each text
+    kept at its first place, with or without the no_* ablations."""
+
+    @given(
+        flags=st.sampled_from(
+            [{}, {"no_refinement": True}, {"no_rewriting": True}, {"no_selection": True}]
+        ),
+        lexical=st.booleans(),
+        docs=st.lists(
+            st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3), max_size=4
+        ),
+        pages=st.lists(
+            st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3), max_size=3
+        ),
+        data=st.data(),
+    )
+    def test_ambiguous_strips_are_correct_then_incorrect_strips(
+        self, flags, lexical, docs, pages, data
+    ):
+        documents = [Document(id=f"d{i}", text=" ".join(doc)) for i, doc in enumerate(docs)]
+        urls = [f"mock://web/p{i}" for i in range(len(pages))]
+        web = FakeWeb(
+            {"capital city France": urls, QUESTION: urls},
+            {url: "".join(f"<p>{p}</p>" for p in page) for url, page in zip(urls, pages)},
+        )
+        scorer = LexicalScorer() if lexical else TableScorer(DrawnScores(data))
+        strips = {}
+        with tempfile.TemporaryDirectory() as cache:
+            for action in Action:
+                cfg = PipelineConfig(
+                    search=SearchConfig(cache_dir=cache),
+                    ablations=AblationFlags(only_action=action, **flags),
+                )
+                strips[action] = run(QUESTION, documents, cfg, scorer, web).knowledge.strips
+        unique = {}
+        for strip in strips[Action.CORRECT] + strips[Action.INCORRECT]:
+            unique.setdefault(strip.text, strip)
+        assert strips[Action.AMBIGUOUS] == tuple(unique.values())
+
+
 # Words the question shares and one it does not, sentence ends, and the line breaks,
 # tabs and spaces a document or page can hold: blank and whitespace-only texts too.
 LINE_PIECES = st.sampled_from(
@@ -882,12 +954,12 @@ class TestExternalKnowledgeSessions:
 class TestHelpers:
     def test_raw_internal_strips_skip_empty_docs(self):
         docs = [Document(id="a", text="  "), Document(id="b", text="real text")]
-        assert [(s.doc_id, s.index) for s in raw_internal_strips(docs)] == [("b", 0)]
+        assert [(s.doc_id, s.index) for s in raw_internal_strips(docs, ())] == [("b", 0)]
 
     def test_raw_internal_strips_keep_scores(self):
         docs = [Document(id="a", text="x"), Document(id="b", text="y")]
         assert [s.score for s in raw_internal_strips(docs, [0.25, -0.5])] == [0.25, -0.5]
-        assert [s.score for s in raw_internal_strips(docs)] == [None, None]
+        assert [s.score for s in raw_internal_strips(docs, ())] == [None, None]
 
     def test_pipeline_config_validation(self):
         with pytest.raises(ConfigError):

@@ -69,3 +69,11 @@ def test_build_fixture_reproduces_the_bundled_fixture(tmp_path):
         return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
     assert files(tmp_path) == files(bundled)
+
+
+def test_build_fixture_rejects_a_question_without_keywords():
+    build_fixture = load_script("build_fixture")
+    question, *rest = build_fixture.ITEMS[0]
+    problems = build_fixture.validate([("What, is, it?", *rest)])
+    assert "q01: rewriter produced no keywords" in problems
+    assert not any("keywords" in p for p in build_fixture.validate(build_fixture.ITEMS))

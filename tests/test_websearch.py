@@ -51,12 +51,19 @@ class TestKeywordRewriter:
     def test_single_content_token(self):
         assert self.R.rewrite("What is Boston?") == ["Boston"]
 
-    def test_all_stopwords_falls_back_to_question(self):
-        assert self.R.rewrite("What is it?") == ["What is it?"]
+    def test_all_stopwords_give_no_keywords(self):
+        assert self.R.rewrite("What is it?") == []
 
-    def test_keeps_first_three(self):
+    def test_keeps_every_keyword(self):
         out = self.R.rewrite("Compare granite marble quartz slate limestone")
-        assert out == ["Compare", "granite", "marble"]
+        assert out == ["Compare", "granite", "marble", "quartz", "slate", "limestone"]
+
+    def test_comma_separates_words(self):
+        # no keyword holds the rewriter wire's separator
+        out = self.R.rewrite("How far is 1,000 km from Oslo?")
+        assert out == ["far", "1", "000", "km", "Oslo"]
+        assert self.R.rewrite("What, is, it?") == []
+        assert self.R.rewrite("Is Hello,World a program?") == ["Hello World", "program"]
 
     def test_punctuation_token_ends_a_run(self):
         # KeywordRewriter.rewrite: a token that cleans to "" flushes the capitalized run
@@ -93,13 +100,23 @@ class TestRemoteRewriter:
         )
 
     def test_parses_query_line(self):
+        # the parts are returned as split; `rewrite` strips them
         r = self._rewriter([FakeResponse(payload={"text": "query: a, b, c"})])
-        assert r.rewrite("anything") == ["a", "b", "c"]
+        assert r.rewrite("anything") == [" a", " b", " c"]
 
     def test_query_line_among_others(self):
-        text = "thinking...\nquery: Henry Feilden, occupation\ndone"
+        text = "thinking...\nQuery: Henry Feilden, occupation\nquery: done"
         r = self._rewriter([FakeResponse(payload={"text": text})])
-        assert r.rewrite("q") == ["Henry Feilden", "occupation"]
+        assert r.rewrite("q") == [" Henry Feilden", " occupation"]
+
+    def test_first_query_line_wins_even_when_empty(self):
+        r = self._rewriter([FakeResponse(payload={"text": "query:\nquery: a"})])
+        assert r.rewrite("q") == [""]
+
+    def test_query_after_text_that_lowercases_longer(self):
+        # "İ".lower() is two characters; the tail starts right after "query:"
+        r = self._rewriter([FakeResponse(payload={"text": "İquery:ab,c"})])
+        assert r.rewrite("q") == ["ab", "c"]
 
     def test_missing_query_line(self):
         r = self._rewriter([FakeResponse(payload={"text": "no keywords here"})])
@@ -125,6 +142,29 @@ class TestRemoteRewriter:
 
 
 class TestRewriteOp:
+    def test_no_rewriter_is_the_keyword_rewriter(self):
+        assert rewrite(Query("What is Henry Feilden's occupation?")) == "Henry Feilden occupation"
+
+    def test_all_stopwords_search_the_question(self):
+        assert rewrite(Query("What is it?")) == "What is it?"
+        assert rewrite(Query("What, is, it?"), KeywordRewriter()) == "What, is, it?"
+
+    def test_keyword_query_keeps_first_three(self):
+        query = rewrite(Query("Compare granite marble quartz slate limestone"))
+        assert query == "Compare granite marble"
+
+    @pytest.mark.parametrize("keywords", [["caf\udc80"], ["ok", "\ud800"]])
+    def test_keyword_that_is_not_utf8_falls_back(self, caplog, keywords):
+        class Broken:
+            def rewrite(self, question):
+                return keywords
+
+        with caplog.at_level("WARNING"):
+            q = rewrite(Query("What is Henry Feilden's occupation?"), Broken())
+        assert q == "Henry Feilden occupation"
+        [record] = caplog.records
+        assert record.getMessage().startswith("rewrite failed, using keyword fallback: 'utf-8'")
+
     def test_fallback_on_remote_failure(self, caplog):
         failing = RemoteRewriter(
             "http://localhost:9/g",
