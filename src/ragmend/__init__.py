@@ -34,6 +34,7 @@ from .pipeline import (
     AblationFlags,
     PipelineConfig,
     RemoteGenerator,
+    RemoteRewriter,
     RunRecord,
     StubGenerator,
     assemble_prompt,
@@ -63,7 +64,6 @@ from .trigger import THRESHOLD_PRESETS, Action, ActionJudgment, Thresholds, judg
 from .websearch import (
     HttpSearchClient,
     KeywordRewriter,
-    RemoteRewriter,
     SearchConfig,
     fetch_and_extract,
     rewrite,

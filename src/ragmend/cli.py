@@ -64,10 +64,21 @@ def _check_offline(cfg: PipelineConfig) -> None:
 
 
 def port(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {value}")
-    return value
+    if not 0 <= int(text) <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0-65535, got {text}")
+    return int(text)
+
+
+def workers(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"workers must be >= 1, got {text}")
+    return int(text)
+
+
+def probability(text: str) -> float:
+    if not 0.0 <= float(text) <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"degradation probability must be in [0, 1], got {text}")
+    return float(text)
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -105,12 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p_run)
     p_run.add_argument("--mode", choices=harness.MODES, default="crag")
     p_run.add_argument(
-        "--degrade-p", type=float, default=None, help="relevant-doc removal probability"
+        "--degrade-p", type=probability, default=None, help="relevant-doc removal probability"
     )
     p_run.add_argument("--seed", type=int, default=0, help="degradation seed")
     p_run.add_argument("--report", type=Path, default=Path("report.json"))
     p_run.add_argument("--csv", type=Path, default=None, help="append a summary row")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=workers, default=1)
 
     p_mock = sub.add_parser("mock-serve", help="serve fixture-backed mock endpoints")
     p_mock.add_argument("--host", default="127.0.0.1")

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .pipeline import PipelineConfig, RemoteGenerator, StubGenerator
+from .pipeline import PipelineConfig, RemoteGenerator, RemoteRewriter, StubGenerator
 from .scoring import build_scorer
 from .trigger import Action, Thresholds
-from .websearch import HttpSearchClient, KeywordRewriter, RemoteRewriter
+from .websearch import HttpSearchClient, KeywordRewriter
 
 
 def _field_types() -> dict[str, dict[str, object]]:

@@ -102,14 +102,6 @@ def request(
     raise error(f"{what} unreachable after {retries + 1} attempts: {last_error}")
 
 
-def read_text(resp: requests.Response) -> str:
-    """The `text` of a `{"text": str}` reply, the generator's and the rewriter's wire."""
-    text = resp.json()["text"]
-    if not isinstance(text, str):
-        raise TypeError(f"text is not a string: {text!r}")
-    return text
-
-
 # A request target that urllib3 sends as it is: unreserved and sub-delimiter
 # characters, ":", "@", "/" (and "?" in the query), and upper-case percent
 # escapes, with no "//" at its start. urllib3 re-encodes any other target.

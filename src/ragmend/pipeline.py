@@ -22,9 +22,11 @@ from .errors import (
     FetchError,
     GenerationError,
     InputError,
+    RewriteError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession, check_timeout, read_text, request
+from .http_session import EnvCachedSession, check_timeout, request
+from .prompts import REWRITE_PROMPT, fill
 from .refinement import (
     BundleKind,
     KnowledgeBundle,
@@ -209,8 +211,19 @@ class StubGenerator:
         return lines[scores.index(max(scores))]
 
 
+def _read_text(resp: requests.Response) -> str:
+    """The `text` of a `{"text": str}` reply, the generator's and the rewriter's wire."""
+    text = resp.json()["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"text is not a string: {text!r}")
+    return text
+
+
 class RemoteGenerator:
     """Generator backed by an HTTP endpoint: POST {prompt, max_tokens} -> {text}."""
+
+    what = "generator"  # the role's name in log and error texts
+    error = GenerationError  # what its failures raise
 
     def __init__(
         self,
@@ -230,11 +243,34 @@ class RemoteGenerator:
         payload = {"prompt": prompt, "max_tokens": self.max_tokens}
         return request(
             lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            read_text,
-            what="generator",
-            error=GenerationError,
+            _read_text,
+            what=self.what,
+            error=self.error,
             retries=self.retries,
         )
+
+
+# Room for the rewriter's reply: one "query:" line of a few keywords.
+REWRITE_MAX_TOKENS = 64
+_QUERY_LINE = re.compile("query:(.*)", re.IGNORECASE)
+
+
+class RemoteRewriter(RemoteGenerator):
+    """Keyword rewriter over the generator's wire: the comma-separated parts of the
+    first line holding "query:" in the reply to the keyword prompt."""
+
+    what = "rewriter"
+    error = RewriteError
+
+    def __init__(self, endpoint: str, *, timeout: float, session=None):
+        # One attempt: on any failure `websearch.rewrite` falls back to KeywordRewriter.
+        super().__init__(endpoint, timeout, 0, REWRITE_MAX_TOKENS, session)
+
+    def rewrite(self, question: str) -> list[str]:
+        for line in self.generate(fill(REWRITE_PROMPT, question=question)).splitlines():
+            if match := _QUERY_LINE.search(line):
+                return match.group(1).split(",")
+        raise RewriteError("no 'query:' line in rewriter reply")
 
 
 def run(

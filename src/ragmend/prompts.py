@@ -1,9 +1,11 @@
 """Prompt templates for LLM-backed rewriting and relevance scoring.
 
 Templates use the literal placeholders ``[question]`` and ``[document]``;
-``render_*`` fills them. The relevance templates are config-selectable via
+``fill`` fills them. The relevance templates are config-selectable via
 ``ScorerConfig.prompt`` ("direct", "cot", or "few_shot").
 """
+
+import re
 
 REWRITE_PROMPT = """\
 Extract at most three keywords separated by comma from the following dialogues and questions as queries for the web search, including topic background within dialogues and main intent within questions.
@@ -64,11 +66,9 @@ RELEVANCE_PROMPTS = {
 }
 
 
-def render_rewrite_prompt(question: str) -> str:
-    """Fill the keyword-extraction prompt with a question."""
-    return REWRITE_PROMPT.replace("[question]", question)
+_PLACEHOLDER = re.compile(r"\[(question|document)\]")
 
 
-def render_relevance_prompt(name: str, question: str, document: str) -> str:
-    """Fill one of the named relevance templates with a question-document pair."""
-    return RELEVANCE_PROMPTS[name].replace("[question]", question).replace("[document]", document)
+def fill(template: str, **values: str) -> str:
+    """The template with each placeholder replaced by its value, in one pass."""
+    return _PLACEHOLDER.sub(lambda match: values[match.group(1)], template)

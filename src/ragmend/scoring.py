@@ -18,7 +18,7 @@ import requests
 
 from .errors import ConfigError, ScorerUnavailableError
 from .http_session import EnvCachedSession, check_timeout, request
-from .prompts import RELEVANCE_PROMPTS, render_relevance_prompt
+from .prompts import RELEVANCE_PROMPTS, fill
 
 _TOKEN = re.compile(r"[^\W_]+")
 
@@ -173,7 +173,8 @@ class RemoteScorer(Scorer):
     def score_text(self, query: str, document: str) -> float:
         payload = {"query": query, "document": document}
         if self.config.prompt is not None:
-            payload["prompt"] = render_relevance_prompt(self.config.prompt, query, document)
+            template = RELEVANCE_PROMPTS[self.config.prompt]
+            payload["prompt"] = fill(template, question=query, document=document)
         return request(
             lambda: self.session.post(
                 self.config.endpoint, json=payload, timeout=self.config.timeout

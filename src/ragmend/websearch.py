@@ -1,9 +1,9 @@
 """External-knowledge path: rewrite, search, fetch, extract, select.
 
-Questions are rewritten into short keyword queries (deterministically, or via
-a remote LLM with automatic fallback), sent to a search endpoint, and the
-returned pages are fetched through a disk cache, reduced to clean paragraphs,
-and filtered with the relevance scorer into external knowledge strips.
+Questions are rewritten into short keyword queries, by the given rewriter
+with a deterministic fallback, sent to a search endpoint, and the returned
+pages are fetched through a disk cache, reduced to clean paragraphs, and
+filtered with the relevance scorer into external knowledge strips.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession, check_timeout, read_text, request
-from .prompts import render_rewrite_prompt
+from .http_session import EnvCachedSession, check_timeout, request
 from .refinement import KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
 
@@ -53,8 +52,6 @@ STOPWORDS = frozenset(
 )
 
 _EDGE_CHARS = string.punctuation + "“”‘’…"
-# Room for the rewriter's reply: one "query:" line of a few keywords.
-REWRITE_MAX_TOKENS = 64
 
 
 @dataclass(frozen=True)
@@ -123,44 +120,6 @@ class KeywordRewriter:
             keywords.append(word)
         flush()
         return keywords
-
-
-_QUERY_LINE = re.compile("query:(.*)", re.IGNORECASE)
-
-
-class RemoteRewriter:
-    """Keyword rewriter backed by a text-generation endpoint.
-
-    Sends the keyword-extraction prompt with the question filled in, then
-    returns the comma-separated parts of the first reply line holding "query:".
-    """
-
-    def __init__(
-        self,
-        endpoint: str,
-        *,
-        timeout: float,
-        session: Optional[requests.Session] = None,
-    ):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.session = session or EnvCachedSession()
-
-    def rewrite(self, question: str) -> list[str]:
-        payload = {"prompt": render_rewrite_prompt(question), "max_tokens": REWRITE_MAX_TOKENS}
-        # One attempt: on any failure `rewrite` falls back to KeywordRewriter.
-        text = request(
-            lambda: self.session.post(self.endpoint, json=payload, timeout=self.timeout),
-            read_text,
-            what="rewriter",
-            error=RewriteError,
-            retries=0,
-        )
-        for line in text.splitlines():
-            match = _QUERY_LINE.search(line)
-            if match:
-                return match.group(1).split(",")
-        raise RewriteError("no 'query:' line in rewriter reply")
 
 
 def rewrite(question: Query, rewriter=None) -> str:

@@ -550,6 +550,25 @@ class TestRunCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--degrade-p", "2"], "degradation probability must be in [0, 1], got 2"),
+            (["--degrade-p", "nan"], "degradation probability must be in [0, 1], got nan"),
+        ],
+    )
+    def test_refused_option_is_usage_error_that_creates_nothing(
+        self, tmp_path, capsys, option, message
+    ):
+        dataset = mini_dataset(tmp_path)
+        out = tmp_path / "out"
+        report, table = out / "sub" / "r.json", out / "csv" / "t.csv"
+        code = main(["run", str(dataset), *option, "--report", str(report), "--csv", str(table)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_offline_without_search_endpoint_has_no_web_knowledge(self, tmp_path, capsys):
         dataset = mini_dataset(tmp_path)
         report_path = tmp_path / "r.json"

@@ -40,9 +40,9 @@ from ragmend.errors import (
 )
 from ragmend.http_session import EnvCachedSession, KeepAliveAdapter, request
 from ragmend.mockserver import MockService
-from ragmend.pipeline import RemoteGenerator
+from ragmend.pipeline import RemoteGenerator, RemoteRewriter
 from ragmend.scoring import LexicalScorer, RemoteScorer, ScorerConfig
-from ragmend.websearch import HttpSearchClient, RemoteRewriter
+from ragmend.websearch import HttpSearchClient
 
 ENV_NAMES = (
     "HTTP_PROXY",

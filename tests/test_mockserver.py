@@ -19,10 +19,10 @@ from ragmend.errors import InputError
 from ragmend.harness import degrade
 from ragmend.http_session import EnvCachedSession
 from ragmend.mockserver import MockService
-from ragmend.pipeline import StubGenerator, run
-from ragmend.prompts import render_rewrite_prompt
+from ragmend.pipeline import RemoteRewriter, StubGenerator, run
+from ragmend.prompts import REWRITE_PROMPT, fill
 from ragmend.scoring import LexicalScorer, Query, RemoteScorer, ScorerConfig
-from ragmend.websearch import KeywordRewriter, RemoteRewriter, rewrite
+from ragmend.websearch import KeywordRewriter, rewrite
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +144,9 @@ class TestRewritePrompt:
     def test_rewrite_prompt_gets_query_line(self, service):
         resp = requests.post(
             f"{service.base_url}/generate",
-            json={"prompt": render_rewrite_prompt("What is Henry Feilden's occupation?")},
+            json={
+                "prompt": fill(REWRITE_PROMPT, question="What is Henry Feilden's occupation?")
+            },
             timeout=5,
         )
         assert resp.json() == {"text": "query: Henry Feilden, occupation"}

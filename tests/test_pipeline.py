@@ -16,13 +16,16 @@ from ragmend.errors import (
     GenerationError,
     InputError,
     RagmendError,
+    RewriteError,
     SearchUnavailableError,
 )
+from ragmend.harness import DatasetInstance, degrade
 from ragmend.mockserver import MockService
 from ragmend.pipeline import (
     AblationFlags,
     PipelineConfig,
     RemoteGenerator,
+    RemoteRewriter,
     RunRecord,
     StubGenerator,
     MODES,
@@ -37,7 +40,6 @@ from ragmend.scoring import Document, LexicalScorer, Query, RemoteScorer, Scorer
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
 from ragmend.websearch import (
     HttpSearchClient,
-    RemoteRewriter,
     SearchConfig,
     rewrite,
 )
@@ -210,6 +212,54 @@ class TestRemoteGenerator:
         gen = RemoteGenerator("http://localhost:9/g", session=session)
         with pytest.raises(GenerationError):
             gen.generate("p")
+
+
+class TestRemoteRewriter:
+    def _rewriter(self, replies):
+        return RemoteRewriter(
+            "http://localhost:9/generate", timeout=5, session=FakeSession(replies)
+        )
+
+    def test_parses_query_line(self):
+        # the parts are returned as split; `rewrite` strips them
+        r = self._rewriter([FakeResponse(payload={"text": "query: a, b, c"})])
+        assert r.rewrite("anything") == [" a", " b", " c"]
+
+    def test_query_line_among_others(self):
+        text = "thinking...\nQuery: Henry Feilden, occupation\nquery: done"
+        r = self._rewriter([FakeResponse(payload={"text": text})])
+        assert r.rewrite("q") == [" Henry Feilden", " occupation"]
+
+    def test_first_query_line_wins_even_when_empty(self):
+        r = self._rewriter([FakeResponse(payload={"text": "query:\nquery: a"})])
+        assert r.rewrite("q") == [""]
+
+    def test_query_after_text_that_lowercases_longer(self):
+        # "İ".lower() is two characters; the tail starts right after "query:"
+        r = self._rewriter([FakeResponse(payload={"text": "İquery:ab,c"})])
+        assert r.rewrite("q") == ["ab", "c"]
+
+    def test_missing_query_line(self):
+        r = self._rewriter([FakeResponse(payload={"text": "no keywords here"})])
+        with pytest.raises(RewriteError):
+            r.rewrite("q")
+
+    def test_transport_failure(self):
+        r = self._rewriter([requests.ConnectionError("down")])
+        with pytest.raises(RewriteError):
+            r.rewrite("q")
+
+    def test_non_200(self):
+        r = self._rewriter([FakeResponse(status_code=503)])
+        with pytest.raises(RewriteError):
+            r.rewrite("q")
+
+    def test_prompt_includes_question(self):
+        session = FakeSession([FakeResponse(payload={"text": "query: x"})])
+        r = RemoteRewriter("http://localhost:9/generate", timeout=5, session=session)
+        r.rewrite("What is the capital city of France?")
+        assert "What is the capital city of France?" in session.calls[0][2]["prompt"]
+        assert session.calls[0][2]["max_tokens"] == 64
 
 
 RELEVANT = Document(id="rel", text="The capital city of France is Paris.")
@@ -462,7 +512,7 @@ class TestRunDegradedPaths:
         ]
 
     def test_non_string_generator_text_recorded(self, tmp_path, lexical):
-        # http_session.read_text: "malformed generator reply: text is not a string"
+        # pipeline._read_text: "malformed generator reply: text is not a string"
         generator = RemoteGenerator(
             "http://localhost:9/g", session=FakeSession([FakeResponse(payload={"text": 5})])
         )
@@ -880,6 +930,67 @@ class TestAmbiguousIsCorrectPlusIncorrect:
         for strip in strips[Action.CORRECT] + strips[Action.INCORRECT]:
             unique.setdefault(strip.text, strip)
         assert strips[Action.AMBIGUOUS] == tuple(unique.values())
+
+
+RANK = {Action.INCORRECT: 0, Action.AMBIGUOUS: 1, Action.CORRECT: 2}
+THRESHOLDS = (
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2, unique=True)
+    .map(sorted)
+    .map(lambda pair: Thresholds(upper=pair[1], lower=pair[0]))
+)
+ACTION_FLAGS = st.sampled_from(
+    [AblationFlags(), AblationFlags(no_refinement=True)]
+    + [AblationFlags(disable_action=action) for action in Action]
+    + [AblationFlags(only_action=action) for action in Action]
+)
+
+
+class TestMonotoneUnderRemoval:
+    """Removing documents never moves the action up the order Incorrect < Ambiguous
+    < Correct: neither the raw judgment nor the action an ablation resolves."""
+
+    @staticmethod
+    def ranks(docs, scores, thresholds, flags):
+        scorer = TableScorer({f"Document {i}.": score for i, score in enumerate(scores)})
+        cfg = PipelineConfig(thresholds=thresholds, ablations=flags)
+        record = run(QUESTION, docs, cfg, scorer)
+        return RANK[record.judgment.action], RANK[record.action]
+
+    @given(
+        thresholds=THRESHOLDS,
+        flags=ACTION_FLAGS,
+        scores=st.lists(st.floats(-1.0, 1.0), max_size=5),
+        data=st.data(),
+    )
+    def test_removal_never_raises_the_action(self, thresholds, flags, scores, data):
+        docs = [Document(f"d{i}", f"Document {i}.") for i in range(len(scores))]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(docs), max_size=len(docs)))
+        kept = [doc for doc, keep_doc in zip(docs, keep) if keep_doc]
+        after = self.ranks(kept, scores, thresholds, flags)
+        before = self.ranks(docs, scores, thresholds, flags)
+        assert after[0] <= before[0] and after[1] <= before[1]
+
+    @given(
+        thresholds=THRESHOLDS,
+        flags=ACTION_FLAGS,
+        scores=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+        data=st.data(),
+        seed=st.integers(0, 2**32),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5).map(sorted),
+    )
+    def test_rank_never_rises_with_degradation(
+        self, thresholds, flags, scores, data, seed, levels
+    ):
+        docs = [Document(f"d{i}", f"Document {i}.") for i in range(len(scores))]
+        relevant = data.draw(st.lists(st.sampled_from([doc.id for doc in docs]), unique=True))
+        instance = DatasetInstance("q", QUESTION, ("Paris",), docs, relevant)
+        ranks = [
+            self.ranks(degraded.docs, scores, thresholds, flags)
+            for p in levels
+            for degraded in degrade([instance], p, seed)
+        ]
+        for before, after in zip(ranks, ranks[1:]):
+            assert after[0] <= before[0] and after[1] <= before[1]
 
 
 # Words the question shares and one it does not, sentence ends, and the line breaks,

@@ -11,13 +11,13 @@ from conftest import BoomScorer, FakeResponse, FakeSession, FakeWeb
 from ragmend import websearch
 from ragmend.errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
 from ragmend.mockserver import MockService
+from ragmend.pipeline import RemoteRewriter
 from ragmend.refinement import KnowledgeStrip, RefineConfig
 from ragmend.scoring import LexicalScorer, Query
 from ragmend.websearch import (
     EXTRACTOR_VERSION,
     HttpSearchClient,
     KeywordRewriter,
-    RemoteRewriter,
     SearchConfig,
     _clean_word,
     extract_paragraphs,
@@ -93,54 +93,6 @@ class TestCleanWord:
         assert _clean_word(raw) == expected
 
 
-class TestRemoteRewriter:
-    def _rewriter(self, replies):
-        return RemoteRewriter(
-            "http://localhost:9/generate", timeout=5, session=FakeSession(replies)
-        )
-
-    def test_parses_query_line(self):
-        # the parts are returned as split; `rewrite` strips them
-        r = self._rewriter([FakeResponse(payload={"text": "query: a, b, c"})])
-        assert r.rewrite("anything") == [" a", " b", " c"]
-
-    def test_query_line_among_others(self):
-        text = "thinking...\nQuery: Henry Feilden, occupation\nquery: done"
-        r = self._rewriter([FakeResponse(payload={"text": text})])
-        assert r.rewrite("q") == [" Henry Feilden", " occupation"]
-
-    def test_first_query_line_wins_even_when_empty(self):
-        r = self._rewriter([FakeResponse(payload={"text": "query:\nquery: a"})])
-        assert r.rewrite("q") == [""]
-
-    def test_query_after_text_that_lowercases_longer(self):
-        # "İ".lower() is two characters; the tail starts right after "query:"
-        r = self._rewriter([FakeResponse(payload={"text": "İquery:ab,c"})])
-        assert r.rewrite("q") == ["ab", "c"]
-
-    def test_missing_query_line(self):
-        r = self._rewriter([FakeResponse(payload={"text": "no keywords here"})])
-        with pytest.raises(RewriteError):
-            r.rewrite("q")
-
-    def test_transport_failure(self):
-        r = self._rewriter([requests.ConnectionError("down")])
-        with pytest.raises(RewriteError):
-            r.rewrite("q")
-
-    def test_non_200(self):
-        r = self._rewriter([FakeResponse(status_code=503)])
-        with pytest.raises(RewriteError):
-            r.rewrite("q")
-
-    def test_prompt_includes_question(self):
-        session = FakeSession([FakeResponse(payload={"text": "query: x"})])
-        r = RemoteRewriter("http://localhost:9/generate", timeout=5, session=session)
-        r.rewrite("What is the capital city of France?")
-        assert "What is the capital city of France?" in session.calls[0][2]["prompt"]
-        assert session.calls[0][2]["max_tokens"] == 64
-
-
 class TestRewriteOp:
     def test_no_rewriter_is_the_keyword_rewriter(self):
         assert rewrite(Query("What is Henry Feilden's occupation?")) == "Henry Feilden occupation"
@@ -177,7 +129,7 @@ class TestRewriteOp:
         assert any("fallback" in r.message for r in caplog.records)
 
     def test_non_string_remote_text_falls_back(self, caplog):
-        # http_session.read_text: "malformed rewriter reply: text is not a string"
+        # pipeline._read_text: "malformed rewriter reply: text is not a string"
         remote = RemoteRewriter(
             "http://localhost:9/g",
             timeout=5,
