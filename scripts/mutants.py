@@ -21,8 +21,8 @@ plus 10 s) counts as a kill, since a mutant that hangs the tests is seen.
 Each survivor whose (module, stripped source line) is not on `ALLOWLIST` is
 printed as `path:line: source  [mutation]`, and a summary line goes to
 stderr. Exit code 0 when no survivor is printed; 1 when one is, or when the
-unmutated tests fail. With every module (391 mutants: cli 38, config 21,
-harness 59, http_session 64, mockserver 34, pipeline 46, prompts 1, refinement
+unmutated tests fail. With every module (390 mutants: cli 38, config 21,
+harness 59, http_session 64, mockserver 34, pipeline 45, prompts 1, refinement
 25, scoring 37, trigger 18, websearch 48) it takes about 35 minutes on 2 cores;
 the earlier figure of about 16 minutes predates the keep-alive transport in
 http_session.py and its tests.

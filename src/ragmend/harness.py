@@ -143,8 +143,9 @@ def load_dataset(path: Union[str, Path]) -> list[DatasetInstance]:
 
 
 def removal_draw(seed: int, instance_id: str, doc_id: str) -> float:
-    """Deterministic uniform draw in [0, 1) for one (seed, instance, doc)."""
-    key = f"{seed}\x1f{instance_id}\x1f{doc_id}".encode("utf-8")
+    """Deterministic uniform draw in [0, 1) for one (seed, instance, doc); an id's
+    lone surrogate (a JSON escape can write one) is encoded as is."""
+    key = f"{seed}\x1f{instance_id}\x1f{doc_id}".encode("utf-8", "surrogatepass")
     digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 

@@ -28,6 +28,7 @@ from .errors import (
 from .http_session import EnvCachedSession, check_timeout, request
 from .prompts import REWRITE_PROMPT, fill
 from .refinement import (
+    STRIP_SEPARATOR,
     BundleKind,
     KnowledgeBundle,
     KnowledgeStrip,
@@ -178,10 +179,9 @@ def external_knowledge(
     return select_external(question, strips, scorer, cfg.refine), urls
 
 
-def assemble_prompt(question: Query, knowledge: Optional[KnowledgeBundle]) -> str:
+def assemble_prompt(question: Query, knowledge: KnowledgeBundle) -> str:
     """Render the generation prompt: knowledge block, blank line, question."""
-    text = knowledge.text if knowledge is not None else ""
-    if text:
+    if text := knowledge.text:
         return f"{text}\n\nQuestion: {question.text}\nAnswer:"
     return f"Question: {question.text}\nAnswer:"
 
@@ -204,7 +204,7 @@ class StubGenerator:
         if match is None:
             return "UNKNOWN"
         knowledge = match.group("knowledge") or ""
-        lines = [line for line in knowledge.split("\n") if line.strip()]
+        lines = [line for line in knowledge.split(STRIP_SEPARATOR) if line.strip()]
         if not lines:
             return "UNKNOWN"
         scores = LexicalScorer().score_batch(match.group("question"), lines)
@@ -333,7 +333,7 @@ def run(
     unique: dict[str, KnowledgeStrip] = {}
     for strip in strips:
         unique.setdefault(strip.text, strip)
-    knowledge = KnowledgeBundle.from_strips(kind, list(unique.values()))
+    knowledge = KnowledgeBundle(kind, tuple(unique.values()))
     timings["knowledge"] = time.perf_counter() - t0
 
     prompt = assemble_prompt(question, knowledge)

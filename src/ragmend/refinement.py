@@ -63,19 +63,15 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class KnowledgeBundle:
-    """Recomposed knowledge text plus the strips it came from."""
+    """Recomposed knowledge: its kind and its strips, in order."""
 
     kind: BundleKind
-    text: str
     strips: tuple[KnowledgeStrip, ...]
 
-    @classmethod
-    def from_strips(cls, kind: BundleKind, strips: Sequence[KnowledgeStrip]) -> "KnowledgeBundle":
-        return cls(
-            kind=kind,
-            text=STRIP_SEPARATOR.join(s.text for s in strips),
-            strips=tuple(strips),
-        )
+    @property
+    def text(self) -> str:
+        """The strips' texts, one per line."""
+        return STRIP_SEPARATOR.join(s.text for s in self.strips)
 
 
 def split_sentences(text: str) -> list[str]:

@@ -458,6 +458,26 @@ class TestRunCommand:
             if mode == "crag":
                 assert record["judgment"] == {"action": "Incorrect", "max_score": -1.0}
 
+    @pytest.mark.parametrize(
+        "instance_id,doc_id", [("q\ud800", "m1_rel"), ("m1", "d\udc80")]
+    )
+    def test_lone_surrogate_id_degrades(self, tmp_path, instance_id, doc_id):
+        # A JSON escape writes the lone surrogate on an ASCII line.
+        line = json.dumps(
+            {
+                "id": instance_id,
+                "question": "What is the capital city of France?",
+                "answers": ["Paris"],
+                "docs": [{"id": doc_id, "text": "The capital city of France is Paris."}],
+                "relevant_doc_ids": [doc_id],
+            }
+        )
+        dataset = write_lines(tmp_path / "ds.jsonl", [line])
+        report = tmp_path / "r.json"
+        assert main(["run", str(dataset), "--degrade-p", "0.5", "--report", str(report)]) == 0
+        [record] = json.loads(report.read_text("utf-8"))["records"]
+        assert record["instance_id"] == instance_id
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_remote_failure_names_its_instance(self, tmp_path, capsys, workers):
         with socket.socket() as closed:

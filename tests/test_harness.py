@@ -302,6 +302,10 @@ class TestLoadDataset:
         assert all(isinstance(doc.text, str) for doc in instance.docs)
 
 
+# Any text, lone surrogates included: a JSON escape can put one in a dataset id.
+ANY_ID = st.text(st.characters(blacklist_categories=()))
+
+
 class TestRemovalDraw:
     def test_unit_interval_and_distinct(self):
         draws = [removal_draw(1, "inst", f"d{i}") for i in range(2000)]
@@ -321,6 +325,17 @@ class TestRemovalDraw:
         assert base != removal_draw(2, "a", "b")
         assert base != removal_draw(1, "x", "b")
         assert base != removal_draw(1, "a", "y")
+
+    @given(st.integers(min_value=0, max_value=2**32), ANY_ID, ANY_ID)
+    def test_any_id_draws_in_unit_interval(self, seed, instance_id, doc_id):
+        draw = removal_draw(seed, instance_id, doc_id)
+        assert 0.0 <= draw < 1.0
+        try:
+            key = f"{seed}\x1f{instance_id}\x1f{doc_id}".encode("utf-8")
+        except UnicodeEncodeError:
+            return
+        digest = hashlib.sha256(key).digest()
+        assert draw == int.from_bytes(digest[:8], "big") / 2**64
 
 
 def many_docs_instance(n, question="q?", answer="a"):

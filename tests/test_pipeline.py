@@ -35,7 +35,13 @@ from ragmend.pipeline import (
     resolve_action,
     run,
 )
-from ragmend.refinement import BundleKind, KnowledgeBundle, KnowledgeStrip
+from ragmend.refinement import (
+    BundleKind,
+    KnowledgeBundle,
+    KnowledgeStrip,
+    RefineConfig,
+    segment,
+)
 from ragmend.scoring import Document, LexicalScorer, Query, RemoteScorer, ScorerConfig, tokenize
 from ragmend.trigger import Action, ActionJudgment, Thresholds, judge
 from ragmend.websearch import (
@@ -102,17 +108,14 @@ class TestResolveAction:
 
 class TestAssemblePrompt:
     def test_with_knowledge(self):
-        bundle = KnowledgeBundle.from_strips(
-            BundleKind.INTERNAL, [KnowledgeStrip(doc_id="d", index=0, text="K")]
+        bundle = KnowledgeBundle(
+            BundleKind.INTERNAL, (KnowledgeStrip(doc_id="d", index=0, text="K"),)
         )
         assert assemble_prompt(Query("Q"), bundle) == "K\n\nQuestion: Q\nAnswer:"
 
     def test_empty_bundle(self):
-        bundle = KnowledgeBundle.from_strips(BundleKind.EXTERNAL, [])
+        bundle = KnowledgeBundle(BundleKind.EXTERNAL, ())
         assert assemble_prompt(Query("Q"), bundle) == "Question: Q\nAnswer:"
-
-    def test_none_knowledge(self):
-        assert assemble_prompt(Query("Q"), None) == "Question: Q\nAnswer:"
 
     @given(
         # Query rejects lone surrogates (category Cs); TestQuery covers that.
@@ -127,18 +130,13 @@ class TestAssemblePrompt:
         question = question.strip()
         if not question or "\n\nQuestion: " in knowledge:
             return
-        bundle = None
-        if knowledge.strip():
-            try:
-                strips = [KnowledgeStrip(doc_id="d", index=0, text=knowledge)]
-            except ValueError:
-                return
-            bundle = KnowledgeBundle(kind=BundleKind.INTERNAL, text=knowledge, strips=tuple(strips))
-        prompt = assemble_prompt(Query(question), bundle)
+        # A blank knowledge text stands for none: the empty bundle.
+        strips = (KnowledgeStrip(doc_id="d", index=0, text=knowledge),) if knowledge.strip() else ()
+        prompt = assemble_prompt(Query(question), KnowledgeBundle(BundleKind.INTERNAL, strips))
         match = pipeline._PROMPT_RE.match(prompt)
         assert match is not None
         assert match.group("question") == Query(question).text
-        assert (match.group("knowledge") or "") == (knowledge if bundle else "")
+        assert (match.group("knowledge") or "") == (knowledge if strips else "")
 
 
 # Words that tie, share tokens only in part, or hold no token at all, in ASCII
@@ -176,8 +174,8 @@ class TestStubGenerator:
             query = Query(question)
         except ValueError:
             assume(False)
-        strips = [KnowledgeStrip("d", i, text) for i, text in enumerate(texts) if text.strip()]
-        bundle = KnowledgeBundle.from_strips(BundleKind.INTERNAL, strips)
+        strips = tuple(KnowledgeStrip("d", i, text) for i, text in enumerate(texts) if text.strip())
+        bundle = KnowledgeBundle(BundleKind.INTERNAL, strips)
         # The reference rule: most unique question tokens shared, first line on ties.
         tokens = set(tokenize(query.text))
         lines = [strip.text for strip in strips]
@@ -681,7 +679,8 @@ class TestRunRobustness:
     @given(st.text(min_size=1, max_size=40).filter(str.strip))
     def test_prompt_round_trips_any_question(self, text):
         query = Query(text)
-        match = pipeline._PROMPT_RE.match(assemble_prompt(query, None))
+        prompt = assemble_prompt(query, KnowledgeBundle(BundleKind.EXTERNAL, ()))
+        match = pipeline._PROMPT_RE.match(prompt)
         assert match is not None
         assert match.group("question") == query.text
 
@@ -881,12 +880,13 @@ class TestKnowledgeBundle:
 class DrawnScores(dict):
     """A `TableScorer` table that draws a text's score on its first lookup and keeps it."""
 
-    def __init__(self, data):
+    def __init__(self, data, scores=st.floats(-1.0, 1.0)):
         super().__init__()
         self.data = data
+        self.scores = scores
 
     def __missing__(self, text):
-        self[text] = score = self.data.draw(st.floats(-1.0, 1.0), label=text)
+        self[text] = score = self.data.draw(self.scores, label=text)
         return score
 
 
@@ -991,6 +991,90 @@ class TestMonotoneUnderRemoval:
         ]
         for before, after in zip(ranks, ranks[1:]):
             assert after[0] <= before[0] and after[1] <= before[1]
+
+
+def fact_documents(sentence_counts):
+    """One document per count, of that many sentences no other document holds."""
+    return [
+        Document(f"d{i}", " ".join(f"Fact {i} {j}." for j in range(n)))
+        for i, n in enumerate(sentence_counts)
+    ]
+
+
+class TestBranchesStayPure:
+    """A run whose resolved action is Correct makes no search call, and one whose
+    resolved action is Incorrect makes no `refine` call."""
+
+    @given(
+        thresholds=THRESHOLDS,
+        flags=ACTION_FLAGS,
+        docs=st.lists(st.integers(1, 4), max_size=5),
+        data=st.data(),
+    )
+    def test_correct_never_searches_and_incorrect_never_refines(
+        self, thresholds, flags, docs, data
+    ):
+        documents = fact_documents(docs)
+        web = FakeWeb({"capital city France": [PAGE_URL]}, {PAGE_URL: PAGE_HTML})
+        refine_calls = []
+        real_refine = pipeline.refine
+
+        def counting_refine(*args):
+            refine_calls.append(args)
+            return real_refine(*args)
+
+        # Hypothesis rejects the function-scoped monkeypatch fixture, so patch here.
+        with tempfile.TemporaryDirectory() as cache, mock.patch.object(
+            pipeline, "refine", counting_refine
+        ):
+            cfg = PipelineConfig(
+                thresholds=thresholds, search=SearchConfig(cache_dir=cache), ablations=flags
+            )
+            record = run(QUESTION, documents, cfg, TableScorer(DrawnScores(data)), web)
+        if record.action is Action.CORRECT:
+            assert web.queries == [] and web.fetched == []
+        if record.action is Action.INCORRECT:
+            assert refine_calls == []
+
+
+class TestDocumentOrder:
+    """Permuting the documents leaves the judgment, the action and the sorted scores
+    unchanged, and the set of knowledge texts too unless a score tie decides which
+    strip `filter_strips` keeps."""
+
+    @staticmethod
+    def tie_decides(strip_scores, refine_cfg):
+        passing = sorted((s for s in strip_scores if s > refine_cfg.strip_threshold), reverse=True)
+        if not passing:  # the single-best fallback
+            return strip_scores.count(max(strip_scores)) > 1
+        top_k = refine_cfg.top_k
+        return len(passing) > top_k and passing[top_k - 1] == passing[top_k]
+
+    @given(
+        thresholds=THRESHOLDS,
+        flags=ACTION_FLAGS,
+        refine_cfg=st.builds(
+            RefineConfig, top_k=st.integers(1, 4), strip_threshold=st.floats(-1.0, 1.0)
+        ),
+        docs=st.lists(st.integers(1, 7), min_size=2, max_size=5),
+        data=st.data(),
+    )
+    def test_permuting_documents_changes_no_decision(
+        self, thresholds, flags, refine_cfg, docs, data
+    ):
+        documents = fact_documents(docs)
+        shuffled = data.draw(st.permutations(documents), label="shuffled")
+        # A few fixed scores make ties common.
+        table = DrawnScores(data, st.sampled_from([-1.0, -0.5, 0.0, 0.5]) | st.floats(-1.0, 1.0))
+        cfg = PipelineConfig(thresholds=thresholds, refine=refine_cfg, ablations=flags)
+        before, after = (run(QUESTION, d, cfg, TableScorer(table)) for d in (documents, shuffled))
+        assert after.judgment == before.judgment
+        assert after.action is before.action
+        assert sorted(after.doc_scores) == sorted(before.doc_scores)
+        pool = [strip for doc in documents for strip in segment(doc, cfg.refine)]
+        if not self.tie_decides([table[strip.text] for strip in pool], cfg.refine):
+            texts = {strip.text for strip in after.knowledge.strips}
+            assert texts == {strip.text for strip in before.knowledge.strips}
 
 
 # Words the question shares and one it does not, sentence ends, and the line breaks,

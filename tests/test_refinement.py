@@ -1,5 +1,6 @@
 """Refinement: sentence splitting, segmentation, strip filtering, recompose."""
 
+import dataclasses
 import random
 import re
 
@@ -270,7 +271,7 @@ class TestRefine:
         query = Query("alpha beta")
         docs = [Document(id="d1", text="alpha beta."), Document(id="d2", text="alpha beta too.")]
         strips = refine(query, docs, lexical, RefineConfig())
-        bundle = KnowledgeBundle.from_strips(BundleKind.INTERNAL, strips)
+        bundle = KnowledgeBundle(BundleKind.INTERNAL, tuple(strips))
         assert bundle.text == "alpha beta.\nalpha beta too."
 
     def test_skips_blank_docs(self, lexical):
@@ -304,15 +305,16 @@ class TestRefine:
 
 
 class TestTypes:
-    def test_bundle_from_strips_joins(self):
-        bundle = KnowledgeBundle.from_strips(
-            BundleKind.EXTERNAL, make_strips(["a", "b"])
-        )
+    def test_bundle_text_joins_strips(self):
+        bundle = KnowledgeBundle(BundleKind.EXTERNAL, tuple(make_strips(["a", "b"])))
         assert bundle.text == "a\nb"
         assert bundle.kind is BundleKind.EXTERNAL
 
+    def test_bundle_fields_are_kind_and_strips(self):
+        assert [f.name for f in dataclasses.fields(KnowledgeBundle)] == ["kind", "strips"]
+
     def test_empty_bundle(self):
-        bundle = KnowledgeBundle.from_strips(BundleKind.EXTERNAL, [])
+        bundle = KnowledgeBundle(BundleKind.EXTERNAL, ())
         assert bundle.text == ""
         assert bundle.strips == ()
 
