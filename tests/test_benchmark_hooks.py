@@ -9,7 +9,9 @@ this fails here. No request is sent.
 
 `tracing.py` also counts HTTP requests by patching `requests.Session.request`
 on the class, so the role session must not override the methods that reach
-it: an override would bypass the patch and read as zero requests.
+it: an override would bypass the patch and read as zero requests. One test
+sends real requests to the mock server, so that a change below
+`Session.request` cannot change what the traced benchmark counts.
 """
 
 import inspect
@@ -26,6 +28,8 @@ import tracing  # noqa: E402
 from ragmend import build_roles, pipeline  # noqa: E402
 from ragmend.config import load_config  # noqa: E402
 from ragmend.http_session import EnvCachedSession  # noqa: E402
+from ragmend.mockserver import MockService  # noqa: E402
+from ragmend.scoring import RemoteScorer, ScorerConfig  # noqa: E402
 
 BASE = "http://127.0.0.1:9"
 
@@ -80,6 +84,24 @@ def test_role_session_keeps_the_traced_request_method():
         assert all(type(role.session).request is patched for role in roles.values())
     finally:
         tracer.uninstall()
+
+
+def test_traced_scorer_call_has_one_request_span_per_pair(fixtures_dir):
+    tracer = tracing.Tracer()
+    with MockService(fixtures_dir) as svc:
+        config = ScorerConfig(kind="remote", endpoint=f"{svc.base_url}/score")
+        scorer = tracer.proxy("scorer", RemoteScorer(config))
+        tracer.install()
+        try:
+            scores = scorer.score_batch("capital of France", ["Paris", "France", "Lyon"])
+        finally:
+            tracer.uninstall()
+            scorer.session.close()
+    assert len(scores) == 3
+    [scoring] = [i for i, span in enumerate(tracer.spans) if span.name == "scoring.score"]
+    http = [span for span in tracer.spans if span.name == "http.request"]
+    assert [(span.notes["route"], span.parent) for span in http] == [("score", scoring)] * 3
+    assert tracing.layer_metrics(tracer, 1, ["Correct"])["scoring.retries"] == 0
 
 
 def test_run_takes_the_benchmark_positional_call():

@@ -5,7 +5,8 @@ request: one retry-and-read policy for every remote read.
 
 KeepAliveAdapter: plain-http requests over standard-library keep-alive
 connections, with the replies, cookies and errors the stock adapter gives, and
-every other request left to the stock adapter.
+every other request left to the stock adapter. A plain reply skips the cookie
+and redirect passes, and a request's head and body leave in one write.
 """
 
 import gc
@@ -20,7 +21,10 @@ import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from datetime import timedelta
 from http import HTTPStatus
+from http.client import HTTPConnection
+from http.cookiejar import DefaultCookiePolicy
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
 
@@ -28,7 +32,7 @@ import pytest
 import requests
 from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 from requests.exceptions import ChunkedEncodingError
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import FakeResponse, FakeSession
 from ragmend.errors import (
@@ -693,6 +697,9 @@ REQUESTS = st.fixed_dictionaries(
         # Characters `requests` sends as they are, and ones it percent-encodes.
         "path": st.text(st.sampled_from("ab/%2fF[]~:@!$'()*+,;=_-.é |?&"), max_size=8),
         "body": st.sampled_from([{}, {"json": {"q": "ü"}}, {"data": "a=ü"}]),
+        "allow_redirects": st.booleans(),
+        # Where a response hook is set, if anywhere.
+        "hook": st.sampled_from([None, "session", "request"]),
     }
 )
 
@@ -721,14 +728,28 @@ def _drawn_reply(reply):
 
 
 def _outcome(session, url, drawn):
-    """What a caller of `session` sees of one request, or the class of its error."""
+    """What a caller of `session` sees of one request, or the class of its error,
+    with the replies its response hook heard."""
+    heard = []
+    hooks = {"response": [lambda r, **kwargs: heard.append((r.status_code, r.url))]}
+    if drawn["hook"] == "session":
+        session.hooks = hooks
     try:
-        r = session.request(drawn["method"], url, timeout=5, **drawn["body"])
+        r = session.request(
+            drawn["method"],
+            url,
+            timeout=5,
+            allow_redirects=drawn["allow_redirects"],
+            hooks=hooks if drawn["hook"] == "request" else None,
+            **drawn["body"],
+        )
     except requests.RequestException as exc:
-        return type(exc)
+        return type(exc), heard
     history = [(h.status_code, h.url, list(h.headers.items())) for h in r.history]
     cookies = sorted((c.name, c.value, c.path) for c in session.cookies)
     return (
+        heard,
+        r.next and (r.next.method, r.next.url),
         r.status_code,
         r.reason,
         list(r.headers.items()),
@@ -742,7 +763,23 @@ def _outcome(session, url, drawn):
     )
 
 
+def _drawn(reply=None, request=None):
+    """A drawn reply and request: a plain 200 to a GET, with the given fields changed."""
+    plain = {"status": 200, "cookies": [], "type": None, "charset": None, "coding": None}
+    plain.update(chunked=False, close=False, text="ok")
+    get = {"method": "GET", "path": "", "body": {}, "allow_redirects": True, "hook": None}
+    return {**plain, **(reply or {})}, {**get, **(request or {})}
+
+
 class TestKeepAliveAdapter:
+    # Each branch of `EnvCachedSession.send` that follows the adapter's reply.
+    @example(*_drawn({"status": 302}))
+    @example(*_drawn({"status": 301, "cookies": ["sid=1"]}, {"allow_redirects": False}))
+    @example(*_drawn({"cookies": ["sid=1"]}, {"allow_redirects": False}))
+    @example(*_drawn({"coding": "gzip"}))
+    @example(*_drawn({"coding": "broken"}))
+    @example(*_drawn({"status": 302}, {"hook": "session"}))
+    @example(*_drawn({"status": 302}, {"hook": "request", "method": "POST", "body": {"data": "a"}}))
     @settings(deadline=None, max_examples=60)
     @given(reply=REPLIES, drawn=REQUESTS)
     def test_equals_stock_adapter(self, reply, drawn):
@@ -854,6 +891,58 @@ class TestKeepAliveAdapter:
             socket.socket()
             gc.collect()
             assert [w.category for w in caught] == [ResourceWarning]
+
+
+class TestPlainReplyPath:
+    """What a plain reply skips, and what every reply keeps."""
+
+    def test_post_with_a_body_is_one_write(self):
+        with _serving(lambda path, n: _ok()) as server, EnvCachedSession() as session:
+            with mock.patch.object(
+                HTTPConnection, "send", autospec=True, side_effect=HTTPConnection.send
+            ) as write:
+                session.post(server.base_url + "/score", json={"q": "ä"})
+                assert write.call_count == 1
+                session.post(server.base_url + "/score", data=b"")
+                assert write.call_count == 2
+        assert [body for _, _, body in server.requests] == [b'{"q": "\\u00e4"}', b""]
+
+    def test_plain_reply_has_no_cookie_pass(self):
+        with _serving(lambda path, n: _ok()) as server, EnvCachedSession() as session:
+            with mock.patch("ragmend.http_session.extract_cookies_to_jar") as ours, mock.patch(
+                "requests.sessions.extract_cookies_to_jar"
+            ) as stock:
+                assert session.post(server.base_url + "/score", json={}).json() == {"score": 0.5}
+                assert session.get(server.base_url + "/page").status_code == 200
+        assert ours.call_count == stock.call_count == 0
+
+    @pytest.mark.parametrize(
+        "field, value", [("Set-Cookie", "sid=1"), ("Set-Cookie2", 'sid=1; Version="1"')]
+    )
+    def test_cookie_reply_lands_in_the_session_jar(self, field, value):
+        def reply(path, n):
+            return _raw_reply(200, [(field, value)], b"{}"), False
+
+        # Under `requests`' default policy only Set-Cookie is read; this one reads both.
+        policy = DefaultCookiePolicy(rfc2965=True, strict_rfc2965_unverifiable=False)
+        with _serving(reply) as server, EnvCachedSession() as session:
+            session.cookies.set_policy(policy)
+            session.post(server.base_url + "/score", json={})
+            assert dict(session.cookies) == {"sid": "1"}
+
+    def test_elapsed_is_the_round_trip(self):
+        with _serving(lambda path, n: _ok()) as server, EnvCachedSession() as session:
+            start = time.perf_counter()
+            reply = session.post(server.base_url + "/score", json={})
+            took = time.perf_counter() - start
+        assert timedelta(0) < reply.elapsed <= timedelta(seconds=took)
+
+    def test_session_response_hook_runs(self):
+        heard = []
+        with _serving(lambda path, n: _ok()) as server, EnvCachedSession() as session:
+            session.hooks["response"].append(lambda r, **kwargs: heard.append(r.status_code))
+            session.post(server.base_url + "/score", json={})
+        assert heard == [200]
 
 
 def _silent_listener():
@@ -1040,6 +1129,19 @@ class TestKeepAliveAdapterFallback:
             with EnvCachedSession() as session:
                 assert session.get("http://example.com/x").content == b"stock"
         assert spy.call_args.kwargs["proxies"] == {"http": "http://127.0.0.1:9"}
+
+    def test_send_without_proxies_reads_them_from_the_environment(self, monkeypatch):
+        _clean_environment(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        with mock.patch.object(HTTPAdapter, "send", autospec=True, side_effect=_canned) as spy:
+            with EnvCachedSession() as session:
+                prepared = session.prepare_request(requests.Request("GET", "http://example.com/x"))
+                assert session.send(prepared).content == b"stock"
+        assert spy.call_args.kwargs["proxies"] == {"http": "http://127.0.0.1:9"}
+
+    def test_unprepared_request_is_refused_as_stock(self):
+        with EnvCachedSession() as session, pytest.raises(ValueError, match="PreparedRequests"):
+            session.send(requests.Request("GET", "http://127.0.0.1:9/x"))
 
     @pytest.mark.parametrize("name", OWN_REQUESTS)
     def test_serves_plain_requests_itself(self, name, monkeypatch):
