@@ -20,12 +20,9 @@ plus 10 s) counts as a kill, since a mutant that hangs the tests is seen.
 
 Each survivor whose (module, stripped source line) is not on `ALLOWLIST` is
 printed as `path:line: source  [mutation]`, and a summary line goes to
-stderr. Exit code 0 when no survivor is printed; 1 when one is, or when the
-unmutated tests fail. With every module (403 mutants: cli 38, config 21,
-harness 59, http_session 77, mockserver 34, pipeline 45, prompts 1, refinement
-25, scoring 37, trigger 18, websearch 48) it takes about 35 minutes on 2 cores;
-the earlier figure of about 16 minutes predates the keep-alive transport in
-http_session.py and its tests.
+stderr, with each module's mutant count. Exit code 0 when no survivor is
+printed; 1 when one is, or when the unmutated tests fail. With every module it
+takes about 35 minutes on 2 cores.
 
 Usage: python3 scripts/mutants.py [MODULE ...]   (e.g. trigger.py; default: all)
 """
@@ -250,8 +247,9 @@ def main() -> int:
                         print(found[-1], flush=True)
             finally:
                 path.write_text(source, "utf-8")
+    counts = ", ".join(f"{module} {len(cases[module])}" for module in modules)
     print(
-        f"{total} mutants over {len(modules)} modules: "
+        f"{total} mutants over {len(modules)} modules ({counts}): "
         f"{len(found) + allowlisted} survivors, {allowlisted} of them allowlisted",
         file=sys.stderr,
     )

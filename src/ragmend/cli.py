@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -49,10 +50,10 @@ class OfflineGuard:
     def search(self, query: str) -> list:
         return self.inner.search(query)
 
-    def fetch(self, url: str, timeout: float) -> str:
+    def fetch(self, url: str) -> str:
         if not _is_local_url(url):
             raise OfflineViolationError(f"offline mode forbids fetching {url}")
-        return self.inner.fetch(url, timeout)
+        return self.inner.fetch(url)
 
 
 def _check_offline(cfg: PipelineConfig) -> None:
@@ -61,6 +62,14 @@ def _check_offline(cfg: PipelineConfig) -> None:
         url = values.get("endpoint")
         if url and not _is_local_url(url):
             raise ConfigError(f"--offline forbids non-local endpoint {section}.endpoint={url}")
+
+
+def _follow_no_redirects(roles) -> None:
+    """Make each remote role's session refuse a redirect before its next hop:
+    under --offline a local host could redirect to any other."""
+    for role in roles:
+        if hasattr(role, "session"):
+            role.session.max_redirects = 0
 
 
 def port(text: str) -> int:
@@ -155,6 +164,8 @@ def cmd_judge(args: argparse.Namespace) -> int:
         raise InputError(f"question: {exc}") from None
     docs = _load_docs_jsonl(args.docs_file)
     scorer = build_scorer(cfg.scorer)
+    if args.offline:
+        _follow_no_redirects([scorer])
     scores = scorer.score_batch(question.text, [doc.text for doc in docs])
     judgment = judge(scores, cfg.thresholds)
     print(
@@ -172,13 +183,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     instances = harness.load_dataset(args.dataset)
     # Refuse an output file that cannot be written before any instance runs.
-    for path in filter(None, (args.report, args.csv)):
+    outputs = list(filter(None, (args.report, args.csv)))
+    for i, path in enumerate(outputs):
+        for other in filter(None, (args.dataset, args.config, *outputs[:i])):
+            if _same_file(path, other):
+                raise InputError(f"cannot write {path}: it is the same file as {other}")
+    for path in outputs:
         if path.is_dir():
             raise InputError(f"cannot write {path}: it is a directory")
         _writing(path, path.parent.mkdir, parents=True, exist_ok=True)
     roles = config_mod.build_roles(cfg)
-    if args.offline and roles["search_client"] is not None:
-        roles["search_client"] = OfflineGuard(roles["search_client"])
+    if args.offline:
+        _follow_no_redirects(roles.values())
+        if roles["search_client"] is not None:
+            roles["search_client"] = OfflineGuard(roles["search_client"])
     degradation = None if args.degrade_p is None else (args.degrade_p, args.seed)
 
     report = harness.run_experiment(
@@ -198,6 +216,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     print(args.report)
     return 0
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths resolve to one path, or name one existing file (say, by a hard link).
+
+    `os.path.realpath` is used because, unlike `Path.resolve`, it returns on a symlink loop."""
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return False
 
 
 def _writing(path: Path, write, *args, **kwargs) -> None:

@@ -197,7 +197,10 @@ def build_roles(cfg: PipelineConfig) -> dict:
     search_client = None
     if cfg.search.endpoint:
         search_client = HttpSearchClient(
-            cfg.search.endpoint, timeout=cfg.search.timeout, retries=cfg.search.retries
+            cfg.search.endpoint,
+            timeout=cfg.search.timeout,
+            retries=cfg.search.retries,
+            fetch_timeout=cfg.search.fetch_timeout,
         )
     rewriter = (
         RemoteRewriter(cfg.rewriter_endpoint, timeout=cfg.generator_timeout)

@@ -84,8 +84,9 @@ def request(
     `send` makes one attempt. A transport error or a 5xx reply is retried
     after a 0.1 * 2**k s sleep before retry k+1, with one warning per retry;
     after `retries + 1` failed attempts `error` is raised, unlogged: its catcher
-    logs it. Any other non-200 reply, or a reply `read` rejects with ValueError,
-    KeyError or TypeError (`malformed <what> reply: ...`), raises `error` at once.
+    logs it. A redirect the session refuses (`TooManyRedirects`), any other
+    non-200 reply, or a reply `read` rejects with ValueError, KeyError or
+    TypeError (`malformed <what> reply: ...`), raises `error` at once.
     """
     last_error: object = None
     for attempt in range(retries + 1):
@@ -94,6 +95,8 @@ def request(
             time.sleep(0.1 * 2 ** (attempt - 1))
         try:
             resp = send()
+        except requests.TooManyRedirects as exc:  # every attempt is redirected alike
+            raise error(f"{what} unreachable after {attempt + 1} attempts: {exc}") from None
         except requests.RequestException as exc:
             last_error = exc
             retried = f"{what} request failed (attempt {attempt + 1}): {exc}"

@@ -58,8 +58,8 @@ _EDGE_CHARS = string.punctuation + "“”‘’…"
 class SearchConfig:
     """Search and fetch settings.
 
-    endpoint, timeout, and retries drive the HTTP search client; fetch_timeout
-    and cache_dir drive page fetching.
+    endpoint, timeout, retries and fetch_timeout build the HTTP search client;
+    top_k_urls, prefer_wikipedia and cache_dir drive the web stage.
     """
 
     top_k_urls: int = 5
@@ -173,12 +173,15 @@ def _read_urls(resp: requests.Response) -> list[str]:
 class HttpSearchClient:
     """Search endpoint client: GET ?q=... returning {"results": [{"url": ...}, ...]},
     read by `_read_urls` (a result's "title" is ignored), and GET of the pages
-    those results name, both over the client's one session.
+    those results name, both over the client's one session. A search GET waits
+    `timeout` s per attempt and a page GET `fetch_timeout` s.
 
     If RAGMEND_SEARCH_API_KEY is set in the environment it is sent to the
     search endpoint, never to page hosts, as an X-API-Key header, which real
     search backends can require; a key that cannot be a header value raises
-    ConfigError here.
+    ConfigError here. So the search GET follows no redirect, which could carry
+    the key to another host: a 3xx reply fails as any non-200 one does. Page
+    GETs carry no key and follow redirects.
     """
 
     def __init__(
@@ -187,10 +190,13 @@ class HttpSearchClient:
         timeout: float = SearchConfig.timeout,
         retries: int = SearchConfig.retries,
         session: Optional[requests.Session] = None,
+        *,
+        fetch_timeout: float = SearchConfig.fetch_timeout,
     ):
         self.endpoint = endpoint
         self.timeout = timeout
         self.retries = retries
+        self.fetch_timeout = fetch_timeout
         self.headers = {}
         api_key = os.environ.get("RAGMEND_SEARCH_API_KEY")
         if api_key:
@@ -208,7 +214,11 @@ class HttpSearchClient:
     def search(self, query: str) -> list[str]:
         return request(
             lambda: self.session.get(
-                self.endpoint, params={"q": query}, headers=self.headers, timeout=self.timeout
+                self.endpoint,
+                params={"q": query},
+                headers=self.headers,
+                timeout=self.timeout,
+                allow_redirects=False,
             ),
             _read_urls,
             what="search",
@@ -216,10 +226,10 @@ class HttpSearchClient:
             retries=self.retries,
         )
 
-    def fetch(self, url: str, timeout: float) -> str:
+    def fetch(self, url: str) -> str:
         """One page body as text, in one attempt of `request`; a failure raises FetchError."""
         return request(
-            lambda: self.session.get(url, timeout=timeout),
+            lambda: self.session.get(url, timeout=self.fetch_timeout),
             lambda resp: resp.text,
             what="page",
             error=lambda reason: FetchError(url, reason),
@@ -338,10 +348,11 @@ def _cache_write(path: Path, url: str, paragraphs: Sequence[str]) -> None:
 
 
 def fetch_and_extract(url: str, cfg: SearchConfig, client) -> list[KnowledgeStrip]:
-    """Fetch one URL through the disk cache as one unscored strip per paragraph.
+    """Fetch one URL through the disk cache under `cfg.cache_dir` as one unscored
+    strip per paragraph.
 
     A cache hit performs no network call; a miss is fetched by the search
-    client's `fetch`, extracted, and written to the cache atomically so
+    client's `fetch(url)`, extracted, and written to the cache atomically so
     concurrent writers cannot corrupt it, or warns and stays uncached if the
     cache cannot be written. Markup the parser rejects raises FetchError.
     """
@@ -349,7 +360,7 @@ def fetch_and_extract(url: str, cfg: SearchConfig, client) -> list[KnowledgeStri
     cached = _cache_read(path, url)
     if cached is not None:
         return cached
-    body = client.fetch(url, cfg.fetch_timeout)
+    body = client.fetch(url)
     try:
         paragraphs = extract_paragraphs(body)
     except AssertionError as exc:  # how the standard library's parser rejects markup

@@ -2,6 +2,9 @@
 
 import json
 import socket
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -88,7 +91,7 @@ class FakeSession:
         self.calls.append(("post", url, json))
         return self._next()
 
-    def get(self, url, params=None, timeout=None, headers=None):
+    def get(self, url, params=None, timeout=None, headers=None, allow_redirects=True):
         self.calls.append(("get", url, params, headers))
         return self._next()
 
@@ -109,7 +112,7 @@ class FakeWeb:
         self.queries.append(query)
         return list(self.results.get(query, []))
 
-    def fetch(self, url, timeout):
+    def fetch(self, url):
         self.fetched.append(url)
         if url not in self.pages:
             raise FetchError(url, "no such page")
@@ -134,6 +137,56 @@ class FixtureWeb:
 
     def search_client(self) -> FakeWeb:
         return FakeWeb(self.search_map, self.pages)
+
+
+class _RouteHandler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):
+        pass
+
+    def _serve(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.requests.append((self.command, self.path, dict(self.headers)))
+        status, headers, body = self.server.reply(self.path)
+        data = body.encode("utf-8")
+        self.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(data))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _serve
+
+
+@contextmanager
+def http_server(reply, host="127.0.0.1"):
+    """A server on a free port of `host` whose `reply(path)` gives each reply as
+    (status, headers, body); its `requests` lists each (method, path, headers)
+    it got and its `base_url` is where it listens. A host that cannot be bound
+    skips the test: Linux loopback answers all of 127/8, other systems may not."""
+    try:
+        server = ThreadingHTTPServer((host, 0), _RouteHandler)
+    except OSError as exc:
+        pytest.skip(f"cannot bind {host}: {exc}")
+    server.daemon_threads = True
+    server.reply, server.requests = reply, []
+    server.base_url = f"http://{host}:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def redirect(status, location):
+    """A `reply` for `http_server` that redirects every request to `location`."""
+    return lambda path: (status, {"Location": location}, "")
+
+
+def a_page(path):
+    """A `reply` for `http_server` that answers every request with one paragraph."""
+    return 200, {}, "<p>A page from elsewhere.</p>"
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import JSON_VALUES, FakeWeb
+from conftest import JSON_VALUES, FakeWeb, a_page, http_server, redirect
 import ragmend
 from ragmend import cli, harness
 from ragmend.cli import (
@@ -92,7 +92,7 @@ class TestLocalUrlChecks:
     def test_guard_blocks_remote(self):
         inner = FakeWeb(pages={"http://example.com/page": "<p>body</p>"})
         with pytest.raises(OfflineViolationError):
-            OfflineGuard(inner).fetch("http://example.com/page", timeout=1)
+            OfflineGuard(inner).fetch("http://example.com/page")
         assert inner.fetched == []
 
     def test_guard_delegates_local(self):
@@ -101,7 +101,7 @@ class TestLocalUrlChecks:
         )
         guard = OfflineGuard(inner)
         assert guard.search("q") == ["http://example.com/page"]
-        assert guard.fetch("http://localhost:9/x", timeout=1) == "<p>body</p>"
+        assert guard.fetch("http://localhost:9/x") == "<p>body</p>"
         assert (inner.queries, inner.fetched) == (["q"], ["http://localhost:9/x"])
 
 
@@ -660,6 +660,194 @@ class TestRunDestinations:
         code = main(["run", str(mini_dataset(tmp_path)), *args])
         assert code == 2
         assert f"error: cannot write {paths[option]}: " in capsys.readouterr().err
+
+
+def _tree(root):
+    """Every file under `root` with its bytes, and every symlink with its target."""
+    tree = {}
+    for path in sorted(Path(root).rglob("*")):
+        if path.is_symlink():
+            tree[path] = os.readlink(path)
+        elif path.is_file():
+            tree[path] = path.read_bytes()
+    return tree
+
+
+class TestRunOutputsNameNoInput:
+    """An output that names an input or the other output exits 2 before the run."""
+
+    def _refused(self, capsys, args, output, other):
+        assert main(["run", *map(str, args)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {output}: it is the same file as {other}\n"
+
+    def test_report_is_the_dataset(self, tmp_path, capsys):
+        dataset = mini_dataset(tmp_path)
+        before = dataset.read_bytes()
+        self._refused(capsys, [dataset, "--report", dataset], dataset, dataset)
+        assert dataset.read_bytes() == before
+
+    def test_report_is_the_config(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"refine": {"top_k": 3}}', encoding="utf-8")
+        before = config.read_bytes()
+        args = [mini_dataset(tmp_path), "--config", config, "--report", config]
+        self._refused(capsys, args, config, config)
+        assert config.read_bytes() == before
+
+    def test_csv_is_the_dataset_behind_a_symlink(self, tmp_path, capsys):
+        dataset = mini_dataset(tmp_path)
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(dataset.name)
+        before = dataset.read_bytes()
+        args = [link, "--report", tmp_path / "r.json", "--csv", dataset]
+        self._refused(capsys, args, dataset, link)
+        assert dataset.read_bytes() == before
+        assert not (tmp_path / "r.json").exists()
+
+    def test_report_is_the_dataset_by_a_hard_link(self, tmp_path, capsys):
+        dataset = mini_dataset(tmp_path)
+        hard = tmp_path / "hard.jsonl"
+        os.link(dataset, hard)
+        before = dataset.read_bytes()
+        self._refused(capsys, [hard, "--report", dataset], dataset, hard)
+        assert dataset.read_bytes() == before
+
+    def test_report_is_the_csv(self, tmp_path, capsys):
+        dataset = mini_dataset(tmp_path)
+        report = tmp_path / "r.json"
+        assert main(["run", str(dataset), "--report", str(report)]) == 0
+        before = report.read_bytes()
+        capsys.readouterr()
+        self._refused(capsys, [dataset, "--report", report, "--csv", report], report, report)
+        assert report.read_bytes() == before
+
+    def test_default_report_is_the_dataset(self, tmp_path, capsys, monkeypatch):
+        dataset = mini_dataset(tmp_path).rename(tmp_path / "report.json")
+        before = dataset.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        self._refused(capsys, ["report.json"], Path("report.json"), Path("report.json"))
+        assert dataset.read_bytes() == before
+
+    # Each path is a file name and a way of spelling it; "out" names no input.
+    FILES = ["mini.jsonl", "c.json", "out1", "out2"]
+    SPELLINGS = ["plain", "dot", "dotdot", "absolute", "symlink"]
+
+    @staticmethod
+    def _spell(root, name, how):
+        return {
+            "plain": name,
+            "dot": f"./{name}",
+            "dotdot": f"d/../{name}",
+            "absolute": str(root / name),
+            "symlink": f"link-{name}",
+        }[how]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        dataset=st.sampled_from(SPELLINGS).map(lambda how: ("mini.jsonl", how)),
+        config=st.none() | st.sampled_from(SPELLINGS).map(lambda how: ("c.json", how)),
+        report=st.tuples(st.sampled_from(FILES), st.sampled_from(SPELLINGS)),
+        csv_=st.none() | st.tuples(st.sampled_from(FILES), st.sampled_from(SPELLINGS)),
+    )
+    def test_exit_2_exactly_when_an_output_names_an_input(self, dataset, config, report, csv_):
+        outputs = [path for path in (report, csv_) if path is not None]
+        inputs = [dataset[0]] + ([config[0]] if config else [])
+        names = [name for name, _ in outputs]
+        clash = any(name in inputs for name in names) or len(set(names)) < len(names)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp).resolve()
+            mini_dataset(root)
+            (root / "c.json").write_text("{}", encoding="utf-8")
+            (root / "d").mkdir()
+            for name in self.FILES:
+                (root / f"link-{name}").symlink_to(name)
+            args = ["run", self._spell(root, *dataset), "--report", self._spell(root, *report)]
+            if config:
+                args += ["--config", self._spell(root, *config)]
+            if csv_:
+                args += ["--csv", self._spell(root, *csv_)]
+            before = _tree(root)
+            os.chdir(root)
+            try:
+                code = main(args)
+            finally:
+                os.chdir(cwd)
+            assert code == (2 if clash else 0)
+            if clash:
+                assert _tree(root) == before
+
+
+class TestOfflineFollowsNoRedirect:
+    """Under --offline a redirect from a local host is refused before the next hop;
+    127.0.0.2 is not one of the local hosts."""
+
+    @pytest.mark.parametrize("offline", [True, False])
+    def test_run_skips_a_page_that_redirects_away(self, tmp_path, caplog, offline):
+        with http_server(a_page, host="127.0.0.2") as elsewhere:
+
+            def local_web(path):
+                if path.startswith("/search"):
+                    results = {"results": [{"url": f"{local.base_url}/page"}]}
+                    return 200, {"Content-Type": "application/json"}, json.dumps(results)
+                return redirect(302, f"{elsewhere.base_url}/elsewhere")(path)
+
+            with http_server(local_web) as local, caplog.at_level("WARNING"):
+                report_path = tmp_path / "report.json"
+                code = main(
+                    [
+                        "run",
+                        str(mini_dataset(tmp_path)),
+                        *(["--offline"] if offline else []),
+                        "--report",
+                        str(report_path),
+                        "--set",
+                        f"search.endpoint={local.base_url}/search",
+                        "--set",
+                        f"search.cache_dir={tmp_path / 'cache'}",
+                        "--set",
+                        "ablations.only_action=Incorrect",
+                    ]
+                )
+        assert code == 0
+        records = json.loads(report_path.read_text())["records"]
+        assert [r["searched_urls"] for r in records] == [[f"{local.base_url}/page"]] * 2
+        if not offline:  # without --offline a page GET follows its redirect
+            assert [path for _, path, _ in elsewhere.requests] == ["/elsewhere"]
+            assert [r["knowledge"] for r in records] == ["A page from elsewhere."] * 2
+            return
+        assert elsewhere.requests == []
+        assert [r["knowledge"] for r in records] == ["", ""]
+        skipped = (
+            f"skipping unfetchable page: fetch failed for {local.base_url}/page: "
+            "page unreachable after 1 attempts: Exceeded 0 redirects."
+        )
+        assert [r.getMessage() for r in caplog.records] == [skipped] * 2
+
+    def test_judge_scorer_redirect_is_a_scorer_error_at_once(self, tmp_path, capsys):
+        # The scorer's default retries are not spent: each attempt would be redirected alike.
+        with http_server(a_page, host="127.0.0.2") as elsewhere:
+            moved = redirect(307, f"{elsewhere.base_url}/score")
+            with http_server(moved) as local:
+                code = main(
+                    [
+                        "judge",
+                        "What is the capital city of France?",
+                        str(docs_file(tmp_path)),
+                        "--offline",
+                        "--set",
+                        "scorer.kind=remote",
+                        "--set",
+                        f"scorer.endpoint={local.base_url}/score",
+                    ]
+                )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: scorer unreachable after 1 attempts: Exceeded 0 redirects.\n"
+        )
+        assert elsewhere.requests == []
+        assert [(method, path) for method, path, _ in local.requests] == [("POST", "/score")]
 
 
 class TestRunAgainstMockService:

@@ -5,10 +5,12 @@ import inspect
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FakeResponse, FakeSession
 from ragmend import (
     AblationFlags,
     HttpSearchClient,
@@ -526,3 +528,19 @@ class TestBuildRoles:
         rewriter = roles["rewriter"]
         assert isinstance(rewriter, RemoteRewriter)
         assert (rewriter.endpoint, rewriter.timeout) == ("http://localhost:1/r", 3.5)
+
+    def test_search_client_sends_each_get_with_its_timeout(self):
+        cfg = load_config(
+            overrides=[
+                "search.endpoint=http://localhost:1/search",
+                "search.timeout=1.5",
+                "search.fetch_timeout=2.5",
+            ]
+        )
+        client = build_roles(cfg)["search_client"]
+        replies = [FakeResponse(payload={"results": []}), FakeResponse(text="<p>page</p>")]
+        client.session = mock.Mock(wraps=FakeSession(replies))
+        client.search("q")
+        client.fetch("http://localhost:1/page")
+        sent = [(c.args[0], c.kwargs["timeout"]) for c in client.session.get.call_args_list]
+        assert sent == [("http://localhost:1/search", 1.5), ("http://localhost:1/page", 2.5)]

@@ -417,7 +417,7 @@ class TestPrepareRequest:
                 generator.generate(f"Question: q{i}\nAnswer:")
             for i in range(5):
                 client.search(f"query {i}")
-                client.fetch(f"{base}/page/q02.html", timeout=5.0)
+                client.fetch(f"{base}/page/q02.html")
         urls = Counter(call.args[1].url.split("?")[0] for call in stock.call_args_list)
         assert urls == {
             f"{base}/score": 1,
@@ -473,6 +473,7 @@ class Refused(Exception):
 def _reply(outcome):
     return {
         "raise": requests.ConnectionError("down"),
+        "redirect": requests.TooManyRedirects("Exceeded 0 redirects."),
         "ok": FakeResponse(payload={"value": 7}),
         "4xx": FakeResponse(status_code=404, text="gone"),
         "5xx": FakeResponse(status_code=503),
@@ -489,6 +490,8 @@ def _reference(outcomes, retries):
         outcome = outcomes[attempt]
         if outcome in ("raise", "5xx"):
             continue
+        if outcome == "redirect":  # a refused redirect is not retried
+            return attempt + 1, sleeps, f"thing unreachable after {attempt + 1} attempts"
         result = {"ok": 7, "4xx": "thing returned 404: gone", "malformed": "malformed thing reply"}
         return attempt + 1, sleeps, result[outcome]
     return retries + 1, sleeps, f"thing unreachable after {retries + 1} attempts"
@@ -497,7 +500,9 @@ def _reference(outcomes, retries):
 class TestRequestJson:
     @given(
         outcomes=st.lists(
-            st.sampled_from(["raise", "ok", "4xx", "5xx", "malformed"]), min_size=4, max_size=4
+            st.sampled_from(["raise", "ok", "4xx", "5xx", "malformed", "redirect"]),
+            min_size=4,
+            max_size=4,
         ),
         retries=st.integers(0, 3),
     )

@@ -9,7 +9,16 @@ import pytest
 import requests
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import JSON_VALUES, FakeResponse, FakeSession, FakeWeb, TableScorer
+from conftest import (
+    JSON_VALUES,
+    FakeResponse,
+    FakeSession,
+    FakeWeb,
+    TableScorer,
+    a_page,
+    http_server,
+    redirect,
+)
 from ragmend import pipeline
 from ragmend.errors import (
     ConfigError,
@@ -470,6 +479,30 @@ class TestRunDegradedPaths:
         assert record.searched_urls == ()
         assert any("search unavailable" in r.getMessage() for r in caplog.records)
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_search_redirect_is_not_followed(self, tmp_path, lexical, caplog, monkeypatch, status):
+        # The API key would go with a followed redirect: `requests` strips only
+        # Authorization when the host changes. Another port stands for another host.
+        monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", "secret-key")
+        with http_server(a_page) as elsewhere:
+            moved = redirect(status, f"{elsewhere.base_url}/elsewhere?q=capital+city+France")
+            with http_server(moved) as endpoint:
+                client = HttpSearchClient(f"{endpoint.base_url}/search")
+                with pytest.raises(SearchUnavailableError) as exc_info:
+                    client.search("capital city France")
+                with caplog.at_level("WARNING"):
+                    record = run(QUESTION, [DISTRACTOR], web_cfg(tmp_path), lexical, client)
+        assert str(exc_info.value) == f"search returned {status}: "
+        assert elsewhere.requests == []
+        assert [(method, headers["X-API-Key"]) for method, _, headers in endpoint.requests] == [
+            ("GET", "secret-key")
+        ] * 2
+        assert record.knowledge == KnowledgeBundle(BundleKind.EXTERNAL, ())
+        assert record.searched_urls == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"search unavailable, external knowledge is empty: search returned {status}: "
+        ]
+
     def _run_over_mock(self, tmp_path, lexical, rewriter):
         """One Incorrect run whose search GET goes to a mock that knows only the
         local keywords "capital city France"."""
@@ -751,7 +784,7 @@ class WebSession(FakeSession):
         super().__init__([])
         self.search, self.page = search, page
 
-    def get(self, url, params=None, timeout=None, headers=None):
+    def get(self, url, params=None, timeout=None, headers=None, allow_redirects=True):
         self.replies = [self.search if params else self.page]
         return super().get(url, params, timeout, headers)
 

@@ -360,7 +360,7 @@ class TestHttpSearchClient:
         session = FakeSession(replies)
         client = HttpSearchClient("http://localhost:9/search", session=session)
         client.search("q")
-        assert client.fetch("http://pages.example/p", timeout=5) == "<p>page</p>"
+        assert client.fetch("http://pages.example/p") == "<p>page</p>"
         assert session.calls[1] == ("get", "http://pages.example/p", None, None)
 
     @pytest.mark.parametrize("api_key", ["ключ", "sek\nrit", " sekrit"])
@@ -536,7 +536,7 @@ class TestHttpSearchClientFetch:
     def test_page_body(self, fixtures_dir):
         with MockService(fixtures_dir) as svc, requests.Session() as session:
             client = HttpSearchClient(f"{svc.base_url}/search", session=session)
-            body = client.fetch(f"{svc.base_url}/page/q01.html", timeout=5)
+            body = client.fetch(f"{svc.base_url}/page/q01.html")
         assert "Paris" in body
 
     def test_missing_page_is_fetch_error_with_status(self, fixtures_dir):
@@ -544,7 +544,7 @@ class TestHttpSearchClientFetch:
             client = HttpSearchClient(f"{svc.base_url}/search", session=session)
             url = f"{svc.base_url}/page/no-such-page.html"
             with pytest.raises(FetchError, match="page returned 404") as exc_info:
-                client.fetch(url, timeout=5)
+                client.fetch(url)
         assert exc_info.value.url == url
 
     @pytest.mark.parametrize(
@@ -559,7 +559,7 @@ class TestHttpSearchClientFetch:
         session = FakeSession([reply])
         client = HttpSearchClient("http://localhost:9/search", session=session)
         with pytest.raises(FetchError) as exc_info:
-            client.fetch("http://localhost:9/page/a", timeout=5)
+            client.fetch("http://localhost:9/page/a")
         assert str(exc_info.value) == f"fetch failed for http://localhost:9/page/a: {reason}"
         assert session.calls == [("get", "http://localhost:9/page/a", None, None)]
 
@@ -568,7 +568,7 @@ class TestHttpSearchClientFetch:
         with requests.Session() as session:
             client = HttpSearchClient(f"http://127.0.0.1:{closed_port}/search", session=session)
             with pytest.raises(FetchError) as exc_info:
-                client.fetch(url, timeout=5)
+                client.fetch(url)
         assert exc_info.value.url == url
 
     def test_fetch_reconnects_after_server_drops_connection(self, tmp_path, wire_counts):
