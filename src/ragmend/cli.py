@@ -15,11 +15,11 @@ import os
 import sys
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urlparse
 
 from . import config as config_mod
 from . import harness
-from .errors import ConfigError, InputError, OfflineViolationError, RemoteError
+from .errors import ConfigError, InputError, RemoteError
+from .http_session import is_local_url
 from .mockserver import MockService
 from .pipeline import PipelineConfig
 from .scoring import Document, Query, build_scorer
@@ -34,42 +34,20 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_LOCAL_HOSTS = {"localhost", "127.0.0.1", "::1"}
-
-
-def _is_local_url(url: str) -> bool:
-    return (urlparse(url).hostname or "") in _LOCAL_HOSTS
-
-
-class OfflineGuard:
-    """A search client that refuses to fetch pages from non-local hosts."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def search(self, query: str) -> list:
-        return self.inner.search(query)
-
-    def fetch(self, url: str) -> str:
-        if not _is_local_url(url):
-            raise OfflineViolationError(f"offline mode forbids fetching {url}")
-        return self.inner.fetch(url)
-
-
 def _check_offline(cfg: PipelineConfig) -> None:
     """Reject any configured non-local endpoint before network activity."""
     for section, values in config_mod.config_snapshot(cfg).items():
         url = values.get("endpoint")
-        if url and not _is_local_url(url):
+        if url and not is_local_url(url):
             raise ConfigError(f"--offline forbids non-local endpoint {section}.endpoint={url}")
 
 
-def _follow_no_redirects(roles) -> None:
-    """Make each remote role's session refuse a redirect before its next hop:
-    under --offline a local host could redirect to any other."""
+def _local_only(roles) -> None:
+    """Make each remote role's session send only to local hosts, with no proxy:
+    a local host could redirect to any other, or a proxy stand in the way."""
     for role in roles:
         if hasattr(role, "session"):
-            role.session.max_redirects = 0
+            role.session.local_only = True
 
 
 def port(text: str) -> int:
@@ -103,7 +81,7 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--offline",
         action="store_true",
-        help="forbid all non-local endpoints and fetches",
+        help="send only to localhost, 127.0.0.1 or ::1, with no proxy",
     )
 
 
@@ -165,7 +143,7 @@ def cmd_judge(args: argparse.Namespace) -> int:
     docs = _load_docs_jsonl(args.docs_file)
     scorer = build_scorer(cfg.scorer)
     if args.offline:
-        _follow_no_redirects([scorer])
+        _local_only([scorer])
     scores = scorer.score_batch(question.text, [doc.text for doc in docs])
     judgment = judge(scores, cfg.thresholds)
     print(
@@ -194,9 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _writing(path, path.parent.mkdir, parents=True, exist_ok=True)
     roles = config_mod.build_roles(cfg)
     if args.offline:
-        _follow_no_redirects(roles.values())
-        if roles["search_client"] is not None:
-            roles["search_client"] = OfflineGuard(roles["search_client"])
+        _local_only(roles.values())
     degradation = None if args.degrade_p is None else (args.degrade_p, args.seed)
 
     report = harness.run_experiment(

@@ -42,7 +42,7 @@ import weakref
 from datetime import timedelta
 from http.client import HTTPConnection, HTTPException
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Optional
 from urllib.parse import urlsplit
 
 import requests
@@ -56,9 +56,17 @@ from requests.utils import get_encoding_from_headers, select_proxy
 from urllib3 import HTTPResponse
 from urllib3.util import wait_for_read
 
-from .errors import ConfigError
+from .errors import ConfigError, OfflineViolationError
 
 logger = logging.getLogger(__name__)
+
+# The hosts a session with `local_only` on may send to.
+LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "::1"})
+
+
+def is_local_url(url: str) -> bool:
+    return (urlsplit(url).hostname or "") in LOCAL_HOSTS
+
 
 # The largest timeout, in seconds, a config may set: one day. A much larger one
 # (from ~9.2e9 s, or Infinity) overflows `socket.settimeout` on the first request.
@@ -69,6 +77,20 @@ def check_timeout(key: str, value: float) -> None:
     """Raise ConfigError naming `key` unless 0 < value <= MAX_TIMEOUT_S (NaN fails)."""
     if not 0 < value <= MAX_TIMEOUT_S:
         raise ConfigError(f"{key} must be > 0 and at most {MAX_TIMEOUT_S:g} s, got {value!r}")
+
+
+def check_endpoint(key: str, value: Optional[str]) -> None:
+    """Raise ConfigError naming `key` unless `value` is None or an http or https
+    URL with a host, and a port in 0-65535 if it names one."""
+    if value is None:
+        return
+    try:
+        parts = urlsplit(value)
+        parts.port  # raises ValueError for a port that is not a number in 0-65535
+    except ValueError:
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"{key} must be an http or https URL with a host, got {value!r}")
 
 
 def request(
@@ -84,7 +106,7 @@ def request(
     `send` makes one attempt. A transport error or a 5xx reply is retried
     after a 0.1 * 2**k s sleep before retry k+1, with one warning per retry;
     after `retries + 1` failed attempts `error` is raised, unlogged: its catcher
-    logs it. A redirect the session refuses (`TooManyRedirects`), any other
+    logs it. A redirect loop (`TooManyRedirects`), any other
     non-200 reply, or a reply `read` rejects with ValueError, KeyError or
     TypeError (`malformed <what> reply: ...`), raises `error` at once.
     """
@@ -298,10 +320,16 @@ class EnvCachedSession(requests.Session):
     The session sends plain-http requests through a `KeepAliveAdapter`, which
     leaves the rest to `requests`' own adapter; `close` closes its idle
     connections. `send` returns the adapter's plain reply as it is; see there.
+
+    With `local_only` on (`--offline`), `send`, which sends every request and
+    every redirect hop, raises OfflineViolationError for a URL whose host is
+    not in `LOCAL_HOSTS` before anything is sent, and sends the rest without
+    a proxy or a `Proxy-Authorization` header.
     """
 
     # Bounds each cache, for a session that talks to many hosts or URLs.
     MAX_CACHED = 256
+    local_only = False
 
     def __init__(self):
         super().__init__()
@@ -363,6 +391,12 @@ class EnvCachedSession(requests.Session):
         gets `requests`' own steps: cookies, redirects (or `next`) and the body.
         Every other request takes the stock `send`.
         """
+        if self.local_only:
+            if not is_local_url(request.url):
+                raise OfflineViolationError(f"offline mode forbids sending to {request.url}")
+            # `resolve_redirects` gives a hop the environment proxy's credentials.
+            request.headers.pop("Proxy-Authorization", None)
+            kwargs["proxies"] = {}
         if (
             not isinstance(request, PreparedRequest)
             or any(request.hooks.values())

@@ -25,7 +25,7 @@ from .errors import (
     RewriteError,
     SearchUnavailableError,
 )
-from .http_session import EnvCachedSession, check_timeout, request
+from .http_session import EnvCachedSession, check_endpoint, check_timeout, request
 from .prompts import REWRITE_PROMPT, fill
 from .refinement import (
     STRIP_SEPARATOR,
@@ -104,6 +104,8 @@ class PipelineConfig:
         if self.generator_retries < 0:
             raise ConfigError("generator.retries must be >= 0")
         check_timeout("generator.timeout", self.generator_timeout)
+        check_endpoint("generator.endpoint", self.generator_endpoint)
+        check_endpoint("rewriter.endpoint", self.rewriter_endpoint)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import requests
 
 from .errors import ConfigError, ScorerUnavailableError
-from .http_session import EnvCachedSession, check_timeout, request
+from .http_session import EnvCachedSession, check_endpoint, check_timeout, request
 from .prompts import RELEVANCE_PROMPTS, fill
 
 _TOKEN = re.compile(r"[^\W_]+")
@@ -98,6 +98,7 @@ class ScorerConfig:
         if self.retries < 0:
             raise ConfigError("scorer.retries must be >= 0")
         check_timeout("scorer.timeout", self.timeout)
+        check_endpoint("scorer.endpoint", self.endpoint)
         if self.prompt is not None and self.prompt not in RELEVANCE_PROMPTS:
             raise ConfigError(
                 f"scorer.prompt must be one of {sorted(RELEVANCE_PROMPTS)}, got {self.prompt!r}"

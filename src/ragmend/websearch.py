@@ -25,7 +25,7 @@ from urllib.parse import urlparse
 import requests
 
 from .errors import ConfigError, FetchError, RewriteError, SearchUnavailableError
-from .http_session import EnvCachedSession, check_timeout, request
+from .http_session import EnvCachedSession, check_endpoint, check_timeout, request
 from .refinement import KnowledgeStrip, RefineConfig, filter_strips
 from .scoring import Query, Scorer
 
@@ -77,6 +77,7 @@ class SearchConfig:
             raise ConfigError("search.retries must be >= 0")
         check_timeout("search.timeout", self.timeout)
         check_timeout("search.fetch_timeout", self.fetch_timeout)
+        check_endpoint("search.endpoint", self.endpoint)
         object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
 

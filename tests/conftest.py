@@ -1,7 +1,9 @@
 """Shared fixtures and test doubles."""
 
 import json
+import shutil
 import socket
+import subprocess
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -158,18 +160,22 @@ class _RouteHandler(BaseHTTPRequestHandler):
 
 
 @contextmanager
-def http_server(reply, host="127.0.0.1"):
+def http_server(reply, host="127.0.0.1", tls=None):
     """A server on a free port of `host` whose `reply(path)` gives each reply as
     (status, headers, body); its `requests` lists each (method, path, headers)
-    it got and its `base_url` is where it listens. A host that cannot be bound
-    skips the test: Linux loopback answers all of 127/8, other systems may not."""
+    it got and its `base_url` is where it listens. With `tls`, an
+    `ssl.SSLContext` holding a certificate, it serves https. A host that cannot
+    be bound skips the test: Linux loopback answers all of 127/8, other systems
+    may not."""
     try:
         server = ThreadingHTTPServer((host, 0), _RouteHandler)
     except OSError as exc:
         pytest.skip(f"cannot bind {host}: {exc}")
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
     server.daemon_threads = True
     server.reply, server.requests = reply, []
-    server.base_url = f"http://{host}:{server.server_address[1]}"
+    server.base_url = f"{'https' if tls else 'http'}://{host}:{server.server_address[1]}"
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
@@ -177,6 +183,40 @@ def http_server(reply, host="127.0.0.1"):
     finally:
         server.shutdown()
         server.server_close()
+
+
+@contextmanager
+def silent_listener(host="127.0.0.1"):
+    """A socket listening on a free port of `host` that accepts nothing, so a
+    connection made to it waits in its queue: `listener.accept()` on the
+    non-blocking socket raises BlockingIOError if none was made."""
+    sock = socket.socket()
+    try:
+        sock.bind((host, 0))
+    except OSError as exc:
+        sock.close()
+        pytest.skip(f"cannot bind {host}: {exc}")
+    sock.listen(8)
+    sock.setblocking(False)
+    with sock:
+        yield sock
+
+
+@pytest.fixture(scope="session")
+def tls_certificate(tmp_path_factory) -> tuple[Path, Path]:
+    """A self-signed certificate for 127.0.0.1 and its key, as two files made
+    with the openssl tool; without the tool the test is skipped."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl tool is not installed")
+    cert, key = (tmp_path_factory.mktemp("tls") / name for name in ("cert.pem", "key.pem"))
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1"]
+        + ["-nodes", "-days", "1", "-subj", "/CN=127.0.0.1"]
+        + ["-addext", "subjectAltName=IP:127.0.0.1", "-keyout", key, "-out", cert],
+        check=True,
+        capture_output=True,
+    )
+    return cert, key
 
 
 def redirect(status, location):

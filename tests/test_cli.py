@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, outputs, offline guard."""
+"""Command-line behavior: exit codes, outputs, offline mode."""
 
 import _thread
 import csv
@@ -6,6 +6,7 @@ import json
 import os
 import signal
 import socket
+import ssl
 import subprocess
 import sys
 import tempfile
@@ -17,12 +18,10 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
-from conftest import JSON_VALUES, FakeWeb, a_page, http_server, redirect
+from conftest import JSON_VALUES, a_page, http_server, redirect, silent_listener
 import ragmend
 from ragmend import cli, harness
 from ragmend.cli import (
-    OfflineGuard,
-    _is_local_url,
     _load_docs_jsonl,
     build_parser,
     default_fixtures_dir,
@@ -30,6 +29,7 @@ from ragmend.cli import (
 )
 from ragmend.config import SCHEMA
 from ragmend.errors import InputError, OfflineViolationError
+from ragmend.http_session import is_local_url
 from ragmend.mockserver import MockService
 
 
@@ -87,22 +87,7 @@ class TestLocalUrlChecks:
         ],
     )
     def test_is_local(self, url, expected):
-        assert _is_local_url(url) is expected
-
-    def test_guard_blocks_remote(self):
-        inner = FakeWeb(pages={"http://example.com/page": "<p>body</p>"})
-        with pytest.raises(OfflineViolationError):
-            OfflineGuard(inner).fetch("http://example.com/page")
-        assert inner.fetched == []
-
-    def test_guard_delegates_local(self):
-        inner = FakeWeb(
-            {"q": ["http://example.com/page"]}, {"http://localhost:9/x": "<p>body</p>"}
-        )
-        guard = OfflineGuard(inner)
-        assert guard.search("q") == ["http://example.com/page"]
-        assert guard.fetch("http://localhost:9/x") == "<p>body</p>"
-        assert (inner.queries, inner.fetched) == (["q"], ["http://localhost:9/x"])
+        assert is_local_url(url) is expected
 
 
 class TestArgParsing:
@@ -779,75 +764,150 @@ class TestRunOutputsNameNoInput:
                 assert _tree(root) == before
 
 
-class TestOfflineFollowsNoRedirect:
-    """Under --offline a redirect from a local host is refused before the next hop;
-    127.0.0.2 is not one of the local hosts."""
+def _web_with_page_at(page_url, page_reply):
+    """A `reply` for `http_server` whose /search finds the one URL `page_url()`
+    gives (called once the server listens) and whose other paths answer with
+    `page_reply(path)`."""
+
+    def reply(path):
+        if path.startswith("/search"):
+            results = {"results": [{"url": page_url()}]}
+            return 200, {"Content-Type": "application/json"}, json.dumps(results)
+        return page_reply(path)
+
+    return reply
+
+
+def _run_incorrect(tmp_path, search_base, *options):
+    """`run` of the mini dataset down the web path, returning (exit code, records)."""
+    report_path = tmp_path / "report.json"
+    code = main(
+        [
+            "run",
+            str(mini_dataset(tmp_path)),
+            *options,
+            "--report",
+            str(report_path),
+            "--set",
+            f"search.endpoint={search_base}/search",
+            "--set",
+            f"search.cache_dir={tmp_path / 'cache'}",
+            "--set",
+            "ablations.only_action=Incorrect",
+        ]
+    )
+    records = json.loads(report_path.read_text())["records"] if code == 0 else None
+    return code, records
+
+
+def _judge_remote(tmp_path, endpoint, *options):
+    return main(
+        [
+            "judge",
+            "What is the capital city of France?",
+            str(docs_file(tmp_path)),
+            "--set",
+            "scorer.kind=remote",
+            "--set",
+            f"scorer.endpoint={endpoint}",
+            *options,
+        ]
+    )
+
+
+def _score(path):
+    return 200, {"Content-Type": "application/json"}, json.dumps({"score": 0.5})
+
+
+PROXY_VARIABLES = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY")
+
+
+class TestOfflineRedirects:
+    """Under --offline every redirect hop is sent by the role's session, which
+    sends only to a local host; 127.0.0.2 is not one of the local hosts."""
 
     @pytest.mark.parametrize("offline", [True, False])
-    def test_run_skips_a_page_that_redirects_away(self, tmp_path, caplog, offline):
+    def test_run_stops_at_a_page_that_redirects_away(self, tmp_path, capsys, offline):
         with http_server(a_page, host="127.0.0.2") as elsewhere:
-
-            def local_web(path):
-                if path.startswith("/search"):
-                    results = {"results": [{"url": f"{local.base_url}/page"}]}
-                    return 200, {"Content-Type": "application/json"}, json.dumps(results)
-                return redirect(302, f"{elsewhere.base_url}/elsewhere")(path)
-
-            with http_server(local_web) as local, caplog.at_level("WARNING"):
-                report_path = tmp_path / "report.json"
-                code = main(
-                    [
-                        "run",
-                        str(mini_dataset(tmp_path)),
-                        *(["--offline"] if offline else []),
-                        "--report",
-                        str(report_path),
-                        "--set",
-                        f"search.endpoint={local.base_url}/search",
-                        "--set",
-                        f"search.cache_dir={tmp_path / 'cache'}",
-                        "--set",
-                        "ablations.only_action=Incorrect",
-                    ]
-                )
-        assert code == 0
-        records = json.loads(report_path.read_text())["records"]
-        assert [r["searched_urls"] for r in records] == [[f"{local.base_url}/page"]] * 2
+            away = redirect(302, f"{elsewhere.base_url}/elsewhere")
+            with http_server(_web_with_page_at(lambda: f"{local.base_url}/page", away)) as local:
+                options = ["--offline"] if offline else []
+                code, records = _run_incorrect(tmp_path, local.base_url, *options)
         if not offline:  # without --offline a page GET follows its redirect
+            assert code == 0
             assert [path for _, path, _ in elsewhere.requests] == ["/elsewhere"]
             assert [r["knowledge"] for r in records] == ["A page from elsewhere."] * 2
             return
-        assert elsewhere.requests == []
-        assert [r["knowledge"] for r in records] == ["", ""]
-        skipped = (
-            f"skipping unfetchable page: fetch failed for {local.base_url}/page: "
-            "page unreachable after 1 attempts: Exceeded 0 redirects."
-        )
-        assert [r.getMessage() for r in caplog.records] == [skipped] * 2
-
-    def test_judge_scorer_redirect_is_a_scorer_error_at_once(self, tmp_path, capsys):
-        # The scorer's default retries are not spent: each attempt would be redirected alike.
-        with http_server(a_page, host="127.0.0.2") as elsewhere:
-            moved = redirect(307, f"{elsewhere.base_url}/score")
-            with http_server(moved) as local:
-                code = main(
-                    [
-                        "judge",
-                        "What is the capital city of France?",
-                        str(docs_file(tmp_path)),
-                        "--offline",
-                        "--set",
-                        "scorer.kind=remote",
-                        "--set",
-                        f"scorer.endpoint={local.base_url}/score",
-                    ]
-                )
         assert code == 3
         assert capsys.readouterr().err == (
-            "error: scorer unreachable after 1 attempts: Exceeded 0 redirects.\n"
+            f"error: instance 'm1': offline mode forbids sending to {elsewhere.base_url}/elsewhere\n"
+        )
+        assert elsewhere.requests == []
+
+    def test_run_follows_a_local_redirect(self, tmp_path):
+        def moved(path):
+            if path == "/page":
+                return redirect(302, "/moved")(path)
+            return 200, {}, "<p>The capital city of France is Paris.</p>"
+
+        with http_server(_web_with_page_at(lambda: f"{local.base_url}/page", moved)) as local:
+            code, records = _run_incorrect(tmp_path, local.base_url, "--offline")
+        assert code == 0
+        assert [r["knowledge"] for r in records] == ["The capital city of France is Paris."] * 2
+        # The second question reads the page from the cache.
+        pages = [path for _, path, _ in local.requests if not path.startswith("/search")]
+        assert pages == ["/page", "/moved"]
+
+    def test_judge_scorer_redirect_away_exits_3_at_once(self, tmp_path, capsys):
+        # The scorer's default retries are not spent: the refusal is not a transport error.
+        with http_server(a_page, host="127.0.0.2") as elsewhere:
+            with http_server(redirect(307, f"{elsewhere.base_url}/score")) as local:
+                code = _judge_remote(tmp_path, f"{local.base_url}/score", "--offline")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: offline mode forbids sending to {elsewhere.base_url}/score\n"
         )
         assert elsewhere.requests == []
         assert [(method, path) for method, path, _ in local.requests] == [("POST", "/score")]
+
+    def test_judge_redirect_loop_is_a_scorer_error_at_once(self, tmp_path, capsys):
+        with http_server(redirect(307, "/score")) as local:
+            code = _judge_remote(tmp_path, f"{local.base_url}/score")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: scorer unreachable after 1 attempts: Exceeded 30 redirects.\n"
+        )
+        # The first POST and 30 hops, and no retry: each attempt would loop alike.
+        assert [(method, path) for method, path, _ in local.requests] == [("POST", "/score")] * 31
+
+
+class TestOfflineUsesNoProxy:
+    """Under --offline no proxy from the environment sees a role's request."""
+
+    @pytest.mark.parametrize("variable", ["HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"])
+    def test_judge_posts_to_the_local_scorer_directly(
+        self, tmp_path, capsys, monkeypatch, tls_certificate, variable
+    ):
+        for name in PROXY_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.lower(), raising=False)
+        # An HTTPS_PROXY is read only for an https URL.
+        tls = None
+        if variable == "HTTPS_PROXY":
+            tls = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+            tls.load_cert_chain(*tls_certificate)
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tls_certificate[0]))
+        with silent_listener("127.0.0.2") as proxy, http_server(_score, tls=tls) as local:
+            monkeypatch.setenv(variable, "http://127.0.0.2:%d" % proxy.getsockname()[1])
+            # Short of a hang at a proxy that never answers.
+            code = _judge_remote(
+                tmp_path, f"{local.base_url}/score", "--offline", "--set", "scorer.timeout=2"
+            )
+            with pytest.raises(BlockingIOError):
+                proxy.accept()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["scores"] == [0.5, 0.5]
+        assert [(method, path) for method, path, _ in local.requests] == [("POST", "/score")] * 2
 
 
 class TestRunAgainstMockService:

@@ -8,9 +8,11 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+import requests
+from hypothesis import given, settings, strategies as st
 
 from conftest import FakeResponse, FakeSession
+from ragmend import cli
 from ragmend import (
     AblationFlags,
     HttpSearchClient,
@@ -180,6 +182,11 @@ class TestOverrides:
     )
     def test_text_keys_keep_json_of_another_type(self, pair):
         key, raw = pair.split("=")
+        if key.endswith(".endpoint"):  # the endpoint check sees the kept text
+            message = f"{key} must be an http or https URL with a host, got '{raw}'"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_config(overrides=[pair])
+            return
         assert str(field_value(load_config(overrides=[pair]), *key.split("."))) == raw
 
     def test_null_clears_endpoint(self, tmp_path):
@@ -400,6 +407,55 @@ class TestValueTypes:
         key = pair.split("=")[0]
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be"):
             load_config(overrides=[pair])
+
+    ENDPOINT_KEYS = [
+        "search.endpoint",
+        "scorer.endpoint",
+        "generator.endpoint",
+        "rewriter.endpoint",
+    ]
+
+    @pytest.mark.parametrize("key", ENDPOINT_KEYS)
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "http://[::1",
+            "localhost:8080/score",
+            "ftp://localhost/x",
+            "http:///x",
+            "http://localhost:99999/x",
+            "http://localhost:port/x",
+            "",
+        ],
+    )
+    def test_endpoint_must_be_an_http_url_with_a_host(self, key, url):
+        message = f"{key} must be an http or https URL with a host, got {url!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(overrides=[f"{key}={url}"])
+
+    @pytest.mark.parametrize("key", ENDPOINT_KEYS)
+    @pytest.mark.parametrize("url", ["https://example.com", "http://[::1]:0/s", "HTTP://Localhost/"])
+    def test_endpoint_url_loads(self, key, url):
+        cfg = load_config(overrides=[f"{key}={url}"])
+        assert field_value(cfg, *key.split(".")) == url
+
+    # No deadline: under a line tracer one example can take longer than 200 ms.
+    @settings(deadline=None)
+    @given(
+        text=st.text()
+        | st.sampled_from(["http://", "https://", "http://[", "http://a:", "http://localhost"])
+        .flatmap(lambda head: st.text().map(head.__add__))
+    )
+    def test_any_endpoint_loads_checked_or_raises_config_error(self, text):
+        with mock.patch.object(requests.Session, "send", side_effect=AssertionError("sent")):
+            try:
+                cfg = load_config(None, ["scorer.kind=remote", f"scorer.endpoint={text}"])
+            except ConfigError:
+                return
+            try:
+                cli._check_offline(cfg)
+            except ConfigError as exc:
+                assert str(exc).startswith("--offline forbids non-local endpoint scorer.endpoint=")
 
     def test_remote_scorer_without_endpoint_names_it(self):
         with pytest.raises(ConfigError, match=r"^scorer\.endpoint must be set"):

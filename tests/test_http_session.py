@@ -12,6 +12,8 @@ and redirect passes, and a request's head and body leave in one write.
 import gc
 import gzip
 import io
+import itertools
+import os
 import socket
 import sys
 import threading
@@ -34,9 +36,10 @@ from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 from requests.exceptions import ChunkedEncodingError
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import FakeResponse, FakeSession
+from conftest import FakeResponse, FakeSession, a_page, http_server, silent_listener
 from ragmend.errors import (
     GenerationError,
+    OfflineViolationError,
     RemoteError,
     RewriteError,
     ScorerUnavailableError,
@@ -473,7 +476,7 @@ class Refused(Exception):
 def _reply(outcome):
     return {
         "raise": requests.ConnectionError("down"),
-        "redirect": requests.TooManyRedirects("Exceeded 0 redirects."),
+        "redirect": requests.TooManyRedirects("Exceeded 30 redirects."),
         "ok": FakeResponse(payload={"value": 7}),
         "4xx": FakeResponse(status_code=404, text="gone"),
         "5xx": FakeResponse(status_code=503),
@@ -490,7 +493,7 @@ def _reference(outcomes, retries):
         outcome = outcomes[attempt]
         if outcome in ("raise", "5xx"):
             continue
-        if outcome == "redirect":  # a refused redirect is not retried
+        if outcome == "redirect":  # a redirect loop is not retried
             return attempt + 1, sleeps, f"thing unreachable after {attempt + 1} attempts"
         result = {"ok": 7, "4xx": "thing returned 404: gone", "malformed": "malformed thing reply"}
         return attempt + 1, sleeps, result[outcome]
@@ -950,15 +953,6 @@ class TestPlainReplyPath:
         assert heard == [200]
 
 
-def _silent_listener():
-    """A listening socket that never accepts: the kernel completes the
-    handshake, and the request is never answered."""
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(4)
-    return sock
-
-
 def _hanging_up(raw):
     """A reply function that sends `raw` and closes the connection."""
     return lambda path, n: (raw, True)
@@ -985,7 +979,7 @@ class TestKeepAliveAdapterErrors:
 
     @pytest.mark.parametrize("build", [_stock_session, EnvCachedSession], ids=["stock", "new"])
     def test_silent_listener_is_a_read_timeout(self, build):
-        with _silent_listener() as listener, build() as session:
+        with silent_listener() as listener, build() as session:
             url = "http://127.0.0.1:%d/score" % listener.getsockname()[1]
             start = time.monotonic()
             with pytest.raises(requests.ReadTimeout):
@@ -1156,3 +1150,80 @@ class TestKeepAliveAdapterFallback:
         ) as spy, EnvCachedSession() as session:
             assert OWN_REQUESTS[name](session, server.base_url + "/x").content == b"own"
         assert spy.call_count == 0
+
+
+class TestLocalOnly:
+    """A session with `local_only` on sends each request and each redirect hop
+    only to a local host, and through no proxy; 127.0.0.2 is not a local host."""
+
+    def test_off_sends_to_any_host(self):
+        with http_server(a_page, host="127.0.0.2") as elsewhere, EnvCachedSession() as session:
+            assert session.get(f"{elsewhere.base_url}/page").text == "<p>A page from elsewhere.</p>"
+        assert [path for _, path, _ in elsewhere.requests] == ["/page"]
+
+    def test_on_refuses_a_non_local_url_before_connecting(self):
+        with silent_listener("127.0.0.2") as listener, EnvCachedSession() as session:
+            session.local_only = True
+            url = "http://127.0.0.2:%d/page" % listener.getsockname()[1]
+            with pytest.raises(OfflineViolationError, match=f"^offline mode forbids sending to {url}$"):
+                session.post(url, json={}, timeout=5)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
+    def test_redirect_hop_carries_no_proxy_credentials(self, monkeypatch):
+        _clean_environment(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://user:pw@127.0.0.2:9")
+
+        def moved(path):
+            return (302, {"Location": "/b"}, "") if path == "/a" else (200, {}, "b")
+
+        with http_server(moved) as local, EnvCachedSession() as session:
+            session.local_only = True
+            assert session.get(f"{local.base_url}/a", timeout=5).text == "b"
+        assert [(path, "Proxy-Authorization" in headers) for _, path, headers in local.requests] == [
+            ("/a", False),
+            ("/b", False),
+        ]
+
+    def test_redirect_chains_and_proxies(self):
+        table = {}
+        with http_server(table.get) as local, http_server(a_page, host="127.0.0.2") as away:
+            bases = {
+                "127.0.0.1": local.base_url,
+                "localhost": local.base_url.replace("127.0.0.1", "localhost"),
+                "127.0.0.2": away.base_url,
+            }
+            chains = itertools.count()
+
+            # No deadline: under a line tracer one example can take longer than 200 ms.
+            @settings(deadline=None, max_examples=50)
+            @given(
+                hosts=st.lists(st.sampled_from(sorted(bases)), min_size=1, max_size=5),
+                statuses=st.lists(st.sampled_from([301, 302, 303, 307, 308]), min_size=4),
+                proxy=st.sampled_from([None, "HTTP_PROXY", "http_proxy", "ALL_PROXY"]),
+            )
+            def fetch_through(hosts, statuses, proxy):
+                chain = next(chains)
+                urls = [f"{bases[host]}/{chain}/{i}" for i, host in enumerate(hosts)]
+                for i, (url, status) in enumerate(zip(urls[1:], statuses)):
+                    table[f"/{chain}/{i}"] = status, {"Location": url}, ""
+                table[f"/{chain}/{len(urls) - 1}"] = 200, {}, f"chain {chain}"
+                with pytest.MonkeyPatch.context() as mp:
+                    _clean_environment(mp)
+                    if proxy:
+                        mp.setenv(proxy, away.base_url)
+                    client = HttpSearchClient(f"{local.base_url}/search")
+                    client.session.local_only = True
+                    away_urls = [url for url in urls if url.startswith(away.base_url)]
+                    try:
+                        if away_urls:
+                            message = f"^offline mode forbids sending to {away_urls[0]}$"
+                            with pytest.raises(OfflineViolationError, match=message):
+                                client.fetch(urls[0])
+                        else:
+                            assert client.fetch(urls[0]) == f"chain {chain}"
+                    finally:
+                        client.session.close()
+
+            fetch_through()
+            assert away.requests == []
