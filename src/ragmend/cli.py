@@ -34,17 +34,14 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-def _check_offline(cfg: PipelineConfig) -> None:
-    """Reject any configured non-local endpoint before network activity."""
+def _offline(cfg: PipelineConfig, roles) -> None:
+    """Refuse a configured non-local endpoint, then make each remote role's
+    session send only to local hosts, with no proxy: a local host could
+    redirect to any other, or a proxy stand in the way."""
     for section, values in config_mod.config_snapshot(cfg).items():
         url = values.get("endpoint")
         if url and not is_local_url(url):
             raise ConfigError(f"--offline forbids non-local endpoint {section}.endpoint={url}")
-
-
-def _local_only(roles) -> None:
-    """Make each remote role's session send only to local hosts, with no proxy:
-    a local host could redirect to any other, or a proxy stand in the way."""
     for role in roles:
         if hasattr(role, "session"):
             role.session.local_only = True
@@ -134,16 +131,14 @@ def _load_docs_jsonl(path: Path) -> list[Document]:
 
 def cmd_judge(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config, args.overrides)
+    scorer = build_scorer(cfg.scorer)
     if args.offline:
-        _check_offline(cfg)
+        _offline(cfg, [scorer])
     try:
         question = Query(args.question)
     except ValueError as exc:
         raise InputError(f"question: {exc}") from None
     docs = _load_docs_jsonl(args.docs_file)
-    scorer = build_scorer(cfg.scorer)
-    if args.offline:
-        _local_only([scorer])
     scores = scorer.score_batch(question.text, [doc.text for doc in docs])
     judgment = judge(scores, cfg.thresholds)
     print(
@@ -156,23 +151,20 @@ def cmd_judge(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = config_mod.load_config(args.config, args.overrides)
+    roles = config_mod.build_roles(cfg)
     if args.offline:
-        _check_offline(cfg)
-
+        _offline(cfg, roles.values())
     instances = harness.load_dataset(args.dataset)
-    # Refuse an output file that cannot be written before any instance runs.
+    # Every exit-2 check runs before an output's parent directory is made.
     outputs = list(filter(None, (args.report, args.csv)))
     for i, path in enumerate(outputs):
         for other in filter(None, (args.dataset, args.config, *outputs[:i])):
             if _same_file(path, other):
                 raise InputError(f"cannot write {path}: it is the same file as {other}")
-    for path in outputs:
         if path.is_dir():
             raise InputError(f"cannot write {path}: it is a directory")
+    for path in outputs:
         _writing(path, path.parent.mkdir, parents=True, exist_ok=True)
-    roles = config_mod.build_roles(cfg)
-    if args.offline:
-        _local_only(roles.values())
     degradation = None if args.degrade_p is None else (args.degrade_p, args.seed)
 
     report = harness.run_experiment(

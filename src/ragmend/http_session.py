@@ -64,8 +64,17 @@ logger = logging.getLogger(__name__)
 LOCAL_HOSTS = frozenset({"localhost", "127.0.0.1", "::1"})
 
 
+def _sent_parts(url: str):
+    """`urlsplit` of `url` as `requests` prepares it; a ValueError where it cannot."""
+    prepared = PreparedRequest()
+    prepared.prepare_headers(None)
+    prepared.prepare_url(url, None)  # raises MissingSchema or InvalidURL, both ValueErrors
+    prepared.prepare_auth(None)  # raises for a user name or password outside Latin-1
+    return urlsplit(prepared.url)
+
+
 def is_local_url(url: str) -> bool:
-    return (urlsplit(url).hostname or "") in LOCAL_HOSTS
+    return (_sent_parts(url).hostname or "") in LOCAL_HOSTS
 
 
 # The largest timeout, in seconds, a config may set: one day. A much larger one
@@ -81,12 +90,11 @@ def check_timeout(key: str, value: float) -> None:
 
 def check_endpoint(key: str, value: Optional[str]) -> None:
     """Raise ConfigError naming `key` unless `value` is None or an http or https
-    URL with a host, and a port in 0-65535 if it names one."""
+    URL with a host, and a port in 0-65535 if it names one, as `requests` sends it."""
     if value is None:
         return
     try:
-        parts = urlsplit(value)
-        parts.port  # raises ValueError for a port that is not a number in 0-65535
+        parts = _sent_parts(value)
     except ValueError:
         parts = None
     if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:

@@ -156,7 +156,8 @@ def search(query: str, client, cfg: SearchConfig) -> list[str]:
 
 
 def _read_urls(resp: requests.Response) -> list[str]:
-    """Each result's `url`, each an absolute URL string that encodes as UTF-8."""
+    """Each result's `url`, each an absolute URL string that encodes as UTF-8,
+    with no backslash in its authority."""
     urls = [item["url"] for item in resp.json()["results"]]
     for url in urls:
         if not isinstance(url, str):
@@ -168,6 +169,9 @@ def _read_urls(resp: requests.Response) -> list[str]:
             raise ValueError(f"url must be a valid UTF-8 URL, got {url!r}: {exc}") from exc
         if not parsed.scheme or not parsed.netloc:
             raise ValueError(f"url must be absolute, got {url!r}")
+        # `requests` ends the host at a backslash, so such a URL is sent to another host.
+        if "\\" in parsed.netloc:
+            raise ValueError(f"url must have no backslash in its authority, got {url!r}")
     return urls
 
 

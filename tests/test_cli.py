@@ -29,7 +29,6 @@ from ragmend.cli import (
 )
 from ragmend.config import SCHEMA
 from ragmend.errors import InputError, OfflineViolationError
-from ragmend.http_session import is_local_url
 from ragmend.mockserver import MockService
 
 
@@ -73,21 +72,6 @@ def mini_dataset(tmp_path):
         ),
     ]
     return write_lines(tmp_path / "mini.jsonl", lines)
-
-
-class TestLocalUrlChecks:
-    @pytest.mark.parametrize(
-        "url,expected",
-        [
-            ("http://localhost:8080/x", True),
-            ("http://127.0.0.1/x", True),
-            ("http://[::1]:9/x", True),
-            ("http://example.com/x", False),
-            ("https://wikipedia.org/wiki/A", False),
-        ],
-    )
-    def test_is_local(self, url, expected):
-        assert is_local_url(url) is expected
 
 
 class TestArgParsing:
@@ -646,15 +630,35 @@ class TestRunDestinations:
         assert code == 2
         assert f"error: cannot write {paths[option]}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refusal", ["search-api-key", "csv-is-a-directory"])
+    def test_refused_run_makes_no_directory(self, tmp_path, capsys, monkeypatch, refusal):
+        # Every exit-2 check runs before the report's new parent directories are made.
+        args = ["run", str(mini_dataset(tmp_path)), "--report", str(tmp_path / "new" / "r.json")]
+        if refusal == "search-api-key":
+            monkeypatch.setenv("RAGMEND_SEARCH_API_KEY", "a\nb")
+            args += ["--set", "search.endpoint=http://localhost:9/search"]
+            message = "RAGMEND_SEARCH_API_KEY"
+        else:
+            (tmp_path / "existing").mkdir()
+            args += ["--csv", str(tmp_path / "existing")]
+            message = f"cannot write {tmp_path / 'existing'}: it is a directory"
+        before = _tree(tmp_path)
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
 
 def _tree(root):
-    """Every file under `root` with its bytes, and every symlink with its target."""
+    """Every file under `root` with its bytes, every symlink with its target,
+    and every directory."""
     tree = {}
     for path in sorted(Path(root).rglob("*")):
         if path.is_symlink():
             tree[path] = os.readlink(path)
         elif path.is_file():
             tree[path] = path.read_bytes()
+        else:
+            tree[path] = None
     return tree
 
 
@@ -908,6 +912,30 @@ class TestOfflineUsesNoProxy:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["scores"] == [0.5, 0.5]
         assert [(method, path) for method, path, _ in local.requests] == [("POST", "/score")] * 2
+
+
+class TestOfflineReadsEndpointsAsSent:
+    """`--offline` reads an endpoint's host as `requests` sends it: `requests`
+    ends the host at a backslash, where `urlsplit` reads on to an "@"."""
+
+    def test_non_local_host_before_a_backslash_exits_2_up_front(self, tmp_path, capsys):
+        with silent_listener() as listener:
+            url = "http://example.com\\@127.0.0.1:%d/score" % listener.getsockname()[1]
+            code = _judge_remote(tmp_path, url, "--offline")
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --offline forbids non-local endpoint scorer.endpoint={url}\n"
+        )
+
+    def test_local_host_before_a_backslash_is_sent_to(self, tmp_path, capsys):
+        with http_server(_score) as local:
+            code = _judge_remote(tmp_path, f"{local.base_url}\\@example.com/score", "--offline")
+        assert code == 0
+        assert [(method, path) for method, path, _ in local.requests] == [
+            ("POST", "/%5C@example.com/score")
+        ] * 2
 
 
 class TestRunAgainstMockService:

@@ -271,12 +271,21 @@ class TestSearchOp:
             ("mailto:x@example.com", "url must be absolute"),
             ("http://a.com/\ud800", "url must be a valid UTF-8 URL"),
             ("http://[::1/x", "url must be a valid UTF-8 URL"),
+            # `requests` would send this to evil.example, not to Wikipedia.
+            (
+                "http://evil.example\\@en.wikipedia.org/wiki/X",
+                "url must have no backslash in its authority",
+            ),
         ],
     )
     def test_malformed_url_fails_the_reply(self, url, message):
         client = http_search_client(["http://a.com/1", url])
         with pytest.raises(SearchUnavailableError, match=f"malformed search reply: {message}"):
             search("q", client, SearchConfig(top_k_urls=1, prefer_wikipedia=False))
+
+    def test_backslash_after_the_authority_is_kept(self):
+        url = "http://a.com/x\\@en.wikipedia.org/"
+        assert search("q", http_search_client([url]), SearchConfig()) == [url]
 
     @given(
         st.lists(
